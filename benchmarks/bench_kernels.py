@@ -1,7 +1,9 @@
 """Timing comparison of the two time-stepping kernel implementations.
 
-Runs the same nonlinear radial evolution through the numba kernel and the
-pure-numpy fallback and prints steps/second for each.  Usage:
+Runs the same nonlinear radial evolution through the scalar loop (compiled by
+numba when _kernels.NUMBA_ENABLED, plain Python otherwise, and labelled
+accordingly) and the windowed numpy kernel.  Prints steps/second for each and
+the mean share of the grid inside the active window.  Usage:
 
     python benchmarks/bench_kernels.py [--dr 0.02] [--tmax 40] [--repeat 3]
 """
@@ -38,9 +40,13 @@ def run_once(kern, payload):
     rec = [np.zeros(nsteps + 1) for _ in range(4)]
     rec_edge = np.zeros(nsteps + 1, dtype=np.int64)
     t0 = time.perf_counter()
-    kern(u, v, a, disc.A, disc.B, disc.C, disc.V, phiV, esc, msq, bh,
-         dt, disc.p, 1, 0, nsteps, 1e12, *rec, rec_edge, edge)
-    return time.perf_counter() - t0
+    m, _, _ = kern(u, v, a, disc.A, disc.B, disc.C, disc.V, phiV, esc, msq,
+                   bh, dt, disc.p, 1, 0, nsteps, 1e12, *rec, rec_edge, edge)
+    elapsed = time.perf_counter() - t0
+    # step m updates cells 0..min(edge + _EDGE_PAD, N - 1), edge from step m-1
+    edges = np.concatenate(([edge], rec_edge[1:m]))
+    active = np.minimum(edges + _kernels._EDGE_PAD, len(u) - 2) + 1
+    return elapsed, float(active.mean()) / len(u)
 
 
 def main():
@@ -56,13 +62,16 @@ def main():
     print(f"grid: {ncells} cells, {nsteps} steps "
           f"(dr={args.dr}, tmax={args.tmax})")
 
-    # trigger jit compilation outside the timed region
-    run_once(_kernels.advance_segment_numba, payload)
+    if _kernels.NUMBA_ENABLED:     # jit compilation outside the timed region
+        run_once(_kernels.advance_segment_numba, payload)
 
-    for name, kern in (("numba", _kernels.advance_segment_numba),
+    scalar = "numba" if _kernels.NUMBA_ENABLED else "python-loop"
+    for name, kern in ((scalar, _kernels.advance_segment_numba),
                        ("numpy", _kernels.advance_segment_numpy)):
-        best = min(run_once(kern, payload) for _ in range(args.repeat))
-        print(f"{name:>6}: {best:8.4f} s  ({nsteps / best:10.0f} steps/s)")
+        runs = [run_once(kern, payload) for _ in range(args.repeat)]
+        best = min(t for t, _ in runs)
+        print(f"{name:>11}: {best:8.4f} s  ({nsteps / best:10.0f} steps/s, "
+              f"active window {runs[0][1]:.3f} of the grid)")
 
 
 if __name__ == "__main__":

@@ -1,11 +1,12 @@
 """Time-stepping kernels for the radial wave solver.
 
 Two interchangeable implementations of one velocity-Verlet segment advance:
-a numba @njit loop and a pure-numpy one.  Selection is made once, at import
-time: the numba loop is used when AEBLOW_NUMBA is unset or truthy and numba
-imports.  The numpy path is used when AEBLOW_NUMBA is "0", "false" or "off",
-or when numba does not import; the latter fallback is silent (NUMBA_ENABLED
-then reads False).  benchmarks/bench_kernels.py times both.
+a scalar loop (numba @njit when available) and a numpy one that runs it as
+slices.  Selection is made once, at import time: the numba loop is used when
+AEBLOW_NUMBA is unset or truthy and numba imports.  The numpy path is used when
+AEBLOW_NUMBA is "0", "false", "off", "no" or empty, or when numba does not
+import; the latter fallback is silent (NUMBA_ENABLED then reads False).
+wave_solver.step and the full evolutions both go through advance_segment.
 
 State per node: u, v = du/dt, a = d2u/dt2.  One step m -> m+1:
 
@@ -15,10 +16,12 @@ State per node: u, v = du/dt, a = d2u/dt2.  One step m -> m+1:
     v  = (vh + dt/2 f) / (1 + bh[m+1])      bh = b(t) dt / 2 (semi-implicit)
     a  = f - (2 bh[m+1]/dt) v
 
-which is plain Stoermer-Verlet when b = 0.  The kernel also accumulates the
-per-step scalars (sup|u|, integral of u, of |u|^p, of u*phi*esc
-with the caller-supplied per-step scale esc) and tracks the
-support edge so the active window follows the light cone.
+which is plain Stoermer-Verlet when b = 0.  Both kernels update only cells
+0..min(edge + _EDGE_PAD, N - 1), edge being the last cell with |u| above
+_EDGE_REL sup|u| after the previous step, so the window follows the light
+cone and cells beyond it keep their values.  On the window they also sum the
+per-step scalars (sup|u|, integral of u, of |u|^p, of u*phi*esc with the
+caller-supplied per-step scale esc) and find the new edge.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ def _advance_py(u, v, a, A, B, C, V, phiV, esc, msq, bh, dt, p, nonlin,
     """Advance nsteps; record scalars at global indices m0+1..; return status.
 
     status: 0 completed, 1 sup cap exceeded (blow-up), 2 non-finite values.
-    Shared by both implementations through identical semantics.
     """
     N = u.shape[0] - 1
     half = 0.5 * dt
@@ -74,7 +76,7 @@ def _advance_py(u, v, a, A, B, C, V, phiV, esc, msq, bh, dt, p, nonlin,
             vn = (a[i] + half * f) / (1.0 + b1)
             v[i] = vn
             a[i] = f - (2.0 * b1 / dt) * vn
-            if absu > sup:
+            if absu > sup or absu != absu:    # a NaN cell makes sup NaN
                 sup = absu
             Fs += ui * V[i]
             Ips += absu ** p * V[i]
@@ -102,44 +104,39 @@ def _advance_py(u, v, a, A, B, C, V, phiV, esc, msq, bh, dt, p, nonlin,
 def advance_segment_numpy(u, v, a, A, B, C, V, phiV, esc, msq, bh, dt, p, nonlin,
                           m0, nsteps, sup_cap, rec_sup, rec_F, rec_Ip, rec_G,
                           rec_edge, edge):
-    """Vectorized fallback: full-grid updates, identical update formulas."""
+    """Vectorized _advance_py: the same window and formulas, one slice a step."""
     N = u.shape[0] - 1
     half = 0.5 * dt
-    status = 0
-    m_done = m0
     lap = np.empty_like(u)
     for step in range(nsteps):
         m = m0 + step + 1
+        n = min(edge + _EDGE_PAD, N - 1) + 1          # active cells 0..n-1
+        uw, vw, aw, lw = u[:n], v[:n], a[:n], lap[:n]
         c1 = msq[m]
         b1 = bh[m]
-        vh = v + half * a
-        u += dt * vh
-        u[N] = 0.0
-        lap[0] = A[0] * (u[1] - u[0])
-        lap[1:N] = A[1:N] * u[2:N + 1] + B[1:N] * u[1:N] + C[1:N] * u[0:N - 1]
-        lap[N] = 0.0
-        absu = np.abs(u)
-        f = c1 * (lap + absu ** p) if nonlin else c1 * lap
-        v[:] = (vh + half * f) / (1.0 + b1)
-        a[:] = f - (2.0 * b1 / dt) * v
-        v[N] = 0.0
-        a[N] = 0.0
+        vh = vw + half * aw
+        uw += dt * vh
+        lw[0] = A[0] * (u[1] - u[0])
+        lw[1:] = A[1:n] * u[2:n + 1] + B[1:n] * uw[1:] + C[1:n] * uw[:-1]
+        absu = np.abs(uw)
+        upow = absu ** p
+        f = c1 * (lw + upow) if nonlin else c1 * lw
+        vw[:] = (vh + half * f) / (1.0 + b1)
+        aw[:] = f - (2.0 * b1 / dt) * vw
         sup = float(np.max(absu))
-        nz = np.nonzero(absu > _EDGE_REL * sup)[0]
+        # "not <=" keeps NaN cells live, as the scalar loop's edge search does
+        nz = np.flatnonzero(~(absu <= _EDGE_REL * sup))
         edge = int(nz[-1]) if len(nz) else 0
         rec_sup[m] = sup
-        rec_F[m] = float(u @ V)
-        rec_Ip[m] = float(absu ** p @ V)
-        rec_G[m] = float(u @ (phiV * esc[m]))
+        rec_F[m] = float(uw @ V[:n])
+        rec_Ip[m] = float(upow @ V[:n])
+        rec_G[m] = float(uw @ (phiV[:n] * esc[m]))
         rec_edge[m] = edge
-        m_done = m
         if not np.isfinite(sup):
-            status = 2
-            break
+            return m, 2, edge
         if sup > sup_cap:
-            status = 1
-            break
-    return m_done, status, edge
+            return m, 1, edge
+    return m0 + nsteps, 0, edge
 
 
 def _truthy(s: str) -> bool:

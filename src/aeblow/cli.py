@@ -236,6 +236,10 @@ def _run_solve(cfg: ExperimentConfig) -> int:
         "support_tol": sup_rep.tol,
         "support_within_tol": bool(sup_rep.passed),
     }
+    if run.get("snapshot_file") and len(traj.snap_t):
+        with open(run["snapshot_file"], "wb") as f:
+            np.save(f, np.stack([traj.snap_u, traj.snap_v], axis=1))
+        report["snapshot_times"] = [float(t) for t in traj.snap_t]
     _write_json(report, cfg.out)
     if cfg.csv is not None:
         stride = max(1, int(run.get("stride", 1)))
@@ -244,10 +248,6 @@ def _run_solve(cfg: ExperimentConfig) -> int:
         rows = ((traj.t[i], traj.F[i], G[i], H[i], traj.sup[i],
                  traj.edge_r[i]) for i in idx)
         _write_csv(["t", "F", "Fpp", "H", "sup_u", "edge_r"], rows, cfg.csv)
-    if run.get("snapshot_file") and len(traj.snap_t):
-        with open(run["snapshot_file"], "wb") as f:
-            np.save(f, np.stack([traj.snap_u, traj.snap_v], axis=1))
-        report["snapshot_times"] = [float(t) for t in traj.snap_t]
     return 0
 
 

@@ -219,24 +219,31 @@ def init(metric: MetricProfile, damping: DampingProfile | None,
     return RadialWaveState(t=0.0, u=u, v=v, a=a, disc=disc)
 
 
+def _support_edge(u: np.ndarray, v: np.ndarray | None = None) -> int:
+    """Last cell where |u| (or max(|u|, |v|)) exceeds 1e-12 of its sup, else 0."""
+    live = np.abs(u) if v is None else np.maximum(np.abs(u), np.abs(v))
+    nz = np.flatnonzero(live > 1e-12 * max(float(live.max()), 1e-300))
+    return int(nz[-1]) if len(nz) else 0
+
+
 def step(state: RadialWaveState, dt: float) -> RadialWaveState:
-    """One Stoermer-Verlet step; damping handled semi-implicitly."""
+    """One Stoermer-Verlet step of the windowed kernel; damping semi-implicit."""
     disc = state.disc
     if dt > disc.dt_max * (1.0 + 1e-12):
         raise ConfigurationError(
             f"dt={dt:g} violates the CFL bound {disc.dt_max:g}")
     t1 = state.t + dt
     msq, bh = disc.coeffs_at(t1, dt)
-    vh = state.v + 0.5 * dt * state.a
-    u1 = state.u + dt * vh
-    u1[disc.N] = 0.0
-    src = np.abs(u1) ** disc.p if disc.config.nonlinear else 0.0
-    f = msq * (disc.lap(u1) + src)
-    v1 = (vh + 0.5 * dt * f) / (1.0 + bh)
-    a1 = f - (2.0 * bh / dt) * v1
-    if not np.isfinite(u1).all():
+    u, v, a = state.u.copy(), state.v.copy(), state.a.copy()
+    _, status, _ = _kernels.advance_segment(
+        u, v, a, disc.A, disc.B, disc.C, disc.V, np.zeros_like(u), np.ones(2),
+        np.full(2, msq), np.full(2, bh), dt, disc.p,
+        1 if disc.config.nonlinear else 0, 0, 1, math.inf,
+        *(np.zeros(2) for _ in range(4)), np.zeros(2, dtype=np.int64),
+        _support_edge(u, v))
+    if status == 2:
         raise DomainError("non-finite values: blow-up reached inside step")
-    return replace(state, t=t1, u=u1, v=v1, a=a1)
+    return replace(state, t=t1, u=u, v=v, a=a)
 
 
 # -- full evolutions -----------------------------------------------------------
@@ -334,10 +341,7 @@ def _evolve(state: RadialWaveState, snapshot_times=None, phi_grid=None,
     rec_F[0] = float(u @ disc.V)
     rec_Ip[0] = float(absu ** disc.p @ disc.V)
     rec_G[0] = float(u @ phiV) * esc[0]
-    live = np.maximum(absu, np.abs(v))
-    nz = np.nonzero(live > 1e-12 * max(live.max(), 1e-300))[0]
-    edge = int(nz[-1]) if len(nz) else 0
-    rec_edge[0] = edge
+    edge = rec_edge[0] = _support_edge(u, v)
 
     kern = _kernels.advance_segment
     nonlin = 1 if cfg.nonlinear else 0
@@ -442,10 +446,7 @@ class SupportReport:
 def check_support(state: RadialWaveState) -> SupportReport:
     """Finite-speed check: int_0^edge K <= eta(t) + R1 within grid slack."""
     disc = state.disc
-    absu = np.abs(state.u)
-    sup = float(absu.max())
-    nz = np.nonzero(absu > 1e-12 * max(sup, 1e-300))[0]
-    edge = int(nz[-1]) if len(nz) else 0
+    edge = _support_edge(state.u)
     tau = state.t if disc.mode == "direct" \
         else float(eta_of_s(disc.damping, state.t))
     budget = tau + disc.r1

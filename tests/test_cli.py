@@ -70,6 +70,7 @@ def test_solve_csv_and_snapshots(tmp_path):
                     "--out", str(out), "--csv", str(csvp)]) == 0
     rep = json.loads(out.read_text())
     assert rep["status"] == "completed"
+    assert rep["snapshot_times"] == [1.0, 2.0]
     arr = np.load(snap)
     assert arr.shape[0] == 2 and arr.shape[1] == 2
     header = csvp.read_bytes().split(b"\r\n")[0]
