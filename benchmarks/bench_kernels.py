@@ -1,9 +1,10 @@
 """Timing comparison of the two time-stepping kernel implementations.
 
-Runs the same nonlinear radial evolution through the scalar loop (compiled by
-numba when _kernels.NUMBA_ENABLED, plain Python otherwise, and labelled
-accordingly) and the windowed numpy kernel.  Prints steps/second for each and
-the mean share of the grid inside the active window.  Usage:
+Runs the same nonlinear radial evolution through the numba-compiled scalar
+loop and the windowed numpy kernel, and prints steps/second for each and the
+mean share of the grid inside the active window.  Without numba
+(_kernels.NUMBA_ENABLED false) the scalar loop would run as plain Python,
+some 50x slower than numpy, so only numpy is timed.  Usage:
 
     python benchmarks/bench_kernels.py [--dr 0.02] [--tmax 40] [--repeat 3]
 """
@@ -28,9 +29,7 @@ def build(dr, tmax):
     bh = np.zeros(nsteps + 1)
     phiV = np.exp(-disc.r) * disc.V
     esc = np.exp(-0.2 * np.arange(nsteps + 1) * dt)
-    live = np.maximum(np.abs(state.u), np.abs(state.v))
-    nz = np.nonzero(live > 1e-12 * live.max())[0]
-    edge = int(nz[-1]) if len(nz) else 0
+    edge = ws._support_edge(state.u, state.v)
     return state, disc, dt, nsteps, msq, bh, phiV, esc, edge
 
 
@@ -62,12 +61,14 @@ def main():
     print(f"grid: {ncells} cells, {nsteps} steps "
           f"(dr={args.dr}, tmax={args.tmax})")
 
-    if _kernels.NUMBA_ENABLED:     # jit compilation outside the timed region
-        run_once(_kernels.advance_segment_numba, payload)
-
-    scalar = "numba" if _kernels.NUMBA_ENABLED else "python-loop"
-    for name, kern in ((scalar, _kernels.advance_segment_numba),
-                       ("numpy", _kernels.advance_segment_numpy)):
+    kernels = [("numpy", _kernels.advance_segment_numpy)]
+    if _kernels.NUMBA_ENABLED:
+        run_once(_kernels.advance_segment_numba, payload)  # jit compile
+        kernels.insert(0, ("numba", _kernels.advance_segment_numba))
+    else:
+        print("numba: not importable or disabled by AEBLOW_NUMBA; "
+              "scalar loop skipped")
+    for name, kern in kernels:
         runs = [run_once(kern, payload) for _ in range(args.repeat)]
         best = min(t for t, _ in runs)
         print(f"{name:>11}: {best:8.4f} s  ({nsteps / best:10.0f} steps/s, "

@@ -13,7 +13,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -136,11 +136,14 @@ def _solver_config(cfg: ExperimentConfig) -> solver_mod.SolverConfig:
         sup_cap=float(s.get("sup_cap", 1e12)))
 
 
-def _data_profile(cfg: ExperimentConfig) -> solver_mod.DataProfile:
+def _profiles(cfg: ExperimentConfig):
+    """(metric, damping, data) profiles of an experiment."""
     d = cfg.data
-    return solver_mod.DataProfile(r0=_reqfloat(d, "data", "r0"),
-                                  u0_amp=float(d.get("u0_amp", 0.0)),
-                                  u1_amp=float(d.get("u1_amp", 0.0)))
+    return (metric_mod.profile_from_config(cfg.metric),
+            damping_mod.damping_from_config(cfg.damping),
+            solver_mod.DataProfile(r0=_reqfloat(d, "data", "r0"),
+                                   u0_amp=float(d.get("u0_amp", 0.0)),
+                                   u1_amp=float(d.get("u1_amp", 0.0))))
 
 
 # -- subcommand bodies ---------------------------------------------------------
@@ -215,9 +218,7 @@ def _run_ode(cfg: ExperimentConfig) -> int:
 
 
 def _run_solve(cfg: ExperimentConfig) -> int:
-    profile = metric_mod.profile_from_config(cfg.metric)
-    dprof = damping_mod.damping_from_config(cfg.damping)
-    data = _data_profile(cfg)
+    profile, dprof, data = _profiles(cfg)
     scfg = _solver_config(cfg)
     run = cfg.run
     eps = _reqfloat(run, "run", "eps")
@@ -252,9 +253,7 @@ def _run_solve(cfg: ExperimentConfig) -> int:
 
 
 def _run_sweep(cfg: ExperimentConfig) -> int:
-    profile = metric_mod.profile_from_config(cfg.metric)
-    dprof = damping_mod.damping_from_config(cfg.damping)
-    data = _data_profile(cfg)
+    profile, dprof, data = _profiles(cfg)
     scfg = _solver_config(cfg)
     run = cfg.run
     p = _reqfloat(run, "run", "p")
@@ -280,9 +279,7 @@ def _run_sweep(cfg: ExperimentConfig) -> int:
 
 
 def _run_critical(cfg: ExperimentConfig) -> int:
-    profile = metric_mod.profile_from_config(cfg.metric)
-    dprof = damping_mod.damping_from_config(cfg.damping)
-    data = _data_profile(cfg)
+    profile, dprof, data = _profiles(cfg)
     run = cfg.run
     n = profile.n
     p_raw = run.get("p", "auto")

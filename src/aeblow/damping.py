@@ -7,7 +7,6 @@ mt(s) = m(eta(s)) pinned inside [delta1, 1/delta1], delta1 = exp(-||b||_L1).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -36,66 +35,45 @@ _ODE_RTOL = 1e-12
 _ODE_ATOL = 1e-14
 
 
-class _Cache:
-    """Dense solutions of c' = b (c = int b) and h' = exp(-c), grown on demand."""
+class _DenseODE:
+    """Dense DOP853 solution of y' = f(t, y), y(0) = y0, grown on demand.
 
-    def __init__(self, b: Callable[[float], float]):
-        self._b = b
+    A query beyond the solved range re-integrates from 0 to max(2t, 100).
+    """
+
+    def __init__(self, f: Callable, y0: list[float], what: str):
+        self._f = f
+        self._y0 = y0
+        self._what = what
         self.tmax = 0.0
         self._sol = None
 
-    def ensure(self, t: float):
+    def _ensure(self, t: float):
         t = max(float(t), 1.0)
         if self._sol is not None and t <= self.tmax:
             return
         target = max(2.0 * t, 100.0)
-        res = solve_ivp(
-            lambda tt, y: [self._b(tt), np.exp(-y[0])],
-            (0.0, target), [0.0, 0.0],
-            method="DOP853", rtol=_ODE_RTOL, atol=_ODE_ATOL, dense_output=True,
-        )
+        res = solve_ivp(self._f, (0.0, target), self._y0, method="DOP853",
+                        rtol=_ODE_RTOL, atol=_ODE_ATOL, dense_output=True)
         if not res.success:
-            raise IntegrationError(f"damping cache integration failed: {res.message}")
+            raise IntegrationError(f"{self._what} integration failed: {res.message}")
         self._sol = res.sol
         self.tmax = target
 
-    def cumb(self, t):
-        """int_0^t b."""
-        self.ensure(np.max(t) if np.ndim(t) else t)
-        return self._sol(np.atleast_1d(t))[0] if np.ndim(t) else float(self._sol(t)[0])
+    def __call__(self, t, row: int = 0):
+        """Component `row` of y at t (scalar or array)."""
+        if np.ndim(t):
+            self._ensure(np.max(t))
+            return self._sol(t)[row]
+        self._ensure(t)
+        return float(self._sol(t)[row])
 
-    def h(self, t):
-        self.ensure(np.max(t) if np.ndim(t) else t)
-        return self._sol(np.atleast_1d(t))[1] if np.ndim(t) else float(self._sol(t)[1])
 
-
-class _EtaCache:
-    """Dense solution of eta'(s) = m(eta(s)), eta(0) = 0."""
-
-    def __init__(self, m: Callable[[float], float], delta1: float):
-        self._m = m
-        self._delta1 = delta1
-        self.smax = 0.0
-        self._sol = None
-
-    def ensure(self, s: float):
-        s = max(float(s), 1.0)
-        if self._sol is not None and s <= self.smax:
-            return
-        target = max(2.0 * s, 100.0)
-        res = solve_ivp(
-            lambda ss, y: [self._m(y[0])],
-            (0.0, target), [0.0],
-            method="DOP853", rtol=_ODE_RTOL, atol=_ODE_ATOL, dense_output=True,
-        )
-        if not res.success:
-            raise IntegrationError(f"eta integration failed: {res.message}")
-        self._sol = res.sol
-        self.smax = target
-
-    def eta(self, s):
-        self.ensure(np.max(s) if np.ndim(s) else s)
-        return self._sol(np.atleast_1d(s))[0] if np.ndim(s) else float(self._sol(s)[0])
+def _times(t) -> np.ndarray:
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
+        raise DomainError("time must be nonnegative")
+    return t
 
 
 @dataclass(frozen=True)
@@ -104,7 +82,8 @@ class DampingProfile:
 
     kinds: "zero", "scattering-power" (b = mu (1+t)^-beta), "signed-oscillatory"
     (b = mu cos(t) (1+t)^-beta), "tabulated".  l1_norm is a certified bound on
-    ||b||_L1 (analytic tail for the power kinds, declared tail for tables).
+    ||b||_L1 (analytic tail for the power kinds, declared tail tail_l1 for
+    tables).
     """
 
     kind: str
@@ -113,6 +92,7 @@ class DampingProfile:
     l1_norm: float = 0.0
     table_t: np.ndarray | None = field(default=None, repr=False)
     table_b: np.ndarray | None = field(default=None, repr=False)
+    tail_l1: float = 0.0
     _interp: object | None = field(default=None, repr=False, compare=False)
     _cache: object | None = field(default=None, repr=False, compare=False)
     _eta_cache: object | None = field(default=None, repr=False, compare=False)
@@ -123,9 +103,7 @@ class DampingProfile:
 
     def b(self, t):
         """Evaluate b(t) for t >= 0."""
-        t = np.asarray(t, dtype=float)
-        if np.any(t < 0):
-            raise DomainError("time must be nonnegative")
+        t = _times(t)
         if self.kind == "zero":
             out = np.zeros_like(t)
         elif self.kind == "scattering-power":
@@ -145,9 +123,12 @@ def zero_damping() -> DampingProfile:
 def _finish(profile: DampingProfile) -> DampingProfile:
     # caches are mutable helpers living on a frozen dataclass; they hold
     # derived state only, so sharing the profile across workers stays safe
-    object.__setattr__(profile, "_cache", _Cache(lambda t: profile.b(t)))
-    object.__setattr__(profile, "_eta_cache",
-                       _EtaCache(lambda t: m_of_t(profile, t), profile.delta1))
+    # _cache solves c' = b (c = int b) and h' = exp(-c); _eta_cache solves
+    # eta'(s) = m(eta(s)), eta(0) = 0
+    object.__setattr__(profile, "_cache", _DenseODE(
+        lambda t, y: [profile.b(t), np.exp(-y[0])], [0.0, 0.0], "damping cache"))
+    object.__setattr__(profile, "_eta_cache", _DenseODE(
+        lambda s, y: [m_of_t(profile, y[0])], [0.0], "eta"))
     return profile
 
 
@@ -189,7 +170,7 @@ def tabulated_damping(t, b, tail_l1: float = 0.0) -> DampingProfile:
     interp = interp1d(t, b, kind="linear", assume_sorted=True)
     l1 = float(np.trapezoid(np.abs(b), t)) + float(tail_l1)
     prof = DampingProfile(kind="tabulated", l1_norm=l1, table_t=t, table_b=b,
-                          _interp=interp)
+                          tail_l1=float(tail_l1), _interp=interp)
     return _finish(prof)
 
 
@@ -197,40 +178,34 @@ def tabulated_damping(t, b, tail_l1: float = 0.0) -> DampingProfile:
 
 def m_of_t(profile: DampingProfile, t):
     """m(t) = exp(int_0^t b), the damping integrating factor."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise DomainError("time must be nonnegative")
+    t = _times(t)
     if profile.kind == "zero":
         out = np.ones_like(t)
     elif profile.kind == "scattering-power":
         cumb = profile.mu * (1.0 - (1.0 + t) ** (1.0 - profile.beta)) / (profile.beta - 1.0)
         out = np.exp(cumb)
     else:
-        out = np.exp(profile._cache.cumb(t))
+        out = np.exp(profile._cache(t))
     return float(out) if np.ndim(out) == 0 else out
 
 
 def h_of_t(profile: DampingProfile, t):
     """h(t) = int_0^t 1/m -- the strictly increasing new time variable."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise DomainError("time must be nonnegative")
+    t = _times(t)
     if profile.kind == "zero":
         out = t.copy()
     else:
-        out = profile._cache.h(t)
+        out = profile._cache(t, row=1)
     return float(out) if np.ndim(out) == 0 else out
 
 
 def eta_of_s(profile: DampingProfile, s):
     """eta(s), inverse of h: eta(h(t)) = t, with eta'(s) = m(eta(s))."""
-    s = np.asarray(s, dtype=float)
-    if np.any(s < 0):
-        raise DomainError("time must be nonnegative")
+    s = _times(s)
     if profile.kind == "zero":
         out = s.copy()
     else:
-        out = profile._eta_cache.eta(s)
+        out = profile._eta_cache(s)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -249,6 +224,7 @@ def damping_to_config(profile: DampingProfile) -> dict:
     elif profile.kind == "tabulated":
         cfg["table"] = [[float(a), float(b)]
                         for a, b in zip(profile.table_t, profile.table_b)]
+        cfg["tail_l1"] = profile.tail_l1
     return cfg
 
 
@@ -275,7 +251,3 @@ def damping_from_config(cfg: dict) -> DampingProfile:
                                  tail_l1=float(cfg.get("tail_l1", 0.0)))
     raise ConfigurationError(f"unknown damping kind {kind!r}")
 
-
-def damping_from_json(path: str) -> DampingProfile:
-    with open(path) as f:
-        return damping_from_config(json.load(f))

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import DomainError, IntegrationError, PositivityError
-from .metric import MetricProfile, eval_k, g_potential, k_integral_grid, validate_long_range
+from .metric import MetricProfile, eval_k, k_integral_grid, validate_long_range
 
 __all__ = [
     "EntireSolution",
@@ -22,8 +22,6 @@ __all__ = [
     "EnvelopeReport",
     "MuReport",
     "lambda_max",
-    "build_interior",
-    "extend_exterior",
     "build_entire_solution",
     "build_family",
     "verify_envelopes",
@@ -119,8 +117,7 @@ def build_entire_solution(profile: MetricProfile, lam: float, r_max: float,
         raise DomainError(f"lambda={lam:g} exceeds lambda0={lam0:g}")
     n = profile.n
     r_ball = 1.0 / lam
-    r_end = max(r_max, r_ball) * 1.0 + dr
-    sol, r_start, c2 = _solve_log_form(profile, lam, max(r_end, r_ball + dr))
+    sol, r_start, c2 = _solve_log_form(profile, lam, max(r_max, r_ball) + dr)
 
     l_ball = float(sol(r_ball)[0])          # shift so Phi(1/lam) = 1
     grid = np.arange(0.0, r_max + dr / 2.0, dr)
@@ -154,21 +151,6 @@ def build_entire_solution(profile: MetricProfile, lam: float, r_max: float,
         k_int=k_integral_grid(profile, grid),
         phi0=float(np.exp(-l_ball)),
     )
-
-
-def build_interior(profile: MetricProfile, lam: float, dr: float = 0.01,
-                   lam0: float | None = None) -> EntireSolution:
-    """Solution on the ball [0, 1/lam] with the regular-origin shooting."""
-    return build_entire_solution(profile, lam, r_max=1.0 / lam, dr=dr, lam0=lam0)
-
-
-def extend_exterior(interior: EntireSolution, r_max: float) -> EntireSolution:
-    """Extend an interior solution out to r_max (same shooting trajectory)."""
-    if r_max < 10.0 / interior.lam:
-        raise DomainError("r_max should be at least 10/lambda for the exterior regime")
-    dr = float(interior.r[1] - interior.r[0])
-    return build_entire_solution(interior.profile, interior.lam, r_max, dr=dr,
-                                 lam0=interior.lam)
 
 
 def build_family(profile: MetricProfile, lams: np.ndarray, r_max: float,

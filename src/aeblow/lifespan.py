@@ -18,6 +18,7 @@ import numpy as np
 from .damping import DampingProfile
 from .errors import (ConfigurationError, DomainError, InsufficientDataError)
 from .metric import MetricProfile
+from .ode_lab import _aitken
 from .wave_solver import (DataProfile, SolverConfig, Trajectory,
                           evolve_damped_direct, evolve_transformed)
 
@@ -89,13 +90,6 @@ def _data_shape_name(data: DataProfile) -> str:
     if data.u0_amp == 0:
         return "bump-u1"
     return "bump-both"
-
-
-def _aitken(t1: float, t2: float, t3: float) -> float:
-    den = t3 - 2.0 * t2 + t1
-    if abs(den) < 1e-14 * max(abs(t3), 1.0):
-        return t3
-    return (t1 * t3 - t2 * t2) / den
 
 
 def _crossing_times(traj: Trajectory, eps: float):

@@ -7,7 +7,6 @@ MetricProfile through the evaluators defined here.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -70,14 +69,6 @@ class MetricProfile:
             raise DomainError(f"delta0 must lie in (0,1), got {self.delta0}")
         if self.kind not in ("flat", "power-law", "tabulated"):
             raise ConfigurationError(f"unknown metric kind {self.kind!r}")
-
-    # -- evaluators ---------------------------------------------------------
-
-    def k(self, r):
-        return eval_k(self, r)[0]
-
-    def k_int(self, r):
-        return k_integral(self, r)
 
 
 def flat_profile(n: int) -> MetricProfile:
@@ -171,20 +162,15 @@ def k_integral_grid(profile: MetricProfile, r_grid: np.ndarray) -> np.ndarray:
     r = np.asarray(r_grid, dtype=float)
     if r[0] < 0 or np.any(np.diff(r) <= 0):
         raise DomainError("grid must be increasing and nonnegative")
-    a = np.concatenate(([0.0], r[:-1])) if r[0] > 0 else r[:-1]
-    if r[0] > 0:
-        edges_lo, edges_hi = np.concatenate(([0.0], r[:-1])), r
-    else:
-        edges_lo, edges_hi = r[:-1], r[1:]
-    mid = 0.5 * (edges_lo + edges_hi)
-    half = 0.5 * (edges_hi - edges_lo)
+    if r[0] > 0:     # the first cell is [0, r_0]
+        lo, hi, head = np.concatenate(([0.0], r[:-1])), r, []
+    else:            # r_0 = 0 is a node with integral 0
+        lo, hi, head = r[:-1], r[1:], [0.0]
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
     pts = mid[:, None] + half[:, None] * _GL_X[None, :]
     kv = eval_k(profile, pts.ravel())[0].reshape(pts.shape)
-    cell = half * (kv @ _GL_W)
-    cum = np.cumsum(cell)
-    if r[0] > 0:
-        return cum
-    return np.concatenate(([0.0], cum))
+    return np.concatenate((head, np.cumsum(half * (kv @ _GL_W))))
 
 
 def g_potential(profile: MetricProfile, r):
@@ -325,7 +311,3 @@ def profile_from_config(cfg: dict) -> MetricProfile:
         return tabulated_profile(n, tab[:, 0], tab[:, 1], rho=float(cfg.get("rho", 1.0)))
     raise ConfigurationError(f"unknown metric kind {kind!r}")
 
-
-def profile_from_json(path: str) -> MetricProfile:
-    with open(path) as f:
-        return profile_from_config(json.load(f))

@@ -45,7 +45,6 @@ __all__ = [
     "step",
     "evolve_transformed",
     "evolve_damped_direct",
-    "functional_F",
     "functional_H",
     "functional_G",
     "check_support",
@@ -306,10 +305,12 @@ class Trajectory:
         return np.exp(self.lam1 * self.eta) * self.h_rec
 
 
-def _evolve(state: RadialWaveState, snapshot_times=None, phi_grid=None,
+def _evolve(state: RadialWaveState, snapshot_times=None, phi_sol=None,
             lam1: float = 0.0) -> Trajectory:
     disc = state.disc
     cfg = disc.config
+    phiV = np.zeros_like(disc.V) if phi_sol is None \
+        else _phi_on_grid(disc, phi_sol) * disc.V
     tmax = cfg.tmax
     nsteps = int(math.ceil(tmax / disc.dt_max - 1e-12))
     dt = tmax / nsteps
@@ -324,7 +325,6 @@ def _evolve(state: RadialWaveState, snapshot_times=None, phi_grid=None,
         bh_arr = 0.5 * dt * np.asarray(disc.damping.b(tgrid), dtype=float)
         eta_full = tgrid
 
-    phiV = np.zeros_like(disc.V) if phi_grid is None else phi_grid * disc.V
     esc = np.exp(-lam1 * eta_full) if lam1 else np.ones(nsteps + 1)
 
     u = state.u.copy()
@@ -336,8 +336,7 @@ def _evolve(state: RadialWaveState, snapshot_times=None, phi_grid=None,
     rec_G = np.zeros(nsteps + 1)
     rec_edge = np.zeros(nsteps + 1, dtype=np.int64)
     absu = np.abs(u)
-    sup0 = float(absu.max())
-    rec_sup[0] = sup0
+    rec_sup[0] = float(absu.max())
     rec_F[0] = float(u @ disc.V)
     rec_Ip[0] = float(absu ** disc.p @ disc.V)
     rec_G[0] = float(u @ phiV) * esc[0]
@@ -352,24 +351,21 @@ def _evolve(state: RadialWaveState, snapshot_times=None, phi_grid=None,
 
     m_cur = 0
     status = 0
-    for ts in snaps_req:
-        m_target = min(int(math.floor(ts / dt + 1e-9)), nsteps)
+    # one segment up to each snapshot, then one to tmax (ts None)
+    for ts in snaps_req + [None]:
+        m_target = nsteps if ts is None \
+            else min(int(math.floor(ts / dt + 1e-9)), nsteps)
         if m_target > m_cur and status == 0:
             m_cur, status, edge = kern(
                 u, v, a, disc.A, disc.B, disc.C, disc.V, phiV, esc, msq_arr,
                 bh_arr, dt, disc.p, nonlin, m_cur, m_target - m_cur,
                 cfg.sup_cap, rec_sup, rec_F, rec_Ip, rec_G, rec_edge, edge)
-        if status != 0 and m_cur * dt < ts - 1e-9:
+        if ts is None or (status != 0 and m_cur * dt < ts - 1e-9):
             break
         d = ts - m_cur * dt
         snap_t.append(ts)
         snap_u.append(u + d * v + 0.5 * d * d * a)
         snap_v.append(v + d * a)
-    if status == 0 and m_cur < nsteps:
-        m_cur, status, edge = kern(
-            u, v, a, disc.A, disc.B, disc.C, disc.V, phiV, esc, msq_arr, bh_arr,
-            dt, disc.p, nonlin, m_cur, nsteps - m_cur, cfg.sup_cap,
-            rec_sup, rec_F, rec_Ip, rec_G, rec_edge, edge)
 
     last = m_cur + 1
     t_rec = tgrid[:last]
@@ -397,8 +393,7 @@ def evolve_transformed(metric: MetricProfile, damping: DampingProfile | None,
                        lam1: float = 0.0) -> Trajectory:
     """Evolve d_s^2 u = mt(s)^2 (Lap_g u + |u|^p) in the slow time s."""
     state = init(metric, damping, data, eps, config, p=p, mode="transformed")
-    phi_grid = None if phi_sol is None else _phi_on_grid(state.disc, phi_sol)
-    return _evolve(state, snapshot_times, phi_grid, lam1)
+    return _evolve(state, snapshot_times, phi_sol, lam1)
 
 
 def evolve_damped_direct(metric: MetricProfile, damping: DampingProfile | None,
@@ -407,16 +402,10 @@ def evolve_damped_direct(metric: MetricProfile, damping: DampingProfile | None,
                          lam1: float = 0.0) -> Trajectory:
     """Evolve d_t^2 u + b(t) d_t u = Lap_g u + |u|^p in the original time."""
     state = init(metric, damping, data, eps, config, p=p, mode="direct")
-    phi_grid = None if phi_sol is None else _phi_on_grid(state.disc, phi_sol)
-    return _evolve(state, snapshot_times, phi_grid, lam1)
+    return _evolve(state, snapshot_times, phi_sol, lam1)
 
 
 # -- functionals ---------------------------------------------------------------
-
-def functional_F(state: RadialWaveState) -> float:
-    """F = integral of u dv_g with the scheme's cell volumes."""
-    return float(state.u @ state.disc.V)
-
 
 def functional_G(state: RadialWaveState, phi_sol) -> float:
     """G = integral of u phi dv_g."""
@@ -424,12 +413,16 @@ def functional_G(state: RadialWaveState, phi_sol) -> float:
     return float(state.u @ (phi * state.disc.V))
 
 
+def _tau(state: RadialWaveState) -> float:
+    """Physical time of a state: eta(s) in transformed mode, t in direct."""
+    disc = state.disc
+    return state.t if disc.mode == "direct" \
+        else float(eta_of_s(disc.damping, state.t))
+
+
 def functional_H(state: RadialWaveState, phi_sol, lam1: float) -> float:
     """H = exp(-lam1 eta) G, the test-function pairing."""
-    disc = state.disc
-    tau = state.t if disc.mode == "direct" \
-        else float(eta_of_s(disc.damping, state.t))
-    return math.exp(-lam1 * tau) * functional_G(state, phi_sol)
+    return math.exp(-lam1 * _tau(state)) * functional_G(state, phi_sol)
 
 
 # -- support and inequality reports ---------------------------------------------
@@ -447,9 +440,7 @@ def check_support(state: RadialWaveState) -> SupportReport:
     """Finite-speed check: int_0^edge K <= eta(t) + R1 within grid slack."""
     disc = state.disc
     edge = _support_edge(state.u)
-    tau = state.t if disc.mode == "direct" \
-        else float(eta_of_s(disc.damping, state.t))
-    budget = tau + disc.r1
+    budget = _tau(state) + disc.r1
     slack = budget - float(disc.kint[edge])
     tol = _SLACK_CELLS * disc.dr / disc.delta0
     return SupportReport(edge_r=edge * disc.dr, budget=budget, slack=slack,

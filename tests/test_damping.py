@@ -69,6 +69,36 @@ def test_m_tilde_range_and_limit(scat_damping):
     assert damping.m_tilde(scat_damping, 0.0) == 1.0
 
 
+def _regrowth_profiles():
+    return (lambda: damping.signed_oscillatory_damping(0.4, 1.5),
+            lambda: damping.tabulated_damping(
+                np.linspace(0.0, 8.0, 9),
+                [0.3, 0.25, 0.2, 0.1, 0.15, 0.05, 0.1, 0.02, 0.0]))
+
+
+@pytest.mark.parametrize("make", _regrowth_profiles(),
+                         ids=["signed-oscillatory", "tabulated"])
+def test_dense_caches_agree_across_regrowth(make):
+    # a query at 10 solves eta up to s = 100 (and int b, h up to past
+    # eta(100)); one at 500 re-solves both further out.  A fresh profile
+    # asked at 500 first never had the short solves, so both must give the
+    # same maps within round-off.
+    grown, fresh = make(), make()
+    early = (damping.h_of_t(grown, 10.0), damping.eta_of_s(grown, 10.0))
+    horizon = grown._cache.tmax
+    assert grown._eta_cache.tmax == 100.0
+    late = (damping.h_of_t(grown, 500.0), damping.eta_of_s(grown, 500.0))
+    assert grown._eta_cache.tmax == 1000.0 and grown._cache.tmax > horizon
+    ref_late = (damping.h_of_t(fresh, 500.0), damping.eta_of_s(fresh, 500.0))
+    ref_early = (damping.h_of_t(fresh, 10.0), damping.eta_of_s(fresh, 10.0))
+    assert early == pytest.approx(ref_early, rel=1e-10)
+    assert late == pytest.approx(ref_late, rel=1e-10)
+    # inverse pair on both sides of the first horizon (100)
+    t = np.array([5.0, 60.0, 99.0, 101.0, 250.0, 480.0])
+    back = damping.eta_of_s(grown, damping.h_of_t(grown, t))
+    assert np.max(np.abs(back - t) / t) < 1e-8
+
+
 def test_m_tilde_derivative_identity(scat_damping):
     # d mt/ds = b(eta(s)) mt(s)^2
     s, h = 2.0, 1e-4
@@ -97,12 +127,16 @@ def test_nonneg_damping_m_monotone(scat_damping):
 def test_tabulated_damping_round_trip():
     t = np.linspace(0.0, 30.0, 3000)
     b = 0.5 * np.exp(-t)
-    prof = damping.tabulated_damping(t, b, tail_l1=0.5 * math.exp(-30.0))
+    prof = damping.tabulated_damping(t, b, tail_l1=0.1)
     assert damping.m_of_t(prof, 10.0) == pytest.approx(
         math.exp(0.5 * (1.0 - math.exp(-10.0))), rel=1e-4)
     cfg = damping.damping_to_config(prof)
     back = damping.damping_from_config(cfg)
     assert back.kind == "tabulated"
+    # the declared tail sets delta1, hence the CFL step and the mt window
+    assert back.tail_l1 == prof.tail_l1 == 0.1
+    assert back.l1_norm == prof.l1_norm
+    assert back.delta1 == prof.delta1
 
 
 def test_negative_time_rejected(scat_damping):
