@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from aeblow import lifespan
 from aeblow import ode_lab as ol
 from aeblow.damping import eta_of_s
 from aeblow.errors import DomainError
@@ -121,3 +124,19 @@ def test_comparison_rejects_bad_args(zero_damping):
         ol.forward_comparison(zero_damping, -1.0, 5.0)
     with pytest.raises(DomainError):
         ol.backward_comparison(zero_damping, 0.5, -2.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(T=st.floats(1.0, 1e3), c=st.floats(1e-3, 10.0), q=st.floats(0.05, 0.9))
+def test_aitken_recovers_geometric_limit(T, c, q):
+    t1, t2, t3 = (T - c * q ** k for k in (1, 2, 3))
+    assert ol._aitken(t1, t2, t3) == pytest.approx(T, rel=1e-9)
+
+
+def test_aitken_equal_spacing_returns_last():
+    assert ol._aitken(1.0, 2.0, 3.0) == 3.0
+    assert ol._aitken(10.0, 10.5, 11.0) == 11.0
+
+
+def test_aitken_has_one_implementation():
+    assert lifespan._aitken is ol._aitken
