@@ -36,10 +36,7 @@ _ODE_ATOL = 1e-14
 
 
 class _DenseODE:
-    """Dense DOP853 solution of y' = f(t, y), y(0) = y0, grown on demand.
-
-    A query beyond the solved range re-integrates from 0 to max(2t, 100).
-    """
+    """Dense DOP853 solution of y' = f(t, y), y(0) = y0, grown on demand."""
 
     def __init__(self, f: Callable, y0: list[float], what: str):
         self._f = f

@@ -162,14 +162,11 @@ _THRESHOLDS = (1e8, 1e10, 1e12)
 
 
 def _aitken(t1: float, t2: float, t3: float) -> float:
-    """Geometric-sequence extrapolation of the accumulation point.
-
-    Written as a correction to t3: the textbook (t1 t3 - t2^2) / den
-    subtracts two O(t^2) products, a relative error of ~1e-16 t / |den|.
-    """
+    """Geometric-sequence extrapolation of the accumulation point."""
     den = t3 - 2.0 * t2 + t1
     if abs(den) < 1e-14 * max(abs(t3), 1.0):
         return t3
+    # (t1 t3 - t2^2) / den would lose ~1e-16 t / |den| to cancellation
     return t3 - (t3 - t2) ** 2 / den
 
 

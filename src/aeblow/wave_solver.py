@@ -144,8 +144,8 @@ class Discretization:
         self.dr = dr
 
         k_node, _, _ = eval_k(metric, self.r)
-        k_half, _, _ = eval_k(metric, self.r[:-1] + dr / 2.0)
         r_half = self.r[:-1] + dr / 2.0
+        k_half, _, _ = eval_k(metric, r_half)
         n = self.n
         a_half = r_half ** (n - 1) / k_half
         wt = k_node * self.r ** (n - 1)
@@ -342,7 +342,6 @@ def _evolve(state: RadialWaveState, snapshot_times=None, phi_sol=None,
     rec_G[0] = float(u @ phiV) * esc[0]
     edge = rec_edge[0] = _support_edge(u, v)
 
-    kern = _kernels.advance_segment
     nonlin = 1 if cfg.nonlinear else 0
     snaps_req = sorted(float(ts) for ts in (snapshot_times or []))
     if snaps_req and (snaps_req[0] < -1e-12 or snaps_req[-1] > tmax + 1e-12):
@@ -356,7 +355,7 @@ def _evolve(state: RadialWaveState, snapshot_times=None, phi_sol=None,
         m_target = nsteps if ts is None \
             else min(int(math.floor(ts / dt + 1e-9)), nsteps)
         if m_target > m_cur and status == 0:
-            m_cur, status, edge = kern(
+            m_cur, status, edge = _kernels.advance_segment(
                 u, v, a, disc.A, disc.B, disc.C, disc.V, phiV, esc, msq_arr,
                 bh_arr, dt, disc.p, nonlin, m_cur, m_target - m_cur,
                 cfg.sup_cap, rec_sup, rec_F, rec_Ip, rec_G, rec_edge, edge)

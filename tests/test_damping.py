@@ -69,15 +69,12 @@ def test_m_tilde_range_and_limit(scat_damping):
     assert damping.m_tilde(scat_damping, 0.0) == 1.0
 
 
-def _regrowth_profiles():
-    return (lambda: damping.signed_oscillatory_damping(0.4, 1.5),
-            lambda: damping.tabulated_damping(
-                np.linspace(0.0, 8.0, 9),
-                [0.3, 0.25, 0.2, 0.1, 0.15, 0.05, 0.1, 0.02, 0.0]))
-
-
-@pytest.mark.parametrize("make", _regrowth_profiles(),
-                         ids=["signed-oscillatory", "tabulated"])
+@pytest.mark.parametrize("make", [
+    lambda: damping.signed_oscillatory_damping(0.4, 1.5),
+    lambda: damping.tabulated_damping(
+        np.linspace(0.0, 8.0, 9),
+        [0.3, 0.25, 0.2, 0.1, 0.15, 0.05, 0.1, 0.02, 0.0]),
+], ids=["signed-oscillatory", "tabulated"])
 def test_dense_caches_agree_across_regrowth(make):
     # a query at 10 solves eta up to s = 100 (and int b, h up to past
     # eta(100)); one at 500 re-solves both further out.  A fresh profile
