@@ -81,9 +81,11 @@ def _mt2_rhs(damping: DampingProfile, lam: float):
     return lambda t, z: [z[1], lam * lam * m_tilde(damping, t) ** 2 * z[0]]
 
 
-def _solve_and_sample(damping: DampingProfile, lam: float, span, y0,
-                      T: float, n_samples: int):
-    """Integrate y'' = lam^2 mt^2 y over span; sample y, y', eta on [0, T]."""
+def _solve_and_sample(damping: DampingProfile, lam: float, T: float, y0,
+                      n_samples: int, backward: bool = False):
+    """Integrate y'' = lam^2 mt^2 y from 0 to T (T to 0 if backward);
+    sample y, y', eta on [0, T]."""
+    span = (T, 0.0) if backward else (0.0, T)
     res = solve_ivp(_mt2_rhs(damping, lam), span, y0,
                     method="DOP853", rtol=1e-11, atol=1e-13, dense_output=True)
     if not res.success:
@@ -98,8 +100,8 @@ def forward_comparison(damping: DampingProfile, lam: float,
     """Solve y'' = lam^2 mt^2 y, y(0)=0, y'(0)=1 and measure its sinh envelope."""
     if lam <= 0:
         raise DomainError("lambda must be positive")
-    ts, y, yp, eta = _solve_and_sample(damping, lam, (0.0, t_max), [0.0, 1.0],
-                                       t_max, n_samples)
+    ts, y, yp, eta = _solve_and_sample(damping, lam, t_max, [0.0, 1.0],
+                                       n_samples)
     # skip t=0 where both sides vanish; the ratio limit there is mt(0)=1
     arg = lam * eta[1:]
     c_low = float(np.min(np.minimum(lam * y[1:] / np.sinh(arg),
@@ -114,8 +116,8 @@ def backward_comparison(damping: DampingProfile, lam: float,
     """Solve y'' = lam^2 mt^2 y backwards from y(T)=0, y'(T)=-1."""
     if lam <= 0 or T <= 0:
         raise DomainError("lambda and T must be positive")
-    ts, y, yp, eta = _solve_and_sample(damping, lam, (T, 0.0), [0.0, -1.0],
-                                       T, n_samples)
+    ts, y, yp, eta = _solve_and_sample(damping, lam, T, [0.0, -1.0],
+                                       n_samples, backward=True)
     eta_T = float(eta_of_s(damping, T))
     arg = lam * (eta_T - eta[:-1])   # skip t=T where both sides vanish
     c_low = float(np.min(np.minimum(lam * y[:-1] / np.sinh(arg),
@@ -166,8 +168,7 @@ def _aitken(t1: float, t2: float, t3: float) -> float:
     den = t3 - 2.0 * t2 + t1
     if abs(den) < 1e-14 * max(abs(t3), 1.0):
         return t3
-    # (t1 t3 - t2^2) / den would lose ~1e-16 t / |den| to cancellation
-    return t3 - (t3 - t2) ** 2 / den
+    return (t1 * t3 - t2 * t2) / den
 
 
 def kato_blowup_time(problem: KatoProblem, tolerance: float = 1e-10,
