@@ -13,7 +13,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -287,16 +287,14 @@ def _run_critical(cfg: ExperimentConfig) -> int:
     q = critical_mod.critical_q(n, p)
     t_max = float(run.get("t_max", 40.0))
     eps = float(run.get("eps", 0.4))
-    dr = float(cfg.solver["dr"])
-    scfg = solver_mod.SolverConfig(dr=dr, tmax=t_max, cfl=float(
-        cfg.solver.get("cfl", 0.45)))
+    scfg = _solver_config(replace(cfg, solver=dict(cfg.solver, tmax=t_max)))
     lam_pts = int(run.get("lam_points", 17))
     ev = critical_mod.build_evaluator(
         profile, dprof, q=q,
         r_max=(t_max / dprof.delta1 + 2.0) / profile.delta0 + 2.0,
         r1=metric_mod.k_integral(profile, data.r0),
         lam_grid=critical_mod.log_lambda_grid(
-            min(1.0, eigen_mod.lambda_max(profile)), lam_pts), dr=dr)
+            min(1.0, eigen_mod.lambda_max(profile)), lam_pts), dr=scfg.dr)
     step = float(run.get("snapshot_step", 0.5))
     snaps = list(np.arange(0.0, t_max + 1e-9, step))
     traj = solver_mod.evolve_transformed(profile, dprof, data, eps, scfg,

@@ -65,9 +65,6 @@ class EigenFamily:
     lams: np.ndarray
     r: np.ndarray
     phi: np.ndarray
-    log_phi: np.ndarray
-    k_int: np.ndarray
-    members: tuple[EntireSolution, ...]
 
     @property
     def n(self) -> int:
@@ -159,13 +156,12 @@ def build_family(profile: MetricProfile, lams: np.ndarray, r_max: float,
     lams = np.sort(np.asarray(lams, dtype=float))
     if lam0 is None:
         lam0 = lambda_max(profile)
-    members = tuple(build_entire_solution(profile, lam, r_max, dr=dr, lam0=lam0)
-                    for lam in lams)
-    r = members[0].r
-    phi = np.ascontiguousarray(np.vstack([m.phi for m in members]))
-    log_phi = np.ascontiguousarray(np.vstack([m.log_phi for m in members]))
-    return EigenFamily(profile=profile, lams=lams, r=r, phi=phi,
-                       log_phi=log_phi, k_int=members[0].k_int, members=members)
+    rows = []
+    for lam in lams:
+        sol = build_entire_solution(profile, lam, r_max, dr=dr, lam0=lam0)
+        rows.append(sol.phi)          # every member shares the grid sol.r
+    return EigenFamily(profile=profile, lams=lams, r=sol.r,
+                       phi=np.ascontiguousarray(np.vstack(rows)))
 
 
 # -- diagnostics ---------------------------------------------------------------

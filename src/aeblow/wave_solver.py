@@ -167,11 +167,20 @@ class Discretization:
         speed = self.delta0 * (self.delta1 if mode == "transformed" else 1.0)
         self.dt_max = config.cfl * dr * speed
 
-    def coeffs_at(self, t: float, dt: float) -> tuple[float, float]:
-        """(msq, bh) entering the step that lands on time t."""
+    def schedule(self, t, dt: float):
+        """(msq, bh, tau) of the steps landing on times t, vectorized over t.
+
+        msq multiplies the spatial operator and source, bh = b dt/2 is the
+        semi-implicit damping and tau is the physical time: mt(t)^2, 0, eta(t)
+        in transformed mode, 1, b(t) dt/2, t in direct mode.
+        """
+        t = np.asarray(t, dtype=float)
         if self.mode == "transformed":
-            return float(m_tilde(self.damping, t)) ** 2, 0.0
-        return 1.0, 0.5 * dt * float(self.damping.b(t))
+            msq = np.asarray(m_tilde(self.damping, t), dtype=float) ** 2
+            return (msq, np.zeros_like(t),
+                    np.asarray(eta_of_s(self.damping, t), dtype=float))
+        return (np.ones_like(t),
+                0.5 * dt * np.asarray(self.damping.b(t), dtype=float), t)
 
     def lap(self, u: np.ndarray) -> np.ndarray:
         N = self.N
@@ -183,12 +192,9 @@ class Discretization:
         return out
 
     def accel(self, t: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        msq, _ = self.coeffs_at(t, 1.0)
+        msq, bh, _ = self.schedule(t, 1.0)
         src = np.abs(u) ** self.p if self.config.nonlinear else 0.0
-        a = msq * (self.lap(u) + src)
-        if self.mode == "direct":
-            a = a - self.damping.b(t) * v
-        return a
+        return msq * (self.lap(u) + src) - 2.0 * bh * v
 
 
 @dataclass(frozen=True)
@@ -232,11 +238,11 @@ def step(state: RadialWaveState, dt: float) -> RadialWaveState:
         raise ConfigurationError(
             f"dt={dt:g} violates the CFL bound {disc.dt_max:g}")
     t1 = state.t + dt
-    msq, bh = disc.coeffs_at(t1, dt)
+    msq, bh, _ = disc.schedule(np.full(2, t1), dt)
     u, v, a = state.u.copy(), state.v.copy(), state.a.copy()
     _, status, _ = _kernels.advance_segment(
         u, v, a, disc.A, disc.B, disc.C, disc.V, np.zeros_like(u), np.ones(2),
-        np.full(2, msq), np.full(2, bh), dt, disc.p,
+        msq, bh, dt, disc.p,
         1 if disc.config.nonlinear else 0, 0, 1, math.inf,
         *(np.zeros(2) for _ in range(4)), np.zeros(2, dtype=np.int64),
         _support_edge(u, v))
@@ -315,16 +321,7 @@ def _evolve(state: RadialWaveState, snapshot_times=None, phi_sol=None,
     nsteps = int(math.ceil(tmax / disc.dt_max - 1e-12))
     dt = tmax / nsteps
     tgrid = np.arange(nsteps + 1) * dt
-
-    if disc.mode == "transformed":
-        msq_arr = np.asarray(m_tilde(disc.damping, tgrid), dtype=float) ** 2
-        bh_arr = np.zeros(nsteps + 1)
-        eta_full = np.asarray(eta_of_s(disc.damping, tgrid), dtype=float)
-    else:
-        msq_arr = np.ones(nsteps + 1)
-        bh_arr = 0.5 * dt * np.asarray(disc.damping.b(tgrid), dtype=float)
-        eta_full = tgrid
-
+    msq_arr, bh_arr, eta_full = disc.schedule(tgrid, dt)
     esc = np.exp(-lam1 * eta_full) if lam1 else np.ones(nsteps + 1)
 
     u = state.u.copy()
@@ -414,9 +411,7 @@ def functional_G(state: RadialWaveState, phi_sol) -> float:
 
 def _tau(state: RadialWaveState) -> float:
     """Physical time of a state: eta(s) in transformed mode, t in direct."""
-    disc = state.disc
-    return state.t if disc.mode == "direct" \
-        else float(eta_of_s(disc.damping, state.t))
+    return float(state.disc.schedule(state.t, 1.0)[2])
 
 
 def functional_H(state: RadialWaveState, phi_sol, lam1: float) -> float:

@@ -128,6 +128,16 @@ def test_critical_smoke(tmp_path):
     assert rep["iteration_rel_err"] < 1e-2
 
 
+@pytest.mark.parametrize("override,message", [
+    ("solver.dr=abc", "solver.dr must be a number"),
+    ("solver.rmax=1", "rmax=1 too small")])
+def test_critical_reads_solver_block(override, message, capsys):
+    assert run_cli(["critical", "--set", "run.t_max=4.0",
+                    "--set", "solver.dr=0.1", "--set", "run.lam_points=5",
+                    "--set", override]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_entry_point_registered():
     import importlib.metadata as md
     import pathlib

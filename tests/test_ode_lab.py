@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aeblow import lifespan
+from aeblow import _kernels, lifespan
 from aeblow import ode_lab as ol
 from aeblow.damping import eta_of_s
 from aeblow.errors import DomainError
@@ -145,3 +146,9 @@ def test_aitken_equal_spacing_returns_last():
 
 def test_aitken_has_one_implementation():
     assert lifespan._aitken is ol._aitken
+
+
+def test_verlet_kernel_has_one_implementation():
+    defined = {v for v in vars(_kernels).values()
+               if inspect.isfunction(v) and v.__module__ == _kernels.__name__}
+    assert defined == {_kernels.advance_segment}

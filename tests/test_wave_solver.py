@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from aeblow import damping as damping_mod
 from aeblow import entire_solutions as es
 from aeblow import wave_solver as ws
 from aeblow.errors import ConfigurationError, DomainError, SupportViolationError
@@ -84,6 +85,27 @@ def test_snapshot_matches_step_landing(flat3, zero_damping, bump_data):
         F_snap = float(traj.snap_u[k] @ traj.V)
         F_rec = float(np.interp(ts, traj.t, traj.F))
         assert F_snap == pytest.approx(F_rec, rel=1e-4, abs=1e-9)
+
+
+@pytest.mark.parametrize("mode", ["transformed", "direct"])
+@pytest.mark.parametrize("make_damping", [
+    damping_mod.scattering_power_damping,
+    damping_mod.signed_oscillatory_damping])
+def test_step_agrees_with_evolve_under_damping(flat3, bump_data, make_damping,
+                                               mode):
+    damping = make_damping(0.5, 2.0)
+    cfg = ws.SolverConfig(dr=0.05, tmax=2.0)
+    evolve = (ws.evolve_transformed if mode == "transformed"
+              else ws.evolve_damped_direct)
+    # a snapshot at tmax lands on the last step, so it is the stepped state
+    traj = evolve(flat3, damping, bump_data, 0.5, cfg, snapshot_times=[2.0])
+    state = ws.init(flat3, damping, bump_data, 0.5, cfg, mode=mode)
+    for _ in range(len(traj.t) - 1):
+        state = ws.step(state, traj.dt)
+    assert state.t == pytest.approx(2.0, abs=1e-9)
+    for got, want in ((state.u, traj.snap_u[0]), (state.v, traj.snap_v[0])):
+        scale = max(float(np.max(np.abs(want))), 1.0)
+        assert np.max(np.abs(got - want)) / scale < 1e-12
 
 
 def test_direct_equals_transformed_without_damping(flat3, zero_damping,
