@@ -1,7 +1,10 @@
 """The time-stepping kernel of the radial wave solver.
 
 advance_segment runs one velocity-Verlet segment as numpy slices;
-wave_solver.step and the full evolutions both go through it.
+wave_solver.step and the full evolutions both go through it.  _stencil is the
+radial divergence-form stencil L, shared with wave_solver.Discretization.lap,
+and _EDGE_REL the support-edge threshold, shared with
+wave_solver._support_edge.
 
 State per node: u, v = du/dt, a = d2u/dt2.  One step m -> m+1:
 
@@ -30,6 +33,13 @@ _EDGE_REL = 1e-12   # "numerically zero" support threshold, relative to sup|u|
 _EDGE_PAD = 8       # extra active cells beyond the measured support edge
 
 
+def _stencil(u, A, B, C, n, out):
+    """out[i] = (L u)_i on cells 0..n-1, reading u[0..n]; returns out."""
+    out[0] = A[0] * (u[1] - u[0])
+    out[1:n] = A[1:n] * u[2:n + 1] + B[1:n] * u[1:n] + C[1:n] * u[:n - 1]
+    return out
+
+
 def advance_segment(u, v, a, A, B, C, V, phiV, esc, msq, bh, dt, p, nonlin,
                     m0, nsteps, sup_cap, rec_sup, rec_F, rec_Ip, rec_G,
                     rec_edge, edge):
@@ -49,8 +59,7 @@ def advance_segment(u, v, a, A, B, C, V, phiV, esc, msq, bh, dt, p, nonlin,
         b1 = bh[m]
         vh = vw + half * aw
         uw += dt * vh
-        lw[0] = A[0] * (u[1] - u[0])
-        lw[1:] = A[1:n] * u[2:n + 1] + B[1:n] * uw[1:] + C[1:n] * uw[:-1]
+        _stencil(u, A, B, C, n, lap)
         absu = np.abs(uw)
         upow = absu ** p
         f = c1 * (lw + upow) if nonlin else c1 * lw

@@ -233,7 +233,7 @@ def _run_solve(cfg: ExperimentConfig) -> int:
         "status": traj.status, "t_end": float(traj.t[-1]), "dt": traj.dt,
         "mode": traj.mode, "eps": eps, "p": p,
         "sup_final": float(traj.sup[-1]),
-        "support_min_slack": float(np.min(sup_rep.slack)),
+        "support_min_slack": sup_rep.slack,
         "support_tol": sup_rep.tol,
         "support_within_tol": bool(sup_rep.passed),
     }
@@ -245,9 +245,9 @@ def _run_solve(cfg: ExperimentConfig) -> int:
     if cfg.csv is not None:
         stride = max(1, int(run.get("stride", 1)))
         idx = range(0, len(traj.t), stride)
-        H, G = traj.H, traj.fpp
-        rows = ((traj.t[i], traj.F[i], G[i], H[i], traj.sup[i],
-                 traj.edge_r[i]) for i in idx)
+        fpp, edge_r = traj.fpp, traj.edge_r
+        rows = ((traj.t[i], traj.F[i], fpp[i], traj.H[i], traj.sup[i],
+                 edge_r[i]) for i in idx)
         _write_csv(["t", "F", "Fpp", "H", "sup_u", "edge_r"], rows, cfg.csv)
     return 0
 
@@ -288,13 +288,13 @@ def _run_critical(cfg: ExperimentConfig) -> int:
     t_max = float(run.get("t_max", 40.0))
     eps = float(run.get("eps", 0.4))
     scfg = _solver_config(replace(cfg, solver=dict(cfg.solver, tmax=t_max)))
-    lam_pts = int(run.get("lam_points", 17))
+    lam0 = min(1.0, eigen_mod.lambda_max(profile))
     ev = critical_mod.build_evaluator(
         profile, dprof, q=q,
         r_max=(t_max / dprof.delta1 + 2.0) / profile.delta0 + 2.0,
         r1=metric_mod.k_integral(profile, data.r0),
         lam_grid=critical_mod.log_lambda_grid(
-            min(1.0, eigen_mod.lambda_max(profile)), lam_pts), dr=scfg.dr)
+            lam0, int(run.get("lam_points", 17))), dr=scfg.dr, lam0=lam0)
     step = float(run.get("snapshot_step", 0.5))
     snaps = list(np.arange(0.0, t_max + 1e-9, step))
     traj = solver_mod.evolve_transformed(profile, dprof, data, eps, scfg,

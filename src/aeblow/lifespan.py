@@ -20,7 +20,8 @@ from .errors import (ConfigurationError, DomainError, InsufficientDataError)
 from .metric import MetricProfile
 from .ode_lab import _aitken
 from .wave_solver import (DataProfile, SolverConfig, Trajectory,
-                          evolve_damped_direct, evolve_transformed)
+                          check_support_trajectory, evolve_damped_direct,
+                          evolve_transformed)
 
 __all__ = [
     "critical_exponent",
@@ -144,7 +145,7 @@ def detect_blowup(metric: MetricProfile, damping: DampingProfile | None,
         if len(cr2) == len(THRESHOLD_FACTORS):
             t_ref = _aitken(*cr2)
             rel = abs(t_ref - t_det) / t_det
-    slack = float(((traj.eta + traj.r1) - traj.kint[traj.edge]).min())
+    slack = check_support_trajectory(traj).slack
     return LifespanRecord(
         n=metric.n, p=p, eps=eps, metric_id=metric.name,
         damping_id=damping.kind if damping is not None else "zero",

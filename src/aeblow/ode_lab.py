@@ -1,15 +1,13 @@
 """Second-order ODE studies: comparison solutions and the blow-up ODE.
 
-Three users: the generic adaptive integrator with dense output, the auxiliary
-solutions of y'' = lam^2 mt(t)^2 y used to build test functions, and the
-blow-up ODE F'' = k (1+t)^-alpha F^beta whose finite blow-up time scales like
-a power of the seed size delta.
+Two users: the auxiliary solutions of y'' = lam^2 mt(t)^2 y used to build
+test functions, and the blow-up ODE F'' = k (1+t)^-alpha F^beta whose finite
+blow-up time scales like a power of the seed size delta.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -18,8 +16,6 @@ from .damping import DampingProfile, eta_of_s, m_tilde
 from .errors import DomainError, IntegrationError
 
 __all__ = [
-    "Trajectory2",
-    "integrate_2nd_order",
     "ComparisonSolution",
     "forward_comparison",
     "backward_comparison",
@@ -28,35 +24,6 @@ __all__ = [
     "kato_blowup_time",
     "kato_delta_sweep",
 ]
-
-
-@dataclass(frozen=True)
-class Trajectory2:
-    """Dense solution of a scalar second-order ODE."""
-
-    t0: float
-    t1: float
-    _sol: object
-
-    def __call__(self, t):
-        """Return y(t) (value row 0, derivative row 1 via .deriv)."""
-        return np.asarray(self._sol(t))[0]
-
-    def deriv(self, t):
-        return np.asarray(self._sol(t))[1]
-
-
-def integrate_2nd_order(rhs: Callable[[float, float, float], float],
-                        y0: float, v0: float,
-                        span: tuple[float, float],
-                        tolerance: float = 1e-10) -> Trajectory2:
-    """Adaptive solve of y'' = rhs(t, y, y') with dense output."""
-    res = solve_ivp(lambda t, z: [z[1], rhs(t, z[0], z[1])],
-                    span, [y0, v0], method="DOP853",
-                    rtol=tolerance, atol=tolerance * 1e-2, dense_output=True)
-    if not res.success:
-        raise IntegrationError(f"2nd-order integration failed: {res.message}")
-    return Trajectory2(t0=span[0], t1=span[1], _sol=res.sol)
 
 
 @dataclass(frozen=True)

@@ -22,9 +22,10 @@ from .metric import MetricProfile, k_integral
 
 
 def log_lambda_grid(lam0: float, count: int = 17, decades: float = 3.0):
-    """Log-spaced grid on (0, lam0], largest point exactly lam0."""
-    if lam0 <= 0.0 or count < 3:
-        raise ConfigurationError("need lam0 > 0 and at least 3 grid points")
+    """Log-spaced grid on (0, lam0], largest point exactly lam0; the cubic
+    quadrature weights need at least 4 points."""
+    if lam0 <= 0.0 or count < 4:
+        raise ConfigurationError("need lam0 > 0 and at least 4 grid points")
     return np.geomspace(lam0 * 10.0 ** (-decades), lam0, count)
 
 

@@ -46,8 +46,6 @@ __all__ = [
     "evolve_transformed",
     "evolve_damped_direct",
     "functional_H",
-    "functional_G",
-    "check_support",
     "check_support_trajectory",
     "check_inequalities",
     "energy",
@@ -183,12 +181,9 @@ class Discretization:
                 0.5 * dt * np.asarray(self.damping.b(t), dtype=float), t)
 
     def lap(self, u: np.ndarray) -> np.ndarray:
-        N = self.N
-        out = np.empty_like(u)
-        out[0] = self.A[0] * (u[1] - u[0])
-        out[1:N] = (self.A[1:N] * u[2:N + 1] + self.B[1:N] * u[1:N]
-                    + self.C[1:N] * u[0:N - 1])
-        out[N] = 0.0
+        out = _kernels._stencil(u, self.A, self.B, self.C, self.N,
+                                np.empty_like(u))
+        out[self.N] = 0.0
         return out
 
     def accel(self, t: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -224,10 +219,10 @@ def init(metric: MetricProfile, damping: DampingProfile | None,
     return RadialWaveState(t=0.0, u=u, v=v, a=a, disc=disc)
 
 
-def _support_edge(u: np.ndarray, v: np.ndarray | None = None) -> int:
-    """Last cell where |u| (or max(|u|, |v|)) exceeds 1e-12 of its sup, else 0."""
-    live = np.abs(u) if v is None else np.maximum(np.abs(u), np.abs(v))
-    nz = np.flatnonzero(live > 1e-12 * max(float(live.max()), 1e-300))
+def _support_edge(u: np.ndarray, v: np.ndarray) -> int:
+    """Last cell where max(|u|, |v|) is live by the kernel's edge rule, else 0."""
+    live = np.maximum(np.abs(u), np.abs(v))
+    nz = np.flatnonzero(~(live <= _kernels._EDGE_REL * float(live.max())))
     return int(nz[-1]) if len(nz) else 0
 
 
@@ -258,7 +253,7 @@ class Trajectory:
     """Per-step scalar records plus optional field snapshots.
 
     Scalars are sampled at every step: sup = sup|u|, F = integral of u dv_g,
-    int_up = integral of |u|^p dv_g, h_rec = integral of u phi dv_g scaled by
+    int_up = integral of |u|^p dv_g, H = integral of u phi dv_g scaled by
     exp(-lam1 eta(t)) fold step by step (zero when no test eigenfunction was
     attached).  The fold happens inside the accumulation because the unscaled
     pairing reaches exp(lam1 eta) ~ 1e80+ on long runs and the interesting
@@ -277,7 +272,7 @@ class Trajectory:
     sup: np.ndarray
     F: np.ndarray
     int_up: np.ndarray
-    h_rec: np.ndarray
+    H: np.ndarray
     edge: np.ndarray
     msq: np.ndarray
     eta: np.ndarray
@@ -300,15 +295,6 @@ class Trajectory:
     def fpp(self) -> np.ndarray:
         """F'' through the integrated equation, not by differencing."""
         return self.msq * self.int_up
-
-    @property
-    def H(self) -> np.ndarray:
-        return self.h_rec
-
-    @property
-    def G(self) -> np.ndarray:
-        # May overflow to inf on long runs with lam1 > 0; use H for analysis.
-        return np.exp(self.lam1 * self.eta) * self.h_rec
 
 
 def _evolve(state: RadialWaveState, snapshot_times=None, phi_sol=None,
@@ -369,7 +355,7 @@ def _evolve(state: RadialWaveState, snapshot_times=None, phi_sol=None,
     return Trajectory(
         mode=disc.mode, eps=disc.eps, p=disc.p, dr=disc.dr, dt=dt, r=disc.r,
         t=t_rec, sup=rec_sup[:last], F=rec_F[:last], int_up=rec_Ip[:last],
-        h_rec=rec_G[:last], edge=rec_edge[:last], msq=msq_arr[:last],
+        H=rec_G[:last], edge=rec_edge[:last], msq=msq_arr[:last],
         eta=eta_rec, kint=disc.kint, V=disc.V, r1=disc.r1, delta0=disc.delta0,
         delta1=disc.delta1, lam1=lam1,
         status={0: "completed", 1: "blowup", 2: "nonfinite"}[status],
@@ -403,20 +389,12 @@ def evolve_damped_direct(metric: MetricProfile, damping: DampingProfile | None,
 
 # -- functionals ---------------------------------------------------------------
 
-def functional_G(state: RadialWaveState, phi_sol) -> float:
-    """G = integral of u phi dv_g."""
-    phi = _phi_on_grid(state.disc, phi_sol)
-    return float(state.u @ (phi * state.disc.V))
-
-
-def _tau(state: RadialWaveState) -> float:
-    """Physical time of a state: eta(s) in transformed mode, t in direct."""
-    return float(state.disc.schedule(state.t, 1.0)[2])
-
-
 def functional_H(state: RadialWaveState, phi_sol, lam1: float) -> float:
-    """H = exp(-lam1 eta) G, the test-function pairing."""
-    return math.exp(-lam1 * _tau(state)) * functional_G(state, phi_sol)
+    """H = exp(-lam1 eta) integral of u phi dv_g, eta the physical time."""
+    disc = state.disc
+    tau = float(disc.schedule(state.t, 1.0)[2])
+    phi = _phi_on_grid(disc, phi_sol)
+    return math.exp(-lam1 * tau) * float(state.u @ (phi * disc.V))
 
 
 # -- support and inequality reports ---------------------------------------------
@@ -430,20 +408,10 @@ class SupportReport:
     passed: bool
 
 
-def check_support(state: RadialWaveState) -> SupportReport:
-    """Finite-speed check: int_0^edge K <= eta(t) + R1 within grid slack."""
-    disc = state.disc
-    edge = _support_edge(state.u)
-    budget = _tau(state) + disc.r1
-    slack = budget - float(disc.kint[edge])
-    tol = _SLACK_CELLS * disc.dr / disc.delta0
-    return SupportReport(edge_r=edge * disc.dr, budget=budget, slack=slack,
-                         tol=tol, passed=bool(slack >= -tol))
-
-
 def check_support_trajectory(traj: Trajectory,
                              strict: bool = False) -> SupportReport:
-    """Worst slack over all recorded times of a trajectory."""
+    """Finite-speed check int_0^edge K <= eta(t) + R1 within grid slack, at
+    the worst of all recorded times of a trajectory."""
     budget = traj.eta + traj.r1
     slack = budget - traj.kint[traj.edge]
     i = int(np.argmin(slack))

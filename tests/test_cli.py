@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -130,7 +134,9 @@ def test_critical_smoke(tmp_path):
 
 @pytest.mark.parametrize("override,message", [
     ("solver.dr=abc", "solver.dr must be a number"),
-    ("solver.rmax=1", "rmax=1 too small")])
+    ("solver.rmax=1", "rmax=1 too small"),
+    # the cubic lambda weights need 4 nodes; 3 gave NaN/inf and exit 1
+    ("run.lam_points=3", "at least 4 grid points")])
 def test_critical_reads_solver_block(override, message, capsys):
     assert run_cli(["critical", "--set", "run.t_max=4.0",
                     "--set", "solver.dr=0.1", "--set", "run.lam_points=5",
@@ -138,10 +144,20 @@ def test_critical_reads_solver_block(override, message, capsys):
     assert message in capsys.readouterr().err
 
 
+def test_python_dash_m_runs_cli():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "aeblow", "validate"],
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["passed"] is True
+
+
 def test_entry_point_registered():
     import importlib.metadata as md
-    import pathlib
-    import sys
     if sys.version_info >= (3, 11):
         import tomllib
     else:

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aeblow import damping as damping_mod
 from aeblow import entire_solutions as es
+from aeblow import metric as metric_mod
 from aeblow import wave_solver as ws
 from aeblow.errors import ConfigurationError, DomainError, SupportViolationError
 
@@ -39,15 +42,24 @@ def test_flat_linear_matches_dalembert_second_order(flat3, zero_damping):
     assert order > 1.9
 
 
-def test_shadow_energy_exactly_conserved(flat3, zero_damping, bump_data):
-    state = ws.init(flat3, zero_damping, bump_data, 1.0,
-                    linear_cfg(0.02, 10.0))
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.sampled_from([2, 3, 4]), power_law=st.booleans(),
+       c=st.floats(-0.4, 0.5), rho=st.floats(0.5, 2.0),
+       dr=st.sampled_from([0.05, 0.1]), u0_amp=st.floats(0.0, 2.0),
+       u1_amp=st.floats(0.0, 2.0), tmax=st.floats(0.5, 6.0))
+def test_shadow_energy_exactly_conserved(n, power_law, c, rho, dr, u0_amp,
+                                         u1_amp, tmax):
+    # linear, undamped: Verlet conserves its shadow energy to round-off, on
+    # every metric, because the stencil is symmetric in the V inner product
+    metric = (metric_mod.power_law_profile(n, c, rho) if power_law
+              else metric_mod.flat_profile(n))
+    state = ws.init(metric, None, ws.DataProfile(1.0, u0_amp, u1_amp), 1.0,
+                    linear_cfg(dr, tmax))
     dt = state.disc.dt_max
     e0 = ws.shadow_energy(state, dt)
-    for _ in range(int(10.0 / dt)):
+    for _ in range(int(tmax / dt)):
         state = ws.step(state, dt)
-    e1 = ws.shadow_energy(state, dt)
-    assert abs(e1 - e0) / abs(e0) < 1e-6
+    assert abs(ws.shadow_energy(state, dt) - e0) <= 1e-12 * abs(e0)
 
 
 def test_continuous_energy_bounded_wobble(flat3, zero_damping, bump_data):
@@ -124,7 +136,6 @@ def test_pairing_fold_identity(flat3, zero_damping, bump_data):
     cfg = ws.SolverConfig(dr=0.05, tmax=5.0, rmax=40.0)
     traj = ws.evolve_transformed(flat3, zero_damping, bump_data, 0.3, cfg,
                                  phi_sol=phi, lam1=lam1)
-    assert np.allclose(traj.G, np.exp(lam1 * traj.eta) * traj.H, rtol=1e-12)
     # t=0 record equals the functional evaluated on the initial state
     state = ws.init(flat3, zero_damping, bump_data, 0.3, cfg)
     assert traj.H[0] == pytest.approx(ws.functional_H(state, phi, lam1),
@@ -150,17 +161,10 @@ def test_support_report_consistency(flat3, zero_damping, bump_data):
     assert rep.tol > 0
     assert rep.passed == (rep.slack >= -rep.tol)
     assert np.isfinite(rep.budget) and np.isfinite(rep.slack)
+    assert traj.edge_r[0] <= bump_data.r0 + 2 * 0.05    # t=0 data inside r0
     if not rep.passed:
         with pytest.raises(SupportViolationError):
             ws.check_support_trajectory(traj, strict=True)
-
-
-def test_state_level_support_check(flat3, zero_damping, bump_data):
-    state = ws.init(flat3, zero_damping, bump_data, 0.3,
-                    ws.SolverConfig(dr=0.05, tmax=2.0))
-    rep = ws.check_support(state)
-    assert rep.passed                   # at t=0 the data sits inside r0
-    assert rep.edge_r <= bump_data.r0 + 2 * 0.05
 
 
 def test_blowup_detection_and_status(flat3, zero_damping, bump_data):
