@@ -270,8 +270,7 @@ def _run_sweep(cfg: ExperimentConfig) -> int:
         tmax_for = lambda e: min(scfg.tmax, budget / e ** expo)
     fit = lifespan_mod.sweep_and_fit(profile, dprof, data, grid, p, scfg,
                                      mode=run.get("solve_mode", "transformed"),
-                                     tmax_for=tmax_for,
-                                     refine=bool(run.get("refine", False)))
+                                     tmax_for=tmax_for)
     _write_json(fit.as_dict(), cfg.out)
     if cfg.csv is not None:
         _write_csv(["eps", "t_blowup"], zip(fit.eps, fit.t), cfg.csv)
@@ -288,17 +287,17 @@ def _run_critical(cfg: ExperimentConfig) -> int:
     t_max = float(run.get("t_max", 40.0))
     eps = float(run.get("eps", 0.4))
     scfg = _solver_config(replace(cfg, solver=dict(cfg.solver, tmax=t_max)))
-    lam0 = min(1.0, eigen_mod.lambda_max(profile))
-    ev = critical_mod.build_evaluator(
-        profile, dprof, q=q,
-        r_max=(t_max / dprof.delta1 + 2.0) / profile.delta0 + 2.0,
-        r1=metric_mod.k_integral(profile, data.r0),
-        lam_grid=critical_mod.log_lambda_grid(
-            lam0, int(run.get("lam_points", 17))), dr=scfg.dr, lam0=lam0)
+    lam0 = eigen_mod.lambda_max(profile)
+    lam_grid = critical_mod.log_lambda_grid(lam0,
+                                            int(run.get("lam_points", 17)))
     step = float(run.get("snapshot_step", 0.5))
     snaps = list(np.arange(0.0, t_max + 1e-9, step))
     traj = solver_mod.evolve_transformed(profile, dprof, data, eps, scfg,
                                          p=p, snapshot_times=snaps)
+    # the family spans the solver grid, which Discretization already sized
+    ev = critical_mod.build_evaluator(
+        profile, dprof, q=q, r_max=float(traj.r[-1]), r1=traj.r1,
+        lam_grid=lam_grid, dr=traj.dr, lam0=lam0)
     crep = critical_mod.critical_F(traj, ev)
     samples = []
     for T in (t_max / 4, t_max / 2, t_max):

@@ -66,10 +66,6 @@ class EigenFamily:
     r: np.ndarray
     phi: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.profile.n
-
 
 def lambda_max(profile: MetricProfile, r_max: float = 200.0) -> float:
     """lam0 = min(1/R2, 1) with R2 measured by the long-range validator."""

@@ -215,7 +215,7 @@ def fit_records(records, n: int, p: float, data: DataProfile) -> FitReport:
 def sweep_and_fit(metric: MetricProfile, damping: DampingProfile | None,
                   data: DataProfile, eps_grid, p: float,
                   config: SolverConfig, mode: str = "transformed",
-                  tmax_for=None, refine: bool = False) -> FitReport:
+                  tmax_for=None) -> FitReport:
     """Detect blow-up across an eps grid and fit the lifespan exponent.
 
     tmax_for(eps) may supply a per-point time budget; with the default the
@@ -235,5 +235,5 @@ def sweep_and_fit(metric: MetricProfile, damping: DampingProfile | None,
         cfg = config if tmax_for is None \
             else replace(config, tmax=float(tmax_for(eps)))
         records.append(detect_blowup(metric, damping, data, float(eps), p,
-                                     cfg, mode=mode, refine=refine))
+                                     cfg, mode=mode, refine=False))
     return fit_records(records, metric.n, p, data)

@@ -11,7 +11,7 @@ PDE; trajectories come in from wave_solver as snapshot arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -77,23 +77,12 @@ class XiEvaluator:
         w[0] += lam[0] / (self.q + 1.0)
         object.__setattr__(self, "w", w)
 
-    @property
-    def n(self) -> int:
-        return self.family.n
-
-    @property
-    def r(self) -> np.ndarray:
-        return self.family.r
-
-    def eta(self, t):
-        return np.asarray(eta_of_s(self.damping, t), dtype=float)
-
 
 def build_evaluator(profile: MetricProfile, damping: DampingProfile, q: float,
                     r_max: float, r1: float, lam_grid=None, dr: float = 0.05,
                     lam0: float | None = None) -> XiEvaluator:
     if lam0 is None:
-        lam0 = min(1.0, lambda_max(profile))
+        lam0 = lambda_max(profile)
     if lam_grid is None:
         lam_grid = log_lambda_grid(lam0)
     fam = build_family(profile, np.asarray(lam_grid, dtype=float), r_max,
@@ -102,14 +91,17 @@ def build_evaluator(profile: MetricProfile, damping: DampingProfile, q: float,
 
 
 def refine_lambda_grid(ev: XiEvaluator) -> XiEvaluator:
-    """Same evaluator with midpoints inserted into the lambda grid."""
-    lam = ev.family.lams
-    mids = np.sqrt(lam[:-1] * lam[1:])
-    fam = build_family(ev.family.profile, np.sort(np.concatenate([lam, mids])),
-                       ev.family.r[-1], dr=float(ev.r[1] - ev.r[0]),
-                       lam0=ev.lam0)
-    return XiEvaluator(family=fam, damping=ev.damping, q=ev.q, lam0=ev.lam0,
-                       r1=ev.r1)
+    """Same evaluator with geometric midpoints inserted into the lambda grid;
+    only the midpoints are shot, the base rows are reused."""
+    fam = ev.family
+    mids = build_family(fam.profile, np.sqrt(fam.lams[:-1] * fam.lams[1:]),
+                        fam.r[-1], dr=float(fam.r[1] - fam.r[0]), lam0=ev.lam0)
+    lams = np.empty(2 * len(fam.lams) - 1)
+    phi = np.empty((len(lams), len(fam.r)))
+    lams[0::2], lams[1::2] = fam.lams, mids.lams
+    phi[0::2], phi[1::2] = fam.phi, mids.phi
+    return XiEvaluator(family=replace(fam, lams=lams, phi=phi),
+                       damping=ev.damping, q=ev.q, lam0=ev.lam0, r1=ev.r1)
 
 
 def _time_weight(ev: XiEvaluator, T: float, t: float) -> np.ndarray:
@@ -119,21 +111,23 @@ def _time_weight(ev: XiEvaluator, T: float, t: float) -> np.ndarray:
     lam = ev.family.lams
     if not 0.0 <= t <= T:
         raise DomainError("need 0 <= t <= T")
-    eta_T = float(ev.eta(T))
+    eta_T = float(eta_of_s(ev.damping, T))
     if t == T:
         return np.exp(-lam * (eta_T + ev.r1))
-    eta_t = float(ev.eta(t))
+    eta_t = float(eta_of_s(ev.damping, t))
     a = np.exp(-lam * (eta_t + ev.r1))
     b = np.exp(-lam * (2.0 * eta_T - eta_t + ev.r1))
     return (a - b) / (2.0 * lam * (T - t))
 
 
-def _phi_at(ev: XiEvaluator, r: float) -> np.ndarray:
+def _phi_at(ev: XiEvaluator, r) -> np.ndarray:
+    """Every family row linearly interpolated at r (a radius or an array of
+    radii, giving shape (n_lambda,) + r.shape); exact at grid nodes."""
     fr = ev.family.r
-    if r < fr[0] - 1e-12 or r > fr[-1] + 1e-12:
+    r = np.asarray(r, dtype=float)
+    if np.any(r < fr[0] - 1e-12) or np.any(r > fr[-1] + 1e-12):
         raise DomainError("radius outside the eigen-family grid")
-    i = min(int(np.searchsorted(fr, r)), len(fr) - 1)
-    i = max(i, 1)
+    i = np.clip(np.searchsorted(fr, r), 1, len(fr) - 1)
     s = (r - fr[i - 1]) / (fr[i] - fr[i - 1])
     return (1.0 - s) * ev.family.phi[:, i - 1] + s * ev.family.phi[:, i]
 
@@ -170,10 +164,10 @@ def _bracket(x: float) -> float:
 def _measure(ev: XiEvaluator, samples):
     a1 = math.inf
     a2 = 0.0
-    n = ev.n
+    n = ev.family.profile.n
     skipped = []
     for (r, T, t) in samples:
-        eta_T = float(ev.eta(T))
+        eta_T = float(eta_of_s(ev.damping, T))
         kr = k_integral(ev.family.profile, r)
         if kr > eta_T + ev.r1:
             skipped.append((r, T, t, "outside the support region"))
@@ -254,16 +248,8 @@ def critical_F(traj, ev: XiEvaluator) -> CriticalReport:
     snapshot time >= 2."""
     if len(traj.snap_t) < 3:
         raise ConfigurationError("trajectory carries too few snapshots")
-    r = traj.r
-    if ev.family.r[-1] < r[-1] - 1e-9:
-        raise DomainError("eigen family does not cover the solver grid")
-    if float(traj.edge_r.max()) > ev.family.r[-1] + 1e-9:
-        raise DomainError("solution support escaped the eigen-family grid")
-
     lam = ev.family.lams
-    # rows of phi resampled onto the solver grid
-    phimat = np.vstack([np.interp(r, ev.family.r, ev.family.phi[k])
-                        for k in range(len(lam))])
+    phimat = _phi_at(ev, traj.r)       # rows of phi on the solver grid
     wq = ev.w * lam ** ev.q
     vol = traj.V
     ts = np.asarray(traj.snap_t, dtype=float)

@@ -280,8 +280,6 @@ class Trajectory:
     V: np.ndarray
     r1: float
     delta0: float
-    delta1: float
-    lam1: float
     status: str                      # "completed" | "blowup" | "nonfinite"
     snap_t: np.ndarray
     snap_u: np.ndarray               # (len(snap_t), len(r))
@@ -357,7 +355,6 @@ def _evolve(state: RadialWaveState, snapshot_times=None, phi_sol=None,
         t=t_rec, sup=rec_sup[:last], F=rec_F[:last], int_up=rec_Ip[:last],
         H=rec_G[:last], edge=rec_edge[:last], msq=msq_arr[:last],
         eta=eta_rec, kint=disc.kint, V=disc.V, r1=disc.r1, delta0=disc.delta0,
-        delta1=disc.delta1, lam1=lam1,
         status={0: "completed", 1: "blowup", 2: "nonfinite"}[status],
         snap_t=np.asarray(snap_t), snap_u=np.asarray(snap_u),
         snap_v=np.asarray(snap_v))

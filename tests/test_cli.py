@@ -132,6 +132,20 @@ def test_critical_smoke(tmp_path):
     assert rep["iteration_rel_err"] < 1e-2
 
 
+# the family used to be sized by its own radius rule, which fell short of
+# the solver grid once int_0^r0 K > 2 and ended the run with exit 1
+@pytest.mark.parametrize("extra", [
+    ["data.r0=5"],
+    ["metric.kind=power-law", "metric.c=0.5", "metric.rho=1", "data.r0=3"]])
+def test_critical_family_covers_solver_grid(extra, tmp_path):
+    out = tmp_path / "crit.json"
+    args = ["critical", "--set", "run.t_max=8", "--set", "solver.dr=0.1"]
+    for item in extra:
+        args += ["--set", item]
+    assert run_cli(args + ["--out", str(out)]) == 0
+    assert json.loads(out.read_text())["bounds_passed"] is True
+
+
 @pytest.mark.parametrize("override,message", [
     ("solver.dr=abc", "solver.dr must be a number"),
     ("solver.rmax=1", "rmax=1 too small"),

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from aeblow import entire_solutions as es
 from aeblow import lifespan as ls
 from aeblow import testfn_critical as tc
 from aeblow import wave_solver as ws
@@ -71,6 +74,55 @@ def test_xi_q_domain_errors(flat3, zero_damping):
         tc.xi_q(ev, 50.0, 5.0, 1.0)        # radius off the family grid
     with pytest.raises(DomainError):
         tc.xi_q(ev, 1.0, 5.0, 6.0)         # t > T
+
+
+def test_refine_lambda_grid_shoots_only_midpoints(flat3, zero_damping,
+                                                   monkeypatch):
+    L = 5
+    ev = tc.build_evaluator(flat3, zero_damping, 0.5, r_max=20.0, r1=1.0,
+                            lam_grid=tc.log_lambda_grid(1.0, L), dr=0.05)
+    shot = []
+    real = es.build_entire_solution
+
+    def counting(profile, lam, *args, **kwargs):
+        shot.append(lam)
+        return real(profile, lam, *args, **kwargs)
+
+    monkeypatch.setattr(es, "build_entire_solution", counting)
+    ref = tc.refine_lambda_grid(ev)
+    assert len(shot) == L - 1
+    assert np.array_equal(ref.family.lams[0::2], ev.family.lams)
+    assert np.array_equal(ref.family.phi[0::2], ev.family.phi)
+    assert np.array_equal(ref.family.lams[1::2], shot)
+    assert np.all(np.diff(ref.family.lams) > 0)
+
+
+def _synthetic_evaluator(dr, cells, zero_damping):
+    # positive rows growing like exp(lam r), as eigenfunctions do; no shooting
+    r = np.arange(cells + 1) * dr
+    lams = tc.log_lambda_grid(1.0, 5)
+    fam = es.EigenFamily(profile=None, lams=lams, r=r,
+                         phi=np.cosh(np.outer(lams, r)))
+    return tc.XiEvaluator(family=fam, damping=zero_damping, q=0.5, lam0=1.0,
+                          r1=1.0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(dr=st.sampled_from([0.01, 0.05, 0.1, 0.3]),
+       cells=st.integers(2, 400),
+       frac=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+def test_phi_at_matches_interp(zero_damping, dr, cells, frac):
+    ev = _synthetic_evaluator(dr, cells, zero_damping)
+    fam = ev.family
+    radii = np.array(frac) * fam.r[-1]
+    got = tc._phi_at(ev, radii)
+    want = np.vstack([np.interp(radii, fam.r, row) for row in fam.phi])
+    np.testing.assert_allclose(got, want, rtol=4 * np.finfo(float).eps,
+                               atol=0.0)
+    assert np.array_equal(tc._phi_at(ev, fam.r), fam.phi)
+    for r_off in (-1e-9, fam.r[-1] + 1e-9):
+        with pytest.raises(DomainError):
+            tc._phi_at(ev, np.append(radii, r_off))
 
 
 # -- critical q ------------------------------------------------------------------
@@ -160,6 +212,18 @@ def test_critical_F_zero_solution(flat3, zero_damping, bump_data):
     rep = tc.critical_F(traj, ev)
     assert np.all(rep.lhs == 0.0)
     assert np.all(np.isnan(rep.ratio))
+
+
+def test_critical_F_family_shorter_than_solver_grid(flat3, zero_damping,
+                                                    bump_data):
+    cfg = ws.SolverConfig(dr=0.05, tmax=3.0)
+    traj = ws.evolve_transformed(flat3, zero_damping, bump_data, 0.3, cfg,
+                                 snapshot_times=[0.0, 1.0, 2.0, 3.0])
+    ev = tc.build_evaluator(flat3, zero_damping, 0.5,
+                            r_max=float(traj.r[-1]) - 1.0, r1=traj.r1,
+                            dr=0.05)
+    with pytest.raises(DomainError):
+        tc.critical_F(traj, ev)
 
 
 def test_critical_F_needs_snapshots(flat3, zero_damping, bump_data):
