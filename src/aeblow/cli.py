@@ -116,24 +116,42 @@ def _write_csv(header, rows, path: str | None) -> None:
             f.close()
 
 
-def _reqfloat(block: dict, bname: str, key: str) -> float:
-    if key not in block or block[key] is None:
-        raise ConfigurationError(f"config {bname!r} block missing key {key!r}")
+_REQUIRED = object()
+
+
+def _number(block: dict, bname: str, key: str, default=_REQUIRED,
+            integer: bool = False, positive: bool = False):
+    """block[key] as a float (an int if integer), or default when the key is
+    absent or null; every numeric config value is read through here."""
+    if block.get(key) is None:
+        if default is _REQUIRED:
+            raise ConfigurationError(f"config {bname!r} block missing key {key!r}")
+        return default
     try:
-        return float(block[key])
+        val = float(block[key])
+        ok = (not integer or val.is_integer()) and (not positive or val > 0)
     except (TypeError, ValueError):
-        raise ConfigurationError(
-            f"config key {bname}.{key} must be a number") from None
+        ok = False
+    if not ok:
+        what = "positive " * positive + ("integer" if integer else "number")
+        raise ConfigurationError(f"config key {bname}.{key} must be a {what}")
+    return int(val) if integer else val
+
+
+def _numbers(block: dict, bname: str, key: str) -> list[float]:
+    """block[key] as a list of floats, [] when the key is absent."""
+    if not isinstance(block.get(key, []), list):
+        raise ConfigurationError(f"config key {bname}.{key} must be a list")
+    return [_number({key: v}, bname, key) for v in block.get(key, [])]
 
 
 def _solver_config(cfg: ExperimentConfig) -> solver_mod.SolverConfig:
     s = cfg.solver
     return solver_mod.SolverConfig(
-        dr=_reqfloat(s, "solver", "dr"), tmax=_reqfloat(s, "solver", "tmax"),
-        cfl=float(s.get("cfl", 0.45)),
-        rmax=None if s.get("rmax") is None else float(s["rmax"]),
+        dr=_number(s, "solver", "dr"), tmax=_number(s, "solver", "tmax"),
+        cfl=_number(s, "solver", "cfl"), rmax=_number(s, "solver", "rmax", None),
         nonlinear=bool(s.get("nonlinear", True)),
-        sup_cap=float(s.get("sup_cap", 1e12)))
+        sup_cap=_number(s, "solver", "sup_cap", 1e12))
 
 
 def _profiles(cfg: ExperimentConfig):
@@ -141,17 +159,18 @@ def _profiles(cfg: ExperimentConfig):
     d = cfg.data
     return (metric_mod.profile_from_config(cfg.metric),
             damping_mod.damping_from_config(cfg.damping),
-            solver_mod.DataProfile(r0=_reqfloat(d, "data", "r0"),
-                                   u0_amp=float(d.get("u0_amp", 0.0)),
-                                   u1_amp=float(d.get("u1_amp", 0.0))))
+            solver_mod.DataProfile(r0=_number(d, "data", "r0"),
+                                   u0_amp=_number(d, "data", "u0_amp"),
+                                   u1_amp=_number(d, "data", "u1_amp")))
 
 
 # -- subcommand bodies ---------------------------------------------------------
 
 def _run_validate(cfg: ExperimentConfig) -> int:
     profile = metric_mod.profile_from_config(cfg.metric)
-    r_hi = float(cfg.run.get("r_max", max(50.0, 20.0 / profile.rho)))
-    grid = np.linspace(1e-3, r_hi, int(cfg.run.get("points", 4000)))
+    r_hi = _number(cfg.run, "run", "r_max", max(50.0, 20.0 / profile.rho))
+    grid = np.linspace(1e-3, r_hi,
+                       _number(cfg.run, "run", "points", 4000, integer=True))
     rep = metric_mod.validate_long_range(profile, grid)
     _write_json(asdict(rep), cfg.out)
     return 0 if rep.passed else 1
@@ -159,9 +178,10 @@ def _run_validate(cfg: ExperimentConfig) -> int:
 
 def _run_eigen(cfg: ExperimentConfig) -> int:
     profile = metric_mod.profile_from_config(cfg.metric)
-    lam = _reqfloat(cfg.run, "run", "lam")
-    r_max = float(cfg.run.get("r_max", 50.0 / lam))
-    dr = float(cfg.run.get("dr", cfg.solver["dr"]))
+    lam = _number(cfg.run, "run", "lam", positive=True)
+    r_max = _number(cfg.run, "run", "r_max", 50.0 / lam)
+    dr = _number(cfg.run, "run", "dr", _number(cfg.solver, "solver", "dr"),
+                 positive=True)
     sol = eigen_mod.build_entire_solution(profile, lam, r_max, dr=dr)
     env = eigen_mod.verify_envelopes(sol)
     mu = eigen_mod.mu_diagnostic(sol)
@@ -185,28 +205,27 @@ def _run_ode(cfg: ExperimentConfig) -> int:
     run = cfg.run
     mode = run.get("mode", "kato")
     if mode == "kato":
-        prob = ode_lab.KatoProblem(
-            a=float(run.get("a", 1.0)), alpha=float(run.get("alpha", 0.0)),
-            beta=_reqfloat(run, "run", "beta"), k=float(run.get("k", 1.0)),
-            f0=float(run.get("f0", 1.0)), f0p=float(run.get("f0p", 0.0)))
+        prob = ode_lab.KatoProblem(beta=_number(run, "run", "beta"), **{
+            key: _number(run, "run", key, default) for key, default in
+            (("a", 1.0), ("alpha", 0.0), ("k", 1.0), ("f0", 1.0), ("f0p", 0.0))})
         res = ode_lab.kato_blowup_time(prob)
         report = {"mode": "kato", "problem": asdict(prob),
                   "blew_up": res.blew_up, "t_blowup": res.t_blowup,
                   "crossings": list(res.crossings),
                   "theory_exponent": prob.theory_exponent}
         if "deltas" in run:
+            deltas = _numbers(run, "run", "deltas")
             times, slope, intercept = ode_lab.kato_delta_sweep(
-                prob.a, prob.alpha, prob.beta,
-                np.asarray(run["deltas"], dtype=float), k=prob.k)
-            report["sweep"] = {"deltas": list(map(float, run["deltas"])),
+                prob.a, prob.alpha, prob.beta, np.asarray(deltas), k=prob.k)
+            report["sweep"] = {"deltas": deltas,
                                "times": [float(t) for t in times],
                                "slope": slope, "intercept": intercept}
         _write_json(report, cfg.out)
         return 0 if res.blew_up else 1
     if mode == "comparison":
         prof = damping_mod.damping_from_config(cfg.damping)
-        lam = _reqfloat(run, "run", "lam")
-        T = float(run.get("T", 20.0))
+        lam = _number(run, "run", "lam")
+        T = _number(run, "run", "T", 20.0)
         fwd = ode_lab.forward_comparison(prof, lam, T)
         bwd = ode_lab.backward_comparison(prof, lam, T)
         report = {"mode": "comparison", "lam": lam, "T": T,
@@ -221,12 +240,10 @@ def _run_solve(cfg: ExperimentConfig) -> int:
     profile, dprof, data = _profiles(cfg)
     scfg = _solver_config(cfg)
     run = cfg.run
-    eps = _reqfloat(run, "run", "eps")
-    p = _reqfloat(run, "run", "p")
-    mode = run.get("solve_mode", "transformed")
-    snaps = [float(t) for t in run.get("snapshots", [])]
-    evolve = (solver_mod.evolve_transformed if mode == "transformed"
-              else solver_mod.evolve_damped_direct)
+    eps = _number(run, "run", "eps")
+    p = _number(run, "run", "p")
+    evolve = lifespan_mod._evolver(run.get("solve_mode", "transformed"))
+    snaps = _numbers(run, "run", "snapshots")
     traj = evolve(profile, dprof, data, eps, scfg, p=p, snapshot_times=snaps)
     sup_rep = solver_mod.check_support_trajectory(traj)
     report = {
@@ -243,7 +260,7 @@ def _run_solve(cfg: ExperimentConfig) -> int:
         report["snapshot_times"] = [float(t) for t in traj.snap_t]
     _write_json(report, cfg.out)
     if cfg.csv is not None:
-        stride = max(1, int(run.get("stride", 1)))
+        stride = max(1, _number(run, "run", "stride", 1, integer=True))
         idx = range(0, len(traj.t), stride)
         fpp, edge_r = traj.fpp, traj.edge_r
         rows = ((traj.t[i], traj.F[i], fpp[i], traj.H[i], traj.sup[i],
@@ -256,17 +273,18 @@ def _run_sweep(cfg: ExperimentConfig) -> int:
     profile, dprof, data = _profiles(cfg)
     scfg = _solver_config(cfg)
     run = cfg.run
-    p = _reqfloat(run, "run", "p")
+    p = _number(run, "run", "p")
     if "eps_grid" in run:
-        grid = np.asarray(run["eps_grid"], dtype=float)
+        grid = _numbers(run, "run", "eps_grid")
     else:
         grid = lifespan_mod.geometric_eps_grid(
-            _reqfloat(run, "run", "eps_max"), int(run.get("count", 7)),
-            ratio=float(run.get("ratio", math.sqrt(2.0))))
+            _number(run, "run", "eps_max"),
+            _number(run, "run", "count", 7, integer=True),
+            ratio=_number(run, "run", "ratio", math.sqrt(2.0)))
     tmax_for = None
     if "tmax_budget" in run:
-        budget = float(run["tmax_budget"])
-        expo = float(run.get("tmax_exponent", 2.0))
+        budget = _number(run, "run", "tmax_budget")
+        expo = _number(run, "run", "tmax_exponent", 2.0)
         tmax_for = lambda e: min(scfg.tmax, budget / e ** expo)
     fit = lifespan_mod.sweep_and_fit(profile, dprof, data, grid, p, scfg,
                                      mode=run.get("solve_mode", "transformed"),
@@ -282,15 +300,16 @@ def _run_critical(cfg: ExperimentConfig) -> int:
     run = cfg.run
     n = profile.n
     p_raw = run.get("p", "auto")
-    p = lifespan_mod.critical_exponent(n) if p_raw == "auto" else float(p_raw)
+    p = (lifespan_mod.critical_exponent(n) if p_raw == "auto"
+         else _number(run, "run", "p"))
     q = critical_mod.critical_q(n, p)
-    t_max = float(run.get("t_max", 40.0))
-    eps = float(run.get("eps", 0.4))
+    t_max = _number(run, "run", "t_max", 40.0)
+    eps = _number(run, "run", "eps", 0.4)
     scfg = _solver_config(replace(cfg, solver=dict(cfg.solver, tmax=t_max)))
     lam0 = eigen_mod.lambda_max(profile)
-    lam_grid = critical_mod.log_lambda_grid(lam0,
-                                            int(run.get("lam_points", 17)))
-    step = float(run.get("snapshot_step", 0.5))
+    lam_grid = critical_mod.log_lambda_grid(
+        lam0, _number(run, "run", "lam_points", 17, integer=True))
+    step = _number(run, "run", "snapshot_step", 0.5, positive=True)
     snaps = list(np.arange(0.0, t_max + 1e-9, step))
     traj = solver_mod.evolve_transformed(profile, dprof, data, eps, scfg,
                                          p=p, snapshot_times=snaps)
@@ -299,16 +318,12 @@ def _run_critical(cfg: ExperimentConfig) -> int:
         profile, dprof, q=q, r_max=float(traj.r[-1]), r1=traj.r1,
         lam_grid=lam_grid, dr=traj.dr, lam0=lam0)
     crep = critical_mod.critical_F(traj, ev)
-    samples = []
-    for T in (t_max / 4, t_max / 2, t_max):
-        for t in (0.0, T / 4, T / 2):
-            samples.append((data.r0, T, t))
-            samples.append((0.4 * T, T, t))
-        for r in (data.r0, 0.25 * T, 0.6 * T, 0.9 * T):
-            samples.append((r, T, T))
+    samples = [s for T in (t_max / 4, t_max / 2, t_max) for s in
+               [(r, T, t) for t in (0.0, T / 4, T / 2) for r in (data.r0, 0.4 * T)]
+               + [(r, T, T) for r in (data.r0, 0.25 * T, 0.6 * T, 0.9 * T)]]
     brep = critical_mod.xi_bounds_check(ev, samples)
     consts = critical_mod.SlicingConstants(
-        c_int=crep.min_ratio, B=float(run.get("B", 0.5)), eps=eps, p=p)
+        c_int=crep.min_ratio, B=_number(run, "run", "B", 0.5), eps=eps, p=p)
     irep = critical_mod.slicing_iteration_check(crep.T, crep.lhs, consts)
     report = {
         "n": n, "p": p, "q": q, "eps": eps, "t_max": t_max,

@@ -13,7 +13,6 @@ from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
-from scipy.interpolate import interp1d
 
 from .errors import ConfigurationError, DomainError, IntegrationError
 
@@ -90,7 +89,6 @@ class DampingProfile:
     table_t: np.ndarray | None = field(default=None, repr=False)
     table_b: np.ndarray | None = field(default=None, repr=False)
     tail_l1: float = 0.0
-    _interp: object | None = field(default=None, repr=False, compare=False)
     _cache: object | None = field(default=None, repr=False, compare=False)
     _eta_cache: object | None = field(default=None, repr=False, compare=False)
 
@@ -108,8 +106,7 @@ class DampingProfile:
         elif self.kind == "signed-oscillatory":
             out = self.mu * np.cos(t) * (1.0 + t) ** (-self.beta)
         else:
-            tmax = self.table_t[-1]
-            out = np.where(t <= tmax, self._interp(np.minimum(t, tmax)), 0.0)
+            out = np.interp(t, self.table_t, self.table_b, right=0.0)
         return float(out) if out.ndim == 0 else out
 
 
@@ -164,10 +161,9 @@ def tabulated_damping(t, b, tail_l1: float = 0.0) -> DampingProfile:
         raise ConfigurationError("damping table must start at t=0, length >= 2")
     if np.any(np.diff(t) <= 0):
         raise ConfigurationError("damping table times must increase")
-    interp = interp1d(t, b, kind="linear", assume_sorted=True)
     l1 = float(np.trapezoid(np.abs(b), t)) + float(tail_l1)
     prof = DampingProfile(kind="tabulated", l1_norm=l1, table_t=t, table_b=b,
-                          tail_l1=float(tail_l1), _interp=interp)
+                          tail_l1=float(tail_l1))
     return _finish(prof)
 
 
@@ -189,20 +185,14 @@ def m_of_t(profile: DampingProfile, t):
 def h_of_t(profile: DampingProfile, t):
     """h(t) = int_0^t 1/m -- the strictly increasing new time variable."""
     t = _times(t)
-    if profile.kind == "zero":
-        out = t.copy()
-    else:
-        out = profile._cache(t, row=1)
+    out = t.copy() if profile.kind == "zero" else profile._cache(t, row=1)
     return float(out) if np.ndim(out) == 0 else out
 
 
 def eta_of_s(profile: DampingProfile, s):
     """eta(s), inverse of h: eta(h(t)) = t, with eta'(s) = m(eta(s))."""
     s = _times(s)
-    if profile.kind == "zero":
-        out = s.copy()
-    else:
-        out = profile._eta_cache(s)
+    out = s.copy() if profile.kind == "zero" else profile._eta_cache(s)
     return float(out) if np.ndim(out) == 0 else out
 
 

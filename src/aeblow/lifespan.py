@@ -72,8 +72,6 @@ class LifespanRecord:
     t_detected: float          # nan when no blow-up within budget
     crossings: tuple           # interpolated threshold crossing times
     thresholds: tuple
-    t_refined: float           # nan unless a refinement pass ran
-    refine_rel_diff: float
     dr: float
     dt: float
     tmax: float
@@ -113,17 +111,19 @@ def _crossing_times(traj: Trajectory, eps: float):
     return times
 
 
-def _run(metric, damping, data, eps, p, config, mode):
-    ev = evolve_transformed if mode == "transformed" else evolve_damped_direct
-    # the cap must sit above the largest detection threshold
-    cap = max(config.sup_cap, 1e11 * eps)
-    return ev(metric, damping, data, eps, replace(config, sup_cap=cap), p=p)
+def _evolver(mode: str):
+    """The evolution of a solve mode, looked up in this module's namespace
+    on every call."""
+    if mode not in ("transformed", "direct"):
+        raise ConfigurationError(
+            f"unknown solve mode {mode!r}: use 'transformed' or 'direct'")
+    return evolve_transformed if mode == "transformed" else evolve_damped_direct
 
 
 def detect_blowup(metric: MetricProfile, damping: DampingProfile | None,
                   data: DataProfile, eps: float, p: float,
-                  config: SolverConfig, mode: str = "transformed",
-                  refine: bool = True) -> LifespanRecord:
+                  config: SolverConfig,
+                  mode: str = "transformed") -> LifespanRecord:
     """Run one evolution and extract the blow-up time, if any.
 
     A run that exhausts its time budget without crossing all thresholds
@@ -132,19 +132,13 @@ def detect_blowup(metric: MetricProfile, damping: DampingProfile | None,
     """
     if eps < 0:
         raise DomainError("eps must be nonnegative")
-    traj = _run(metric, damping, data, eps, p, config, mode)
+    evolve = _evolver(mode)
+    # the cap must sit above the largest detection threshold
+    cap = max(config.sup_cap, 1e11 * eps)
+    traj = evolve(metric, damping, data, eps, replace(config, sup_cap=cap), p=p)
     crossings = _crossing_times(traj, eps) if eps > 0 else []
     blew = len(crossings) == len(THRESHOLD_FACTORS)
     t_det = _aitken(*crossings) if blew else float("nan")
-    t_ref = float("nan")
-    rel = float("nan")
-    if blew and refine:
-        fine = replace(config, dr=config.dr / 2.0)
-        traj2 = _run(metric, damping, data, eps, p, fine, mode)
-        cr2 = _crossing_times(traj2, eps)
-        if len(cr2) == len(THRESHOLD_FACTORS):
-            t_ref = _aitken(*cr2)
-            rel = abs(t_ref - t_det) / t_det
     slack = check_support_trajectory(traj).slack
     return LifespanRecord(
         n=metric.n, p=p, eps=eps, metric_id=metric.name,
@@ -152,8 +146,8 @@ def detect_blowup(metric: MetricProfile, damping: DampingProfile | None,
         data_shape=_data_shape_name(data), blew_up=blew, t_detected=t_det,
         crossings=tuple(crossings),
         thresholds=tuple(f * eps for f in THRESHOLD_FACTORS),
-        t_refined=t_ref, refine_rel_diff=rel, dr=config.dr,
-        dt=traj.dt, tmax=config.tmax, status=traj.status, min_slack=slack)
+        dr=config.dr, dt=traj.dt, tmax=config.tmax, status=traj.status,
+        min_slack=slack)
 
 
 def geometric_eps_grid(eps_max: float, count: int,
@@ -235,5 +229,5 @@ def sweep_and_fit(metric: MetricProfile, damping: DampingProfile | None,
         cfg = config if tmax_for is None \
             else replace(config, tmax=float(tmax_for(eps)))
         records.append(detect_blowup(metric, damping, data, float(eps), p,
-                                     cfg, mode=mode, refine=False))
+                                     cfg, mode=mode))
     return fit_records(records, metric.n, p, data)

@@ -7,11 +7,11 @@ MetricProfile through the evaluators defined here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
 from .errors import ConfigurationError, DomainError
@@ -31,8 +31,8 @@ __all__ = [
     "profile_to_config",
 ]
 
-# nodes/weights of 5-point Gauss-Legendre on [-1, 1], used for the cumulative
-# integral of K on solver grids (exact through degree 9 per cell)
+# nodes/weights of 5-point Gauss-Legendre on [-1, 1], the one rule for the
+# integral of K (exact through degree 9 per cell)
 _GL_X = np.array([
     -0.9061798459386640, -0.5384693101056831, 0.0,
     0.5384693101056831, 0.9061798459386640,
@@ -41,6 +41,8 @@ _GL_W = np.array([
     0.2369268850561891, 0.4786286704993665, 0.5688888888888889,
     0.4786286704993665, 0.2369268850561891,
 ])
+# widest cell k_integral cuts [0, r] into
+_KINT_CELL = 0.05
 
 
 @dataclass(frozen=True)
@@ -138,26 +140,22 @@ def eval_k(profile: MetricProfile, r):
 
 
 def k_integral(profile: MetricProfile, r: float) -> float:
-    """Integral of K from 0 to r, relative tolerance <= 1e-10."""
+    """Integral of K from 0 to r: the last node of k_integral_grid on [0, r]
+    cut into cells no wider than _KINT_CELL; a table's knots are cell ends,
+    so every cell sees one cubic piece."""
     if r < 0:
         raise DomainError("radius must be nonnegative")
-    if r == 0.0:
-        return 0.0
-    if profile.kind == "flat":
-        return float(r)
-    if profile.kind == "power-law" and profile.rho == 1.0:
-        # int <t>^-1 dt = arcsinh(t)
-        return float(r + profile.c * np.arcsinh(r))
-    val, _ = quad(lambda t: eval_k(profile, t)[0], 0.0, r,
-                  epsabs=1e-13, epsrel=1e-12, limit=400)
-    return float(val)
+    grid = np.linspace(0.0, r, math.ceil(r / _KINT_CELL) + 1)
+    if profile.kind == "tabulated":
+        grid = np.union1d(grid, profile.table_r[profile.table_r < r])
+    return float(k_integral_grid(profile, grid)[-1])
 
 
 def k_integral_grid(profile: MetricProfile, r_grid: np.ndarray) -> np.ndarray:
     """Cumulative integral of K at every node of an increasing grid.
 
     Per-interval 5-point Gauss-Legendre, so the table is cheap to build on
-    solver grids yet far below the 1e-10 relative tolerance for smooth K.
+    solver grids yet far below 1e-10 relative for smooth K.
     """
     r = np.asarray(r_grid, dtype=float)
     if r[0] < 0 or np.any(np.diff(r) <= 0):

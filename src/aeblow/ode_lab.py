@@ -13,7 +13,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .damping import DampingProfile, eta_of_s, m_tilde
-from .errors import DomainError, IntegrationError
+from .errors import ConfigurationError, DomainError, IntegrationError
 
 __all__ = [
     "ComparisonSolution",
@@ -65,8 +65,8 @@ def _solve_and_sample(damping: DampingProfile, lam: float, T: float, y0,
 def forward_comparison(damping: DampingProfile, lam: float,
                        t_max: float, n_samples: int = 400) -> ComparisonSolution:
     """Solve y'' = lam^2 mt^2 y, y(0)=0, y'(0)=1 and measure its sinh envelope."""
-    if lam <= 0:
-        raise DomainError("lambda must be positive")
+    if lam <= 0 or t_max <= 0:
+        raise DomainError("lambda and t_max must be positive")
     ts, y, yp, eta = _solve_and_sample(damping, lam, t_max, [0.0, 1.0],
                                        n_samples)
     # skip t=0 where both sides vanish; the ratio limit there is mt(0)=1
@@ -177,6 +177,8 @@ def kato_delta_sweep(a: float, alpha: float, beta: float,
     Seeds F(0) = F'(0) = delta, matching the lemma's hypothesis at a = 1.
     """
     deltas = np.asarray(deltas, dtype=float)
+    if deltas.ndim != 1 or len(deltas) < 2:
+        raise ConfigurationError("a delta sweep needs at least 2 deltas")
     times = []
     for d in deltas:
         prob = KatoProblem(a=a, alpha=alpha, beta=beta, k=k, f0=d, f0p=d)

@@ -53,10 +53,11 @@ def _cubic_weights(x: np.ndarray) -> np.ndarray:
 class XiEvaluator:
     """Frozen ingredients for xi_q: eigen family, weight exponent, geometry.
 
-    w holds trapezoid weights in lambda over the family grid, with the
-    lowest subinterval [0, lam_min] closed by exact integration of a local
-    c*lambda^q model (the integrand has unbounded slope there for q < 1, so
-    an ordinary end rule would bias the quadrature).
+    w holds the composite Lagrange-cubic weights (_cubic_weights) in lambda
+    over the family grid, with the lowest subinterval [0, lam_min] closed by
+    exact integration of a local c*lambda^q model (the integrand has
+    unbounded slope there for q < 1, so an ordinary end rule would bias the
+    quadrature).
     """
 
     family: EigenFamily
@@ -104,20 +105,17 @@ def refine_lambda_grid(ev: XiEvaluator) -> XiEvaluator:
                        damping=ev.damping, q=ev.q, lam0=ev.lam0, r1=ev.r1)
 
 
-def _time_weight(ev: XiEvaluator, T: float, t: float) -> np.ndarray:
-    """The lambda-wise factor sinh(lam*(eta_T - eta_t))/(lam*(T-t)) *
-    exp(-lam*(eta_T + r1)), written as a difference of decaying exponentials
-    so nothing large is ever formed."""
+def _time_weight(ev: XiEvaluator, T: float, eta_T: float, t, eta_t):
+    """sinh(lam*(eta_T - eta_t))/(lam*(T-t)) * exp(-lam*(eta_T + r1)) at t < T,
+    exp(-lam*(eta_T + r1)) at t = T, per t and lambda (shape t.shape + (n_lam,));
+    differences of decaying exponentials, so nothing large is ever formed."""
     lam = ev.family.lams
-    if not 0.0 <= t <= T:
-        raise DomainError("need 0 <= t <= T")
-    eta_T = float(eta_of_s(ev.damping, T))
-    if t == T:
-        return np.exp(-lam * (eta_T + ev.r1))
-    eta_t = float(eta_of_s(ev.damping, t))
+    t = np.asarray(t, dtype=float)[..., None]
+    eta_t = np.asarray(eta_t, dtype=float)[..., None]
     a = np.exp(-lam * (eta_t + ev.r1))
     b = np.exp(-lam * (2.0 * eta_T - eta_t + ev.r1))
-    return (a - b) / (2.0 * lam * (T - t))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(t < T, (a - b) / (2.0 * lam * (T - t)), a)
 
 
 def _phi_at(ev: XiEvaluator, r) -> np.ndarray:
@@ -134,8 +132,11 @@ def _phi_at(ev: XiEvaluator, r) -> np.ndarray:
 
 def xi_q(ev: XiEvaluator, r: float, T: float, t: float) -> float:
     """Lambda integral of time-weight * phi_lam(r) * lam^q d lam."""
-    lam = ev.family.lams
-    f = _time_weight(ev, T, t) * _phi_at(ev, r) * lam ** ev.q
+    if not 0.0 <= t <= T:
+        raise DomainError("need 0 <= t <= T")
+    eta_T, eta_t = eta_of_s(ev.damping, [T, t])
+    f = _time_weight(ev, T, eta_T, t, eta_t) * _phi_at(ev, r) \
+        * ev.family.lams ** ev.q
     return float(f @ ev.w)
 
 
@@ -259,16 +260,15 @@ def critical_F(traj, ev: XiEvaluator) -> CriticalReport:
     GU = (U * vol) @ phimat.T
     GP = (np.abs(U) ** p * vol) @ phimat.T
 
+    eta = np.asarray(eta_of_s(ev.damping, ts))
     Tsel = ts[ts >= 2.0]
-    lhs = np.zeros(len(Tsel))
-    rhs = np.zeros(len(Tsel))
-    for k, T in enumerate(Tsel):
-        iT = int(np.nonzero(ts == T)[0][0])
-        lhs[k] = float((_time_weight(ev, T, T) * wq) @ GU[iT])
+    lhs, rhs = np.zeros(len(Tsel)), np.zeros(len(Tsel))
+    for k, iT in enumerate(np.nonzero(ts >= 2.0)[0]):
         tt = ts[: iT + 1]
-        integ = np.empty(len(tt))
-        for j, t in enumerate(tt):
-            integ[j] = (T - t) * float((_time_weight(ev, T, t) * wq) @ GP[j])
+        # one row per t <= T; the last row, t = T, is the limit weight
+        W = _time_weight(ev, ts[iT], eta[iT], tt, eta[: iT + 1]) * wq
+        lhs[k] = float(W[-1] @ GU[iT])
+        integ = (ts[iT] - tt) * np.einsum("jl,jl->j", W, GP[: iT + 1])
         rhs[k] = float(np.trapezoid(integ, tt))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(rhs > 0.0, lhs / rhs, np.nan)

@@ -158,6 +158,41 @@ def test_critical_reads_solver_block(override, message, capsys):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["solve", "sweep"])
+def test_unknown_solve_mode_exit_2(kind, capsys):
+    assert run_cli([kind, "--set", "run.eps=0.3", "--set", "run.eps_max=7",
+                    "--set", "run.p=2.0", "--set", "solver.tmax=2",
+                    "--set", "run.solve_mode=bogus"]) == 2
+    err = capsys.readouterr().err
+    assert "'bogus'" in err and "'transformed' or 'direct'" in err
+
+
+# each of these once ended in a ValueError, ZeroDivisionError or TypeError
+# traceback with exit 1
+@pytest.mark.parametrize("kind,overrides", [
+    ("sweep", ["run.p=2.0", "run.eps_max=7", "run.count=abc"]),
+    ("sweep", ["run.p=2.0", "run.eps_max=7", "run.count=2.5"]),
+    ("critical", ["run.t_max=abc"]),
+    ("critical", ["run.snapshot_step=0"]),
+    ("solve", ["run.eps=0.3", "run.p=2.0", "data.u0_amp=x"]),
+    ("solve", ["run.eps=0.3", "run.p=2.0", "solver.cfl=x"]),
+    ("solve", ["run.eps=0.3", "run.p=2.0", "run.snapshots=[1,\"x\"]"]),
+    ("ode", ["run.beta=2.0", "run.k=x"]),
+    ("ode", ["run.beta=2.0", "run.deltas=[]"]),
+    ("ode", ["run.beta=2.0", "run.deltas=[0.1]"]),
+    ("eigen", ["run.lam=0.1", "run.r_max=x"]),
+    ("eigen", ["run.lam=0.1", "run.dr=0"]),
+    ("eigen", ["run.lam=0"])])
+def test_bad_config_value_exit_2(kind, overrides, capsys):
+    args = [kind]
+    for item in overrides:
+        args += ["--set", item]
+    assert run_cli(args) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "Traceback" not in err
+
+
 def test_python_dash_m_runs_cli():
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

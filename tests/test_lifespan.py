@@ -54,6 +54,8 @@ def test_geometric_eps_grid():
 def test_detect_blowup_with_refinement(flat3, zero_damping, bump_data):
     cfg = ws.SolverConfig(dr=0.1, tmax=60.0)
     rec = ls.detect_blowup(flat3, zero_damping, bump_data, 7.0, 2.0, cfg)
+    fine = ls.detect_blowup(flat3, zero_damping, bump_data, 7.0, 2.0,
+                            ws.SolverConfig(dr=0.05, tmax=60.0))
     assert rec.blew_up
     assert rec.status == "blowup"
     assert len(rec.crossings) == 3
@@ -61,14 +63,13 @@ def test_detect_blowup_with_refinement(flat3, zero_damping, bump_data):
     # the extrapolated asymptote sits at or beyond the last crossing
     assert rec.t_detected >= rec.crossings[2] - 1e-9
     # halved grid agrees within a few percent
-    assert math.isfinite(rec.t_refined)
-    assert rec.refine_rel_diff < 0.05
+    assert fine.blew_up
+    assert abs(fine.t_detected - rec.t_detected) / rec.t_detected < 0.05
 
 
 def test_detect_no_blowup_small_eps(flat3, zero_damping, bump_data):
     cfg = ws.SolverConfig(dr=0.1, tmax=5.0)
-    rec = ls.detect_blowup(flat3, zero_damping, bump_data, 0.01, 2.0, cfg,
-                           refine=False)
+    rec = ls.detect_blowup(flat3, zero_damping, bump_data, 0.01, 2.0, cfg)
     assert not rec.blew_up
     assert math.isnan(rec.t_detected)
     assert rec.status == "completed"
@@ -76,10 +77,8 @@ def test_detect_no_blowup_small_eps(flat3, zero_damping, bump_data):
 
 def test_detection_monotone_in_eps(flat3, zero_damping, bump_data):
     cfg = ws.SolverConfig(dr=0.1, tmax=80.0)
-    t7 = ls.detect_blowup(flat3, zero_damping, bump_data, 7.0, 2.0, cfg,
-                          refine=False).t_detected
-    t5 = ls.detect_blowup(flat3, zero_damping, bump_data, 5.0, 2.0, cfg,
-                          refine=False).t_detected
+    t7, t5 = (ls.detect_blowup(flat3, zero_damping, bump_data, eps, 2.0,
+                               cfg).t_detected for eps in (7.0, 5.0))
     assert t7 < t5
 
 
@@ -117,6 +116,13 @@ def test_short_sweep_slope_near_theory(flat3, zero_damping, bump_data):
     assert -2.4 < fit.slope < -1.6
     d = fit.as_dict()
     assert set(d) >= {"slope", "intercept", "ci", "theory", "ratio", "eps", "t"}
+
+
+@pytest.mark.parametrize("mode", ["bogus", "Direct", ""])
+def test_unknown_solve_mode_rejected(mode, flat3, zero_damping, bump_data):
+    with pytest.raises(ConfigurationError, match="'transformed' or 'direct'"):
+        ls.detect_blowup(flat3, zero_damping, bump_data, 1.0, 2.0,
+                         ws.SolverConfig(dr=0.1, tmax=2.0), mode=mode)
 
 
 def test_negative_eps_rejected(flat3, zero_damping, bump_data):

@@ -82,6 +82,16 @@ def test_k_integral_additive(powerlaw3):
         metric.k_integral(powerlaw3, r1) + inc, abs=1e-9)
 
 
+def test_k_integral_tabulated_quadrature_oracle():
+    knots = np.array([0.0, 1.0, 2.0, 3.0, 5.0, 8.0])
+    prof = metric.tabulated_profile(3, knots, [1.0, 1.2, 1.1, 0.9, 1.0, 1.0])
+    for r in (0.3, 1.37, 4.1, 7.99, 8.0, 12.3, 40.0):
+        oracle = quad(lambda t: metric.eval_k(prof, t)[0], 0.0, r,
+                      points=knots[(knots > 0) & (knots < r)],
+                      epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+        assert metric.k_integral(prof, r) == pytest.approx(oracle, rel=1e-10)
+
+
 @settings(max_examples=40, deadline=None)
 @given(r=st.floats(0.0, 1e3), c=st.floats(-0.45, 0.45),
        rho=st.floats(0.5, 3.0))

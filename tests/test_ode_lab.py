@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aeblow import _kernels, lifespan
+from aeblow import _kernels, damping, lifespan, metric
 from aeblow import ode_lab as ol
 from aeblow.damping import eta_of_s
 from aeblow.errors import DomainError
@@ -108,6 +108,9 @@ def test_comparison_sandwich(scat_damping):
 def test_comparison_rejects_bad_args(zero_damping):
     with pytest.raises(DomainError):
         ol.forward_comparison(zero_damping, -1.0, 5.0)
+    for t_max in (0.0, -2.0):
+        with pytest.raises(DomainError):
+            ol.forward_comparison(zero_damping, 0.5, t_max)
     with pytest.raises(DomainError):
         ol.backward_comparison(zero_damping, 0.5, -2.0)
 
@@ -131,6 +134,14 @@ def test_aitken_equal_spacing_returns_last():
 
 def test_aitken_has_one_implementation():
     assert lifespan._aitken is ol._aitken
+
+
+def test_k_integral_and_table_damping_have_one_rule():
+    # one Gauss-Legendre rule for int K, one np.interp for tabulated b
+    assert "quad" not in vars(metric)
+    assert "interp1d" not in vars(damping)
+    assert "scipy.integrate" not in inspect.getsource(metric)
+    assert "scipy.interpolate" not in inspect.getsource(damping)
 
 
 def test_verlet_kernel_has_one_implementation():

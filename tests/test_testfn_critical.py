@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from aeblow import damping as dm
 from aeblow import entire_solutions as es
 from aeblow import lifespan as ls
 from aeblow import testfn_critical as tc
@@ -200,6 +201,54 @@ def test_critical_F_inequality(flat3, zero_damping, bump_data):
     assert np.all(rep.rhs > 0)
     assert rep.min_ratio > 1.0          # F(T) dominates the interaction term
     assert rep.min_slicing1 > 0.1
+
+
+def _critical_F_pairwise(traj, ev):
+    """lhs and rhs of critical_F by a loop over every (T, t) pair, with the
+    time weight and eta re-derived for each pair."""
+    lam = ev.family.lams
+    wq = ev.w * lam ** ev.q
+    phimat = tc._phi_at(ev, traj.r)
+    ts = np.asarray(traj.snap_t, dtype=float)
+    GU = (traj.snap_u * traj.V) @ phimat.T
+    GP = (np.abs(traj.snap_u) ** traj.p * traj.V) @ phimat.T
+
+    def weight(T, t):
+        eta_T = float(eta_of_s(ev.damping, T))
+        if t == T:
+            return np.exp(-lam * (eta_T + ev.r1))
+        eta_t = float(eta_of_s(ev.damping, t))
+        a = np.exp(-lam * (eta_t + ev.r1))
+        b = np.exp(-lam * (2.0 * eta_T - eta_t + ev.r1))
+        return (a - b) / (2.0 * lam * (T - t))
+
+    lhs, rhs = [], []
+    for iT, T in enumerate(ts):
+        if T < 2.0:
+            continue
+        lhs.append(float((weight(T, T) * wq) @ GU[iT]))
+        integ = [(T - t) * float((weight(T, t) * wq) @ GP[j])
+                 for j, t in enumerate(ts[: iT + 1])]
+        rhs.append(float(np.trapezoid(integ, ts[: iT + 1])))
+    return np.array(lhs), np.array(rhs)
+
+
+@pytest.mark.parametrize("damp", [
+    dm.zero_damping(), dm.scattering_power_damping(0.5, 2.0),
+    dm.signed_oscillatory_damping(0.4, 1.8)], ids=lambda d: d.kind)
+def test_critical_F_matches_pairwise_loop(flat3, bump_data, damp):
+    p = ls.critical_exponent(3)
+    traj = ws.evolve_transformed(
+        flat3, damp, bump_data, 0.4, ws.SolverConfig(dr=0.1, tmax=8.0), p=p,
+        snapshot_times=list(np.arange(0.0, 8.0 + 1e-9, 0.5)))
+    ev = tc.build_evaluator(flat3, damp, tc.critical_q(3, p),
+                            r_max=float(traj.r[-1]), r1=traj.r1,
+                            lam_grid=tc.log_lambda_grid(1.0, 9), dr=traj.dr)
+    rep = tc.critical_F(traj, ev)
+    lhs, rhs = _critical_F_pairwise(traj, ev)
+    assert np.array_equal(rep.lhs, lhs)
+    assert np.all(rhs > 0.0)
+    assert np.max(np.abs(rep.rhs - rhs) / rhs) <= 1e-13
 
 
 def test_critical_F_zero_solution(flat3, zero_damping, bump_data):

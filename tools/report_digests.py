@@ -1,0 +1,73 @@
+"""Print the sha256 of every JSON report one benchmark pass writes.
+
+Runs each job of ``bench/workloads.py`` for one workload and seed
+in-process, through ``aeblow.cli.run`` as the benchmark worker does, and
+prints one line per job: index, kind, exit status and the sha256 of the
+report (``-`` when the job wrote none).  Two checkouts that print the same
+lines wrote byte-identical reports.
+
+    python3 tools/report_digests.py --workload critical-n3 --seed 0
+    python3 tools/report_digests.py --workload critical-n3 --seed 0 \\
+        --checkout ../parent --keep /tmp/parent-reports
+
+``--checkout`` imports aeblow and the job lists from another checkout, so a
+parent commit without this script can be measured too.  Reports go to a
+temporary directory, or to ``--keep DIR``; nothing is written under
+``bench/``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+
+def _args(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--checkout", default=str(Path(__file__).resolve().parents[1]),
+                    help="checkout whose src and bench to use (default: this one)")
+    ap.add_argument("--keep", help="directory that keeps the reports")
+    return ap.parse_args(argv)
+
+
+def main(argv=None) -> int:
+    args = _args(argv)
+    root = Path(args.checkout).resolve()
+    sys.dont_write_bytecode = True        # no __pycache__ under bench/
+    sys.path[:0] = [str(root / "src"), str(root / "bench")]
+    import aeblow
+    from aeblow import cli, errors
+    import workloads as W
+    if root / "src" not in Path(aeblow.__file__).resolve().parents:
+        print(f"report_digests: aeblow imported from {aeblow.__file__}, not "
+              f"from {root / 'src'}", file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        outdir = Path(args.keep or tmp)
+        outdir.mkdir(parents=True, exist_ok=True)
+        for i, (kind, overrides) in enumerate(W.jobs_for(args.workload,
+                                                         args.seed)):
+            out = outdir / f"job-{i:03d}.json"
+            out.unlink(missing_ok=True)
+            try:
+                cfg = cli.ExperimentConfig.build(kind, None, overrides,
+                                                 out=str(out))
+                status = cli.run(cfg)
+            # the status mapping of aeblow.cli.main
+            except errors.ConfigurationError:
+                status = 2
+            except errors.AeblowError:
+                status = 1
+            digest = (hashlib.sha256(out.read_bytes()).hexdigest()
+                      if out.exists() else "-")
+            print(f"{i:3d} {kind:8s} {status} {digest}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
