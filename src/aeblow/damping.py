@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
 
 from .errors import ConfigurationError, DomainError, IntegrationError
 
@@ -48,6 +47,7 @@ class _DenseODE:
         t = max(float(t), 1.0)
         if self._sol is not None and t <= self.tmax:
             return
+        from scipy.integrate import solve_ivp
         target = max(2.0 * t, 100.0)
         res = solve_ivp(self._f, (0.0, target), self._y0, method="DOP853",
                         rtol=_ODE_RTOL, atol=_ODE_ATOL, dense_output=True)
@@ -138,6 +138,7 @@ def signed_oscillatory_damping(mu: float, beta: float) -> DampingProfile:
     """b(t) = mu cos(t) (1+t)^-beta, beta > 1 -- sign-changing, integrable."""
     if beta <= 1:
         raise DomainError("oscillatory damping needs beta > 1")
+    from scipy.integrate import quad
     # |b| <= |mu|(1+t)^-beta, so the power-kind tail bound certifies L1
     # integrate |cos| piecewise over its half-periods so quad never fights
     # the oscillation
@@ -218,23 +219,24 @@ def damping_to_config(profile: DampingProfile) -> dict:
 def damping_from_config(cfg: dict) -> DampingProfile:
     try:
         kind = cfg["kind"]
-    except KeyError:
-        raise ConfigurationError("damping config missing key 'kind'") from None
+        if kind in ("scattering-power", "signed-oscillatory"):
+            mu, beta = float(cfg["mu"]), float(cfg["beta"])
+        elif kind == "tabulated":
+            tab = np.asarray(cfg["table"], dtype=float)
+            tail_l1 = float(cfg.get("tail_l1", 0.0))
+    except KeyError as e:
+        raise ConfigurationError(f"damping config missing key {e.args[0]!r}") from None
+    except (TypeError, ValueError) as e:
+        raise ConfigurationError(f"bad damping config value: {e}") from None
     if kind == "zero":
         return zero_damping()
     if kind in ("scattering-power", "signed-oscillatory"):
-        try:
-            mu, beta = float(cfg["mu"]), float(cfg["beta"])
-        except KeyError as e:
-            raise ConfigurationError(f"damping config missing key {e.args[0]!r}") from None
         maker = (scattering_power_damping if kind == "scattering-power"
                  else signed_oscillatory_damping)
         return maker(mu, beta)
     if kind == "tabulated":
-        if "table" not in cfg:
-            raise ConfigurationError("damping config missing key 'table'")
-        tab = np.asarray(cfg["table"], dtype=float)
-        return tabulated_damping(tab[:, 0], tab[:, 1],
-                                 tail_l1=float(cfg.get("tail_l1", 0.0)))
+        if tab.ndim != 2 or tab.shape[1] != 2:
+            raise ConfigurationError("damping table must be a list of [t, b] rows")
+        return tabulated_damping(tab[:, 0], tab[:, 1], tail_l1=tail_l1)
     raise ConfigurationError(f"unknown damping kind {kind!r}")
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import DomainError, IntegrationError, PositivityError
 from .metric import MetricProfile, eval_k, k_integral_grid, validate_long_range
@@ -79,6 +78,7 @@ def _solve_log_form(profile: MetricProfile, lam: float, r_end: float):
 
     Returns (dense solution, r_start, taylor coefficient), normalized later.
     """
+    from scipy.integrate import solve_ivp
     n = profile.n
     k0 = eval_k(profile, 0.0)[0]
     r_start = 1e-4 / lam

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import ConfigurationError, DomainError
 
@@ -104,6 +103,7 @@ def tabulated_profile(n: int, r: Sequence[float], k: Sequence[float],
         raise ConfigurationError("table radii must start at 0 and increase")
     if np.any(k <= 0):
         raise ConfigurationError("tabulated K must be positive")
+    from scipy.interpolate import CubicSpline
     spline = CubicSpline(r, k, bc_type="clamped")
     kmin, kmax = float(k.min()), float(k.max())
     delta0 = max(min(kmin, 1.0 / kmax), 1e-6) * 0.99
@@ -114,13 +114,21 @@ def tabulated_profile(n: int, r: Sequence[float], k: Sequence[float],
 
 
 def eval_k(profile: MetricProfile, r):
-    """Return (K, K', K'') at radius r >= 0 (scalar or array)."""
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
+    """Return (K, K', K'') at radius r >= 0 (scalar or array).
+
+    A float radius (Python float or np.float64, what solve_ivp hands a
+    right-hand side) on a flat or power-law profile is computed in float
+    arithmetic, skipping the array round trip.  Both paths run the same
+    formulas, and a float returns the same bits as a 0-d array holding it.
+    Ints, arrays and tabulated profiles go through arrays.  Scalars come back
+    as Python floats.
+    """
+    fast = isinstance(r, float) and profile.kind != "tabulated"
+    r = float(r) if fast else np.asarray(r, dtype=float)
+    if (r < 0 if fast else np.any(r < 0)):
         raise DomainError("radius must be nonnegative")
     if profile.kind == "flat":
-        one = np.ones_like(r)
-        zero = np.zeros_like(r)
+        one, zero = (1.0, 0.0) if fast else (np.ones_like(r), np.zeros_like(r))
         out = (one, zero, zero)
     elif profile.kind == "power-law":
         c, rho = profile.c, profile.rho
@@ -134,8 +142,9 @@ def eval_k(profile: MetricProfile, r):
         rmax = profile.table_r[-1]
         rc = np.minimum(r, rmax)  # constant extrapolation beyond the table
         out = (np.asarray(sp(rc)), np.asarray(sp(rc, 1)), np.asarray(sp(rc, 2)))
-    if r.ndim == 0:
-        return tuple(float(v) for v in out)
+    if fast or r.ndim == 0:
+        k, k1, k2 = out
+        return float(k), float(k1), float(k2)
     return out
 
 
@@ -292,20 +301,26 @@ def profile_to_config(profile: MetricProfile) -> dict:
 def profile_from_config(cfg: dict) -> MetricProfile:
     try:
         kind = cfg["kind"]
-        n = int(cfg["n"])
+        n = float(cfg["n"])
+        if not n.is_integer():
+            raise ValueError(f"n must be an integer, got {cfg['n']!r}")
+        n = int(n)
+        if kind == "power-law":
+            c, rho = float(cfg["c"]), float(cfg["rho"])
+        elif kind == "tabulated":
+            tab = np.asarray(cfg["table"], dtype=float)
+            rho = float(cfg.get("rho", 1.0))
     except KeyError as e:
         raise ConfigurationError(f"metric config missing key {e.args[0]!r}") from None
+    except (TypeError, ValueError) as e:
+        raise ConfigurationError(f"bad metric config value: {e}") from None
     if kind == "flat":
         return flat_profile(n)
     if kind == "power-law":
-        try:
-            return power_law_profile(n, float(cfg["c"]), float(cfg["rho"]))
-        except KeyError as e:
-            raise ConfigurationError(f"metric config missing key {e.args[0]!r}") from None
+        return power_law_profile(n, c, rho)
     if kind == "tabulated":
-        if "table" not in cfg:
-            raise ConfigurationError("metric config missing key 'table'")
-        tab = np.asarray(cfg["table"], dtype=float)
-        return tabulated_profile(n, tab[:, 0], tab[:, 1], rho=float(cfg.get("rho", 1.0)))
+        if tab.ndim != 2 or tab.shape[1] != 2:
+            raise ConfigurationError("metric table must be a list of [r, K] rows")
+        return tabulated_profile(n, tab[:, 0], tab[:, 1], rho=rho)
     raise ConfigurationError(f"unknown metric kind {kind!r}")
 

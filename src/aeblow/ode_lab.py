@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .damping import DampingProfile, eta_of_s, m_tilde
 from .errors import ConfigurationError, DomainError, IntegrationError
@@ -52,6 +51,7 @@ def _solve_and_sample(damping: DampingProfile, lam: float, T: float, y0,
                       n_samples: int, backward: bool = False):
     """Integrate y'' = lam^2 mt^2 y from 0 to T (T to 0 if backward);
     sample y, y', eta on [0, T]."""
+    from scipy.integrate import solve_ivp
     span = (T, 0.0) if backward else (0.0, T)
     res = solve_ivp(_mt2_rhs(damping, lam), span, y0,
                     method="DOP853", rtol=1e-11, atol=1e-13, dense_output=True)
@@ -145,6 +145,7 @@ def kato_blowup_time(problem: KatoProblem, tolerance: float = 1e-10,
     The three crossing times accumulate geometrically at the vertical
     asymptote, so Aitken extrapolation removes the leading threshold bias.
     """
+    from scipy.integrate import solve_ivp
     p = problem
 
     def rhs(t, z):

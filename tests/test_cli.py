@@ -182,7 +182,19 @@ def test_unknown_solve_mode_exit_2(kind, capsys):
     ("ode", ["run.beta=2.0", "run.deltas=[0.1]"]),
     ("eigen", ["run.lam=0.1", "run.r_max=x"]),
     ("eigen", ["run.lam=0.1", "run.dr=0"]),
-    ("eigen", ["run.lam=0"])])
+    ("eigen", ["run.lam=0"]),
+    ("validate", ["metric.n=abc"]),
+    ("validate", ["metric.n=3.5"]),
+    ("validate", ["metric.kind=power-law", "metric.c=x", "metric.rho=1"]),
+    ("validate", ["metric.kind=tabulated", "metric.table=[0,1,2,3]"]),
+    ("solve", ["run.eps=0.3", "run.p=2.0", "solver.tmax=1",
+               "damping.kind=scattering-power", "damping.mu=x",
+               "damping.beta=2"]),
+    ("solve", ["run.eps=0.3", "run.p=2.0", "solver.tmax=1",
+               "damping.kind=tabulated", "damping.table=[1,2]"]),
+    ("solve", ["run.eps=0.3", "run.p=2.0", "solver.tmax=1",
+               "damping.kind=tabulated", "damping.table=[[0,0.1],[1,0.1]]",
+               "damping.tail_l1=x"])])
 def test_bad_config_value_exit_2(kind, overrides, capsys):
     args = [kind]
     for item in overrides:
@@ -193,16 +205,53 @@ def test_bad_config_value_exit_2(kind, overrides, capsys):
     assert "Traceback" not in err
 
 
-def test_python_dash_m_runs_cli():
+def _child_env():
+    """Environment for a child interpreter that imports aeblow from src."""
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+
+
+def test_python_dash_m_runs_cli():
     proc = subprocess.run([sys.executable, "-m", "aeblow", "validate"],
-                          env=env, capture_output=True, text=True,
+                          env=_child_env(), capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert json.loads(proc.stdout)["passed"] is True
+
+
+# scipy costs about 0.6 s to import, so only the paths that solve an ODE,
+# integrate b or build a spline load it
+_SCIPY_PROBE = """
+import sys
+from aeblow import cli
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+def solve(*extra):
+    cfg = cli.ExperimentConfig.build(
+        "solve", None, ["run.eps=0.3", "run.p=2.0", "solver.tmax=2", *extra],
+        out=sys.argv[1])
+    assert cli.run(cfg) == 0
+
+assert scipy_loaded() == [], scipy_loaded()
+solve()
+assert scipy_loaded() == [], scipy_loaded()
+solve("metric.kind=tabulated", "metric.table=[[0,1.1],[1,1.05],[2,1],[3,1]]",
+      "damping.kind=signed-oscillatory", "damping.mu=0.3", "damping.beta=2")
+assert "scipy.integrate" in sys.modules and "scipy.interpolate" in sys.modules
+"""
+
+
+def test_scipy_imported_only_where_used(tmp_path):
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE,
+                           str(tmp_path / "rep.json")],
+                          env=_child_env(), capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((tmp_path / "rep.json").read_text())["status"] == "completed"
 
 
 def test_entry_point_registered():

@@ -61,6 +61,30 @@ def test_k_derivative_finite_difference_order(powerlaw3):
     assert order >= 1.9
 
 
+# a float radius (what solve_ivp hands a right-hand side) takes eval_k's float
+# path, which must reproduce the 0-d array path bit for bit; a 1-element
+# array may differ in the last bit, because numpy's vectorized pow and the
+# C library's scalar pow round differently
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(power=st.booleans(), c=st.floats(-0.5, 0.5),
+       rho=st.floats(0.0, 3.0, exclude_min=True), r=st.floats(0.0, 400.0),
+       neg=st.floats(5e-324, 400.0))
+def test_eval_k_float_path_matches_array_path(power, c, rho, r, neg):
+    prof = metric.power_law_profile(3, c, rho) if power else metric.flat_profile(3)
+    bits = lambda v: np.asarray(v, dtype=float).view(np.int64)
+    want = metric.eval_k(prof, np.asarray(r))
+    row = [v[0] for v in metric.eval_k(prof, np.array([r]))]
+    for x in (r, np.float64(r)):
+        got = metric.eval_k(prof, x)
+        assert all(type(v) is float for v in got)
+        assert np.array_equal(bits(got), bits(want))
+        np.testing.assert_allclose(got, row, rtol=1e-15, atol=0.0)
+        with pytest.raises(DomainError):
+            metric.eval_k(prof, -type(x)(neg))
+    with pytest.raises(DomainError):
+        metric.eval_k(prof, np.array([-neg]))
+
+
 def test_k_integral_flat(flat3):
     assert metric.k_integral(flat3, 3.7) == pytest.approx(3.7, rel=1e-14)
     assert metric.k_integral(flat3, 0.0) == 0.0
