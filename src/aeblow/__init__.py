@@ -18,8 +18,7 @@ cli               deterministic batch front-end (`aeblow` entry point)
 from . import (cli, damping, entire_solutions, errors, lifespan, metric,
                ode_lab, testfn_critical, wave_solver)
 from .errors import (AeblowError, ConfigurationError, DomainError,
-                     InsufficientDataError, IntegrationError, PositivityError,
-                     SupportViolationError)
+                     InsufficientDataError, IntegrationError, PositivityError)
 
 __version__ = "0.1.0"
 
@@ -28,5 +27,5 @@ __all__ = [
     "ode_lab", "testfn_critical", "wave_solver",
     "AeblowError", "ConfigurationError", "DomainError",
     "InsufficientDataError", "IntegrationError", "PositivityError",
-    "SupportViolationError", "__version__",
+    "__version__",
 ]

@@ -147,10 +147,13 @@ def _numbers(block: dict, bname: str, key: str) -> list[float]:
 
 def _solver_config(cfg: ExperimentConfig) -> solver_mod.SolverConfig:
     s = cfg.solver
+    nonlinear = s.get("nonlinear", True)
+    if not isinstance(nonlinear, bool):
+        raise ConfigurationError("config key solver.nonlinear must be true or false")
     return solver_mod.SolverConfig(
         dr=_number(s, "solver", "dr"), tmax=_number(s, "solver", "tmax"),
         cfl=_number(s, "solver", "cfl"), rmax=_number(s, "solver", "rmax", None),
-        nonlinear=bool(s.get("nonlinear", True)),
+        nonlinear=nonlinear,
         sup_cap=_number(s, "solver", "sup_cap", 1e12))
 
 
@@ -180,6 +183,9 @@ def _run_eigen(cfg: ExperimentConfig) -> int:
     profile = metric_mod.profile_from_config(cfg.metric)
     lam = _number(cfg.run, "run", "lam", positive=True)
     r_max = _number(cfg.run, "run", "r_max", 50.0 / lam)
+    if r_max < 1.0 / lam:    # mu_diagnostic needs the exterior r >= 1/lam
+        raise ConfigurationError(
+            f"config key run.r_max={r_max:g} must reach 1/run.lam = {1.0 / lam:g}")
     dr = _number(cfg.run, "run", "dr", _number(cfg.solver, "solver", "dr"),
                  positive=True)
     sol = eigen_mod.build_entire_solution(profile, lam, r_max, dr=dr)

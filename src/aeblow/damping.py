@@ -26,7 +26,6 @@ __all__ = [
     "eta_of_s",
     "m_tilde",
     "damping_from_config",
-    "damping_to_config",
 ]
 
 _ODE_RTOL = 1e-12
@@ -202,19 +201,7 @@ def m_tilde(profile: DampingProfile, s):
     return m_of_t(profile, eta_of_s(profile, s))
 
 
-# -- config serialization ------------------------------------------------------
-
-def damping_to_config(profile: DampingProfile) -> dict:
-    cfg = {"kind": profile.kind}
-    if profile.kind in ("scattering-power", "signed-oscillatory"):
-        cfg["mu"] = profile.mu
-        cfg["beta"] = profile.beta
-    elif profile.kind == "tabulated":
-        cfg["table"] = [[float(a), float(b)]
-                        for a, b in zip(profile.table_t, profile.table_b)]
-        cfg["tail_l1"] = profile.tail_l1
-    return cfg
-
+# -- config parsing --------------------------------------------------------------
 
 def damping_from_config(cfg: dict) -> DampingProfile:
     try:

@@ -66,10 +66,11 @@ class EigenFamily:
     phi: np.ndarray
 
 
-def lambda_max(profile: MetricProfile, r_max: float = 200.0) -> float:
-    """lam0 = min(1/R2, 1) with R2 measured by the long-range validator."""
+def lambda_max(profile: MetricProfile) -> float:
+    """lam0 = min(1/R2, 1) with R2 measured by the long-range validator on
+    [0, max(200, 10/rho + 1)]."""
     rho = profile.rho if profile.kind != "flat" else 1.0
-    grid = np.linspace(0.0, max(r_max, 10.0 / rho + 1.0), 4001)
+    grid = np.linspace(0.0, max(200.0, 10.0 / rho + 1.0), 4001)
     return validate_long_range(profile, grid).lambda0
 
 
@@ -164,7 +165,6 @@ def build_family(profile: MetricProfile, lams: np.ndarray, r_max: float,
 
 @dataclass(frozen=True)
 class EnvelopeReport:
-    lam: float
     c_low: float
     c_high: float
     inf_phi: float
@@ -176,7 +176,7 @@ def verify_envelopes(sol: EntireSolution) -> EnvelopeReport:
     log_env = (-(sol.n - 1) / 2.0 * 0.5 * np.log1p((lam * sol.r) ** 2)
                + lam * sol.k_int)
     ratio = np.exp(sol.log_phi - log_env)
-    return EnvelopeReport(lam=lam, c_low=float(ratio.min()),
+    return EnvelopeReport(c_low=float(ratio.min()),
                           c_high=float(ratio.max()),
                           inf_phi=float(sol.phi.min()))
 
@@ -199,7 +199,6 @@ def verify_derivative_bounds(sol: EntireSolution) -> float:
 
 @dataclass(frozen=True)
 class MuReport:
-    lam: float
     sup_int_mu: float
     sup_mu_over_lam: float
     bound_int: float       # 8 delta0^-2 + 6 delta0^-4
@@ -237,6 +236,6 @@ def mu_diagnostic(sol: EntireSolution) -> MuReport:
     bound_mu = 3.0 / d0
     sup_int = float(np.max(np.abs(int_mu)))
     sup_mu = float(np.max(np.abs(mu)) / lam)
-    return MuReport(lam=lam, sup_int_mu=sup_int, sup_mu_over_lam=sup_mu,
+    return MuReport(sup_int_mu=sup_int, sup_mu_over_lam=sup_mu,
                     bound_int=bound_int, bound_mu=bound_mu,
                     passed=(sup_int <= bound_int and sup_mu <= bound_mu))

@@ -21,9 +21,5 @@ class PositivityError(AeblowError, RuntimeError):
     """A quantity that must stay positive crossed zero."""
 
 
-class SupportViolationError(AeblowError, RuntimeError):
-    """Finite speed of propagation bound violated beyond tolerance."""
-
-
 class InsufficientDataError(AeblowError, RuntimeError):
     """Raised when a fit is requested with too few usable records."""

@@ -20,8 +20,7 @@ from .errors import (ConfigurationError, DomainError, InsufficientDataError)
 from .metric import MetricProfile
 from .ode_lab import _aitken
 from .wave_solver import (DataProfile, SolverConfig, Trajectory,
-                          check_support_trajectory, evolve_damped_direct,
-                          evolve_transformed)
+                          evolve_damped_direct, evolve_transformed)
 
 __all__ = [
     "critical_exponent",
@@ -62,33 +61,15 @@ def special_exponent(p: float) -> float:
 
 @dataclass(frozen=True)
 class LifespanRecord:
-    n: int
-    p: float
     eps: float
-    metric_id: str
-    damping_id: str
-    data_shape: str
     blew_up: bool
     t_detected: float          # nan when no blow-up within budget
     crossings: tuple           # interpolated threshold crossing times
-    thresholds: tuple
-    dr: float
-    dt: float
-    tmax: float
     status: str
-    min_slack: float           # worst finite-speed slack seen on the run
 
     def __post_init__(self):
         if self.blew_up and not self.t_detected > 0:
             raise DomainError("blow-up record with nonpositive time")
-
-
-def _data_shape_name(data: DataProfile) -> str:
-    if data.u1_amp == 0:
-        return "bump-u0"
-    if data.u0_amp == 0:
-        return "bump-u1"
-    return "bump-both"
 
 
 def _crossing_times(traj: Trajectory, eps: float):
@@ -139,15 +120,8 @@ def detect_blowup(metric: MetricProfile, damping: DampingProfile | None,
     crossings = _crossing_times(traj, eps) if eps > 0 else []
     blew = len(crossings) == len(THRESHOLD_FACTORS)
     t_det = _aitken(*crossings) if blew else float("nan")
-    slack = check_support_trajectory(traj).slack
-    return LifespanRecord(
-        n=metric.n, p=p, eps=eps, metric_id=metric.name,
-        damping_id=damping.kind if damping is not None else "zero",
-        data_shape=_data_shape_name(data), blew_up=blew, t_detected=t_det,
-        crossings=tuple(crossings),
-        thresholds=tuple(f * eps for f in THRESHOLD_FACTORS),
-        dr=config.dr, dt=traj.dt, tmax=config.tmax, status=traj.status,
-        min_slack=slack)
+    return LifespanRecord(eps=eps, blew_up=blew, t_detected=t_det,
+                          crossings=tuple(crossings), status=traj.status)
 
 
 def geometric_eps_grid(eps_max: float, count: int,
@@ -160,7 +134,6 @@ def geometric_eps_grid(eps_max: float, count: int,
 
 @dataclass(frozen=True)
 class FitReport:
-    records: tuple
     eps: np.ndarray
     t: np.ndarray
     slope: float
@@ -200,7 +173,7 @@ def fit_records(records, n: int, p: float, data: DataProfile) -> FitReport:
     if n == 2 and p < 2.0 and data.u1_amp > 0:
         special = special_exponent(p)
     return FitReport(
-        records=tuple(blown), eps=eps, t=t, slope=float(slope),
+        eps=eps, t=t, slope=float(slope),
         intercept=float(intercept), ci=float(ci), theory=theory,
         theory_special=special, ratio=float(slope / theory),
         monotone=bool(np.all(np.diff(t) >= -1e-9)))
@@ -223,7 +196,7 @@ def sweep_and_fit(metric: MetricProfile, damping: DampingProfile | None,
             "exponential time budgets; use the critical-case checks instead")
     eps_grid = np.asarray(sorted(eps_grid, reverse=True), dtype=float)
     if len(eps_grid) < 5:
-        raise InsufficientDataError("sweep needs at least 5 eps values")
+        raise ConfigurationError("sweep needs at least 5 eps values")
     records = []
     for eps in eps_grid:
         cfg = config if tmax_for is None \

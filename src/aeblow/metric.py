@@ -27,7 +27,6 @@ __all__ = [
     "g_potential",
     "validate_long_range",
     "profile_from_config",
-    "profile_to_config",
 ]
 
 # nodes/weights of 5-point Gauss-Legendre on [-1, 1], the one rule for the
@@ -93,7 +92,7 @@ def power_law_profile(n: int, c: float, rho: float) -> MetricProfile:
 
 
 def tabulated_profile(n: int, r: Sequence[float], k: Sequence[float],
-                      rho: float = 1.0, name: str = "tabulated") -> MetricProfile:
+                      rho: float = 1.0) -> MetricProfile:
     """Profile built from samples [[r, K]]; clamped cubic spline in between."""
     r = np.asarray(r, dtype=float)
     k = np.asarray(k, dtype=float)
@@ -108,7 +107,7 @@ def tabulated_profile(n: int, r: Sequence[float], k: Sequence[float],
     kmin, kmax = float(k.min()), float(k.max())
     delta0 = max(min(kmin, 1.0 / kmax), 1e-6) * 0.99
     return MetricProfile(
-        name=name, n=n, kind="tabulated", delta0=delta0, rho=rho,
+        name="tabulated", n=n, kind="tabulated", delta0=delta0, rho=rho,
         table_r=r, table_k=k, _spline=spline,
     )
 
@@ -284,19 +283,7 @@ def validate_long_range(profile: MetricProfile, grid: np.ndarray) -> ValidationR
     )
 
 
-# -- config serialization ----------------------------------------------------
-
-def profile_to_config(profile: MetricProfile) -> dict:
-    cfg = {"kind": profile.kind, "n": profile.n}
-    if profile.kind == "power-law":
-        cfg["c"] = profile.c
-        cfg["rho"] = profile.rho
-    elif profile.kind == "tabulated":
-        cfg["rho"] = profile.rho
-        cfg["table"] = [[float(a), float(b)]
-                        for a, b in zip(profile.table_r, profile.table_k)]
-    return cfg
-
+# -- config parsing ------------------------------------------------------------
 
 def profile_from_config(cfg: dict) -> MetricProfile:
     try:

@@ -29,18 +29,10 @@ __all__ = [
 class ComparisonSolution:
     """Solution of y'' = lam^2 mt(t)^2 y with measured envelope constants."""
 
-    lam: float
-    direction: str            # "forward" | "backward"
-    T: float                  # horizon (forward) or terminal time (backward)
     t: np.ndarray
     y: np.ndarray
     yp: np.ndarray
-    eta: np.ndarray           # eta(t) on the same samples
     c_low: float              # inf of min(lam*y/sinh(lam*eta_arg), |y'|/cosh(...))
-    delta1: float
-
-    def __call__(self, t):
-        return np.interp(t, self.t, self.y)
 
 
 def _mt2_rhs(damping: DampingProfile, lam: float):
@@ -48,50 +40,45 @@ def _mt2_rhs(damping: DampingProfile, lam: float):
 
 
 def _solve_and_sample(damping: DampingProfile, lam: float, T: float, y0,
-                      n_samples: int, backward: bool = False):
+                      backward: bool = False):
     """Integrate y'' = lam^2 mt^2 y from 0 to T (T to 0 if backward);
-    sample y, y', eta on [0, T]."""
+    sample y, y', eta at 400 points on [0, T]."""
     from scipy.integrate import solve_ivp
     span = (T, 0.0) if backward else (0.0, T)
     res = solve_ivp(_mt2_rhs(damping, lam), span, y0,
                     method="DOP853", rtol=1e-11, atol=1e-13, dense_output=True)
     if not res.success:
         raise IntegrationError(res.message)
-    ts = np.linspace(0.0, T, n_samples)
+    ts = np.linspace(0.0, T, 400)
     y, yp = res.sol(ts)
     return ts, y, yp, np.asarray(eta_of_s(damping, ts))
 
 
 def forward_comparison(damping: DampingProfile, lam: float,
-                       t_max: float, n_samples: int = 400) -> ComparisonSolution:
+                       t_max: float) -> ComparisonSolution:
     """Solve y'' = lam^2 mt^2 y, y(0)=0, y'(0)=1 and measure its sinh envelope."""
     if lam <= 0 or t_max <= 0:
         raise DomainError("lambda and t_max must be positive")
-    ts, y, yp, eta = _solve_and_sample(damping, lam, t_max, [0.0, 1.0],
-                                       n_samples)
+    ts, y, yp, eta = _solve_and_sample(damping, lam, t_max, [0.0, 1.0])
     # skip t=0 where both sides vanish; the ratio limit there is mt(0)=1
     arg = lam * eta[1:]
     c_low = float(np.min(np.minimum(lam * y[1:] / np.sinh(arg),
                                     yp[1:] / np.cosh(arg))))
-    return ComparisonSolution(lam=lam, direction="forward", T=t_max,
-                              t=ts, y=y, yp=yp, eta=eta,
-                              c_low=c_low, delta1=damping.delta1)
+    return ComparisonSolution(t=ts, y=y, yp=yp, c_low=c_low)
 
 
 def backward_comparison(damping: DampingProfile, lam: float,
-                        T: float, n_samples: int = 400) -> ComparisonSolution:
+                        T: float) -> ComparisonSolution:
     """Solve y'' = lam^2 mt^2 y backwards from y(T)=0, y'(T)=-1."""
     if lam <= 0 or T <= 0:
         raise DomainError("lambda and T must be positive")
     ts, y, yp, eta = _solve_and_sample(damping, lam, T, [0.0, -1.0],
-                                       n_samples, backward=True)
+                                       backward=True)
     eta_T = float(eta_of_s(damping, T))
     arg = lam * (eta_T - eta[:-1])   # skip t=T where both sides vanish
     c_low = float(np.min(np.minimum(lam * y[:-1] / np.sinh(arg),
                                     -yp[:-1] / np.cosh(arg))))
-    return ComparisonSolution(lam=lam, direction="backward", T=T,
-                              t=ts, y=y, yp=yp, eta=eta,
-                              c_low=c_low, delta1=damping.delta1)
+    return ComparisonSolution(t=ts, y=y, yp=yp, c_low=c_low)
 
 
 # -- blow-up ODE ---------------------------------------------------------------
@@ -124,7 +111,6 @@ class KatoResult:
     blew_up: bool
     t_blowup: float | None
     crossings: tuple[float, ...]
-    thresholds: tuple[float, ...]
 
 
 _THRESHOLDS = (1e8, 1e10, 1e12)
@@ -163,11 +149,9 @@ def kato_blowup_time(problem: KatoProblem, tolerance: float = 1e-10,
                     max_step=t_budget / 16.0)
     crossings = tuple(float(ev[0]) for ev in res.t_events if len(ev))
     if len(crossings) < 3:
-        return KatoResult(blew_up=False, t_blowup=None,
-                          crossings=crossings, thresholds=_THRESHOLDS)
+        return KatoResult(blew_up=False, t_blowup=None, crossings=crossings)
     tb = _aitken(*crossings[:3])
-    return KatoResult(blew_up=True, t_blowup=float(tb),
-                      crossings=crossings[:3], thresholds=_THRESHOLDS)
+    return KatoResult(blew_up=True, t_blowup=float(tb), crossings=crossings[:3])
 
 
 def kato_delta_sweep(a: float, alpha: float, beta: float,

@@ -148,12 +148,8 @@ class BoundReport:
 
     a1: float               # inf xi_q * <T> <t>^q over interior samples
     a2: float               # sup xi_q(.,T,T) / decay envelope at t = T
-    a1_refined: float       # same, lambda grid with midpoints inserted
-    a2_refined: float
-    a1_trange: float        # same, sample T values doubled
-    a2_trange: float
-    drift_a1: float
-    drift_a2: float
+    drift_a1: float         # max/min of a1 over the base, refined-lambda
+    drift_a2: float         # and doubled-T measurements; likewise a2
     skipped: tuple
     passed: bool
 
@@ -199,9 +195,7 @@ def xi_bounds_check(ev: XiEvaluator, samples) -> BoundReport:
     ok = (a1 > 0.0 and math.isfinite(a1) and math.isfinite(a2) and a2 > 0.0)
     drift1 = max(vals1) / min(vals1) if ok and min(vals1) > 0 else math.inf
     drift2 = max(vals2) / min(vals2) if ok and vals2 else math.inf
-    return BoundReport(a1=a1, a2=a2, a1_refined=a1r, a2_refined=a2r,
-                       a1_trange=a1t, a2_trange=a2t, drift_a1=drift1,
-                       drift_a2=drift2,
+    return BoundReport(a1=a1, a2=a2, drift_a1=drift1, drift_a2=drift2,
                        skipped=tuple(skipped) + tuple(skip_t),
                        passed=bool(ok and drift1 < 2.0 and drift2 < 2.0))
 
@@ -238,9 +232,8 @@ class CriticalReport:
     lhs: np.ndarray           # F(T)
     rhs: np.ndarray           # double integral of |u|^p xi_q
     ratio: np.ndarray         # lhs / rhs where rhs > 0, nan elsewhere
-    slicing1: np.ndarray      # F(T) / (eps^p ln(2T/3)), T > 3/2
     min_ratio: float
-    min_slicing1: float
+    min_slicing1: float       # inf of F(T) / (eps^p ln(2T/3)) over T > 3/2
 
 
 def critical_F(traj, ev: XiEvaluator) -> CriticalReport:
@@ -277,7 +270,7 @@ def critical_F(traj, ev: XiEvaluator) -> CriticalReport:
     finite_ratio = ratio[np.isfinite(ratio)]
     finite_slic = slic[np.isfinite(slic)]
     return CriticalReport(
-        T=Tsel, lhs=lhs, rhs=rhs, ratio=ratio, slicing1=slic,
+        T=Tsel, lhs=lhs, rhs=rhs, ratio=ratio,
         min_ratio=float(finite_ratio.min()) if len(finite_ratio) else math.nan,
         min_slicing1=float(finite_slic.min()) if len(finite_slic) else math.nan)
 

@@ -30,8 +30,7 @@ import numpy as np
 
 from . import _kernels
 from .damping import DampingProfile, eta_of_s, m_tilde, zero_damping
-from .errors import (ConfigurationError, DomainError,
-                     SupportViolationError)
+from .errors import ConfigurationError, DomainError
 from .metric import MetricProfile, eval_k, k_integral, k_integral_grid
 
 __all__ = [
@@ -115,9 +114,7 @@ class Discretization:
             raise DomainError("eps must be nonnegative")
         if p <= 1:
             raise ConfigurationError("solver config: p must exceed 1")
-        self.metric = metric
         self.damping = damping
-        self.data = data
         self.eps = float(eps)
         self.p = float(p)
         self.config = config
@@ -148,7 +145,6 @@ class Discretization:
         a_half = r_half ** (n - 1) / k_half
         wt = k_node * self.r ** (n - 1)
         wt[0] = k_node[0] * (dr / 2.0) ** n / (n * dr)
-        self.wt = wt
         A = np.zeros(self.N + 1)
         B = np.zeros(self.N + 1)
         C = np.zeros(self.N + 1)
@@ -405,22 +401,16 @@ class SupportReport:
     passed: bool
 
 
-def check_support_trajectory(traj: Trajectory,
-                             strict: bool = False) -> SupportReport:
+def check_support_trajectory(traj: Trajectory) -> SupportReport:
     """Finite-speed check int_0^edge K <= eta(t) + R1 within grid slack, at
     the worst of all recorded times of a trajectory."""
     budget = traj.eta + traj.r1
     slack = budget - traj.kint[traj.edge]
     i = int(np.argmin(slack))
     tol = _SLACK_CELLS * traj.dr / traj.delta0
-    rep = SupportReport(edge_r=float(traj.edge_r[i]), budget=float(budget[i]),
-                        slack=float(slack[i]), tol=tol,
-                        passed=bool(slack[i] >= -tol))
-    if strict and not rep.passed:
-        raise SupportViolationError(
-            f"support edge exceeds the propagation cone: slack {rep.slack:g} "
-            f"< -{tol:g} at t={traj.t[i]:g}")
-    return rep
+    return SupportReport(edge_r=float(traj.edge_r[i]), budget=float(budget[i]),
+                         slack=float(slack[i]), tol=tol,
+                         passed=bool(slack[i] >= -tol))
 
 
 @dataclass(frozen=True)
@@ -447,9 +437,9 @@ class InequalityReport:
     fpp_min: float
 
 
-def check_inequalities(traj: Trajectory, n: int,
-                       t_lo: float = 1.0) -> InequalityReport:
-    """Measure the functional inequalities on a transformed-mode trajectory."""
+def check_inequalities(traj: Trajectory, n: int) -> InequalityReport:
+    """Measure the functional inequalities on a transformed-mode trajectory
+    over the window t >= 1."""
     if traj.mode != "transformed":
         raise ConfigurationError(
             "inequality report needs the transformed formulation")
@@ -460,7 +450,7 @@ def check_inequalities(traj: Trajectory, n: int,
     # anything.  1e6*eps matches the coarsest lifespan-detector threshold.
     hot = np.nonzero(traj.sup > 1e6 * eps)[0]
     t_hi = t[hot[0]] if len(hot) else np.inf
-    mask = (t >= t_lo) & (t < t_hi)
+    mask = (t >= 1.0) & (t < t_hi)
     if not np.any(mask):
         raise DomainError("trajectory too short for the inequality window")
     tw = t[mask]

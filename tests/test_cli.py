@@ -194,7 +194,14 @@ def test_unknown_solve_mode_exit_2(kind, capsys):
                "damping.kind=tabulated", "damping.table=[1,2]"]),
     ("solve", ["run.eps=0.3", "run.p=2.0", "solver.tmax=1",
                "damping.kind=tabulated", "damping.table=[[0,0.1],[1,0.1]]",
-               "damping.tail_l1=x"])])
+               "damping.tail_l1=x"]),
+    # these ran to the end and exited 1, or ran the nonlinear equation
+    ("eigen", ["run.lam=0.1", "run.r_max=5"]),
+    ("solve", ["run.eps=0.3", "run.p=2.0", "solver.tmax=1",
+               "solver.nonlinear=no"]),
+    ("solve", ["run.eps=0.3", "run.p=2.0", "solver.tmax=1",
+               'solver.nonlinear="false"']),
+    ("sweep", ["run.p=2.0", "run.eps_max=7", "run.count=3"])])
 def test_bad_config_value_exit_2(kind, overrides, capsys):
     args = [kind]
     for item in overrides:

@@ -127,8 +127,9 @@ def test_tabulated_damping_round_trip():
     prof = damping.tabulated_damping(t, b, tail_l1=0.1)
     assert damping.m_of_t(prof, 10.0) == pytest.approx(
         math.exp(0.5 * (1.0 - math.exp(-10.0))), rel=1e-4)
-    cfg = damping.damping_to_config(prof)
-    back = damping.damping_from_config(cfg)
+    back = damping.damping_from_config(
+        {"kind": "tabulated", "table": np.column_stack((t, b)).tolist(),
+         "tail_l1": 0.1})
     assert back.kind == "tabulated"
     # the declared tail sets delta1, hence the CFL step and the mt window
     assert back.tail_l1 == prof.tail_l1 == 0.1

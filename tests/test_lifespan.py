@@ -92,7 +92,7 @@ def test_sweep_refuses_critical_p(flat3, zero_damping, bump_data):
 
 def test_sweep_needs_enough_points(flat3, zero_damping, bump_data):
     cfg = ws.SolverConfig(dr=0.1, tmax=5.0)
-    with pytest.raises(InsufficientDataError):
+    with pytest.raises(ConfigurationError, match="at least 5 eps values"):
         ls.sweep_and_fit(flat3, zero_damping, bump_data,
                          ls.geometric_eps_grid(4.0, 3), 2.0, cfg)
 

@@ -194,9 +194,11 @@ def test_validate_needs_long_grid(powerlaw3):
 
 
 def test_config_round_trip(powerlaw3, flat2):
-    for prof in (powerlaw3, flat2):
-        back = metric.profile_from_config(metric.profile_to_config(prof))
-        assert back.kind == prof.kind and back.n == prof.n
+    for prof, cfg in ((powerlaw3, {"kind": "power-law", "n": 3, "c": 0.5,
+                                   "rho": 1.0}),
+                      (flat2, {"kind": "flat", "n": 2})):
+        back = metric.profile_from_config(cfg)
+        assert back == prof
         r = np.linspace(0.0, 10.0, 50)
         assert np.allclose(metric.eval_k(back, r)[0],
                            metric.eval_k(prof, r)[0], rtol=1e-12)

@@ -78,7 +78,7 @@ def test_forward_comparison_zero_damping(zero_damping):
 
 def test_backward_comparison_terminal_conditions(scat_damping):
     sol = ol.backward_comparison(scat_damping, 0.5, 8.0)
-    assert abs(sol(8.0)) < 1e-10
+    assert sol.t[-1] == 8.0 and abs(sol.y[-1]) < 1e-10
     assert sol.yp[-1] == pytest.approx(-1.0, abs=1e-10)
     assert np.all(sol.y[:-1] > 0)          # strictly positive before T
     assert sol.c_low > 0

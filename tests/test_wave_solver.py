@@ -9,7 +9,7 @@ from aeblow import damping as damping_mod
 from aeblow import entire_solutions as es
 from aeblow import metric as metric_mod
 from aeblow import wave_solver as ws
-from aeblow.errors import ConfigurationError, DomainError, SupportViolationError
+from aeblow.errors import ConfigurationError, DomainError
 
 
 def dalembert_radial(data, t, r):
@@ -162,9 +162,6 @@ def test_support_report_consistency(flat3, zero_damping, bump_data):
     assert rep.passed == (rep.slack >= -rep.tol)
     assert np.isfinite(rep.budget) and np.isfinite(rep.slack)
     assert traj.edge_r[0] <= bump_data.r0 + 2 * 0.05    # t=0 data inside r0
-    if not rep.passed:
-        with pytest.raises(SupportViolationError):
-            ws.check_support_trajectory(traj, strict=True)
 
 
 def test_blowup_detection_and_status(flat3, zero_damping, bump_data):
