@@ -24,7 +24,7 @@ from . import metric as metric_mod
 from . import ode_lab
 from . import testfn_critical as critical_mod
 from . import wave_solver as solver_mod
-from .errors import AeblowError, ConfigurationError
+from .errors import AeblowError, ConfigurationError, DomainError
 
 KINDS = ("validate", "eigen", "ode", "solve", "sweep", "critical")
 
@@ -34,6 +34,25 @@ _DEFAULTS = {
     "data": {"r0": 1.0, "u0_amp": 1.0, "u1_amp": 1.0},
     "solver": {"dr": 0.05, "tmax": 10.0, "cfl": 0.45, "rmax": None},
     "run": {},
+}
+
+# every key a block may hold; the run block's keys depend on the subcommand
+_KEYS = {
+    "solver": ("dr", "tmax", "cfl", "rmax", "nonlinear", "sup_cap"),
+    "data": ("r0", "u0_amp", "u1_amp"),
+    "metric": ("kind", "n", "c", "rho", "table"),
+    "damping": ("kind", "mu", "beta", "table", "tail_l1"),
+    "run": {
+        "validate": ("r_max", "points"),
+        "eigen": ("lam", "r_max", "dr"),
+        "ode": ("mode", "beta", "a", "alpha", "k", "f0", "f0p", "deltas",
+                "lam", "T"),
+        "solve": ("eps", "p", "solve_mode", "snapshots", "snapshot_file",
+                  "stride"),
+        "sweep": ("p", "eps_grid", "eps_max", "count", "ratio", "tmax_budget",
+                  "tmax_exponent", "solve_mode"),
+        "critical": ("p", "t_max", "eps", "lam_points", "snapshot_step", "B"),
+    },
 }
 
 
@@ -83,6 +102,13 @@ class ExperimentConfig:
             except json.JSONDecodeError:
                 val = raw
             blocks[parts[0]][parts[1]] = val
+        for name, block in blocks.items():
+            known = _KEYS[name][kind] if name == "run" else _KEYS[name]
+            unknown = sorted(set(block) - set(known))
+            if unknown:
+                raise ConfigurationError(
+                    f"unknown config key {name}.{unknown[0]}; {kind!r} "
+                    f"takes {name} keys {', '.join(known)}")
         return ExperimentConfig(kind=kind, out=out, csv=csv_path, **blocks)
 
 
@@ -138,11 +164,13 @@ def _number(block: dict, bname: str, key: str, default=_REQUIRED,
     return int(val) if integer else val
 
 
-def _numbers(block: dict, bname: str, key: str) -> list[float]:
+def _numbers(block: dict, bname: str, key: str,
+             positive: bool = False) -> list[float]:
     """block[key] as a list of floats, [] when the key is absent."""
     if not isinstance(block.get(key, []), list):
         raise ConfigurationError(f"config key {bname}.{key} must be a list")
-    return [_number({key: v}, bname, key) for v in block.get(key, [])]
+    return [_number({key: v}, bname, key, positive=positive)
+            for v in block.get(key, [])]
 
 
 def _solver_config(cfg: ExperimentConfig) -> solver_mod.SolverConfig:
@@ -211,9 +239,13 @@ def _run_ode(cfg: ExperimentConfig) -> int:
     run = cfg.run
     mode = run.get("mode", "kato")
     if mode == "kato":
-        prob = ode_lab.KatoProblem(beta=_number(run, "run", "beta"), **{
-            key: _number(run, "run", key, default) for key, default in
-            (("a", 1.0), ("alpha", 0.0), ("k", 1.0), ("f0", 1.0), ("f0p", 0.0))})
+        values = {key: _number(run, "run", key, default) for key, default in
+                  (("beta", _REQUIRED), ("a", 1.0), ("alpha", 0.0), ("k", 1.0),
+                   ("f0", 1.0), ("f0p", 0.0))}
+        try:
+            prob = ode_lab.KatoProblem(**values)
+        except DomainError as e:
+            raise ConfigurationError(f"run block: {e}") from None
         res = ode_lab.kato_blowup_time(prob)
         report = {"mode": "kato", "problem": asdict(prob),
                   "blew_up": res.blew_up, "t_blowup": res.t_blowup,
@@ -230,8 +262,8 @@ def _run_ode(cfg: ExperimentConfig) -> int:
         return 0 if res.blew_up else 1
     if mode == "comparison":
         prof = damping_mod.damping_from_config(cfg.damping)
-        lam = _number(run, "run", "lam")
-        T = _number(run, "run", "T", 20.0)
+        lam = _number(run, "run", "lam", positive=True)
+        T = _number(run, "run", "T", 20.0, positive=True)
         fwd = ode_lab.forward_comparison(prof, lam, T)
         bwd = ode_lab.backward_comparison(prof, lam, T)
         report = {"mode": "comparison", "lam": lam, "T": T,
@@ -247,6 +279,8 @@ def _run_solve(cfg: ExperimentConfig) -> int:
     scfg = _solver_config(cfg)
     run = cfg.run
     eps = _number(run, "run", "eps")
+    if not eps >= 0:     # eps = 0 is the trivial solve; NaN is out of range
+        raise ConfigurationError("config key run.eps must be a nonnegative number")
     p = _number(run, "run", "p")
     evolve = lifespan_mod._evolver(run.get("solve_mode", "transformed"))
     snaps = _numbers(run, "run", "snapshots")
@@ -269,9 +303,9 @@ def _run_solve(cfg: ExperimentConfig) -> int:
         stride = max(1, _number(run, "run", "stride", 1, integer=True))
         idx = range(0, len(traj.t), stride)
         fpp, edge_r = traj.fpp, traj.edge_r
-        rows = ((traj.t[i], traj.F[i], fpp[i], traj.H[i], traj.sup[i],
-                 edge_r[i]) for i in idx)
-        _write_csv(["t", "F", "Fpp", "H", "sup_u", "edge_r"], rows, cfg.csv)
+        rows = ((traj.t[i], traj.F[i], fpp[i], traj.sup[i], edge_r[i])
+                for i in idx)
+        _write_csv(["t", "F", "Fpp", "sup_u", "edge_r"], rows, cfg.csv)
     return 0
 
 
@@ -281,7 +315,7 @@ def _run_sweep(cfg: ExperimentConfig) -> int:
     run = cfg.run
     p = _number(run, "run", "p")
     if "eps_grid" in run:
-        grid = _numbers(run, "run", "eps_grid")
+        grid = _numbers(run, "run", "eps_grid", positive=True)
     else:
         grid = lifespan_mod.geometric_eps_grid(
             _number(run, "run", "eps_max"),
@@ -310,7 +344,7 @@ def _run_critical(cfg: ExperimentConfig) -> int:
          else _number(run, "run", "p"))
     q = critical_mod.critical_q(n, p)
     t_max = _number(run, "run", "t_max", 40.0)
-    eps = _number(run, "run", "eps", 0.4)
+    eps = _number(run, "run", "eps", 0.4, positive=True)
     scfg = _solver_config(replace(cfg, solver=dict(cfg.solver, tmax=t_max)))
     lam0 = eigen_mod.lambda_max(profile)
     lam_grid = critical_mod.log_lambda_grid(

@@ -1,9 +1,11 @@
 """Positive entire solutions of Lap_g Phi = lam^2 Phi for radial metrics.
 
 The radial equation Phi'' + ((n-1)/r - K'/K) Phi' = lam^2 K^2 Phi is shot from
-the origin (even Taylor start) and integrated in log form (log Phi, Phi'/Phi),
-which keeps the exponentially growing solution in range over arbitrarily long
-radii.  Linearity makes the rescale to Phi(1/lam) = 1 exact.
+r = 0 by its even limit and integrated in log form (log Phi, Phi'/Phi), which
+keeps the exponentially growing solution in range over arbitrarily long radii.
+A family's lambdas are one system up to the end of its grid; rows whose 1/lam
+lies beyond continue alone to their normalization.  Linearity makes the
+rescale to Phi(1/lam) = 1 exact.
 """
 
 from __future__ import annotations
@@ -74,91 +76,87 @@ def lambda_max(profile: MetricProfile) -> float:
     return validate_long_range(profile, grid).lambda0
 
 
-def _solve_log_form(profile: MetricProfile, lam: float, r_end: float):
-    """Integrate (log Phi, Phi'/Phi) from the Taylor start to r_end.
+def _shoot(profile: MetricProfile, lams: np.ndarray, r_max: float, dr: float,
+           lam0: float | None = None):
+    """Shoot every lambda as one system and sample the grid [0, r_max].
 
-    Returns (dense solution, r_start, taylor coefficient), normalized later.
+    Returns (grid, Phi, log Phi, Phi'/Phi), one row per lambda, normalized to
+    Phi(1/lam) = 1.  The joint system runs to r_max + dr; rows whose 1/lam
+    lies beyond that continue alone, only to reach their normalization.
     """
     from scipy.integrate import solve_ivp
+    if np.any(lams <= 0):
+        raise DomainError("lambda must be positive")
+    if lam0 is None:
+        lam0 = lambda_max(profile)
+    if lams.max() > lam0 * (1.0 + 1e-12):
+        raise DomainError(f"lambda={lams.max():g} exceeds lambda0={lam0:g}")
     n = profile.n
-    k0 = eval_k(profile, 0.0)[0]
-    r_start = 1e-4 / lam
-    c2 = lam * lam * k0 * k0 / (2.0 * n)   # Phi ~ Phi(0)(1 + c2 r^2)
-    w0 = 2.0 * c2 * r_start / (1.0 + c2 * r_start ** 2)
-    l0 = np.log1p(c2 * r_start ** 2)       # relative to log Phi(0) = 0
 
-    def rhs(r, z):
-        k, k1, _ = eval_k(profile, r)
-        w = z[1]
-        return [w, lam * lam * k * k - ((n - 1) / r - k1 / k) * w - w * w]
+    def solve(lam, r0, z0, t_eval):
+        """(log Phi, Phi'/Phi) rows of every lam, sampled at t_eval."""
+        lam2, half = lam * lam, len(lam)
 
-    res = solve_ivp(rhs, (r_start, r_end), [l0, w0], method="DOP853",
-                    rtol=_RTOL, atol=_ATOL, dense_output=True)
-    if not res.success:
-        raise IntegrationError(f"eigenfunction solve failed: {res.message}")
-    return res.sol, r_start, c2
+        def rhs(r, z):
+            k, k1, _ = eval_k(profile, r)
+            w = z[half:]
+            if r == 0.0:     # even limit: Phi'/Phi ~ lam^2 K(0)^2 r / n
+                return np.concatenate((w, lam2 * (k * k / n)))
+            return np.concatenate(
+                (w, lam2 * (k * k) - ((n - 1) / r - k1 / k) * w - w * w))
+
+        res = solve_ivp(rhs, (r0, t_eval[-1]), z0, method="DOP853",
+                        rtol=_RTOL, atol=_ATOL, t_eval=t_eval)
+        if not res.success:
+            raise IntegrationError(f"eigenfunction solve failed: {res.message}")
+        return res.y
+
+    m = len(lams)
+    grid = np.arange(0.0, r_max + dr / 2.0, dr)
+    r_end = r_max + dr
+    balls = 1.0 / lams
+    far = balls > r_end
+    ts = np.union1d(grid, np.append(balls[~far], r_end))
+    z = solve(lams, 0.0, np.zeros(2 * m), ts)    # log Phi(0) = 0 before the shift
+    l_ball = z[np.arange(m), np.searchsorted(ts, np.minimum(balls, r_end))]
+    if np.any(far):
+        tf = np.unique(balls[far])
+        zf = solve(lams[far], r_end, z[np.tile(far, 2), -1], tf)
+        l_ball[far] = zf[np.arange(far.sum()), np.searchsorted(tf, balls[far])]
+    at = np.searchsorted(ts, grid)
+    log_phi = z[:m, at] - l_ball[:, None]
+    w = z[m:, at]
+    phi = np.exp(log_phi)
+    if np.any(phi <= 0) or np.any(w < -1e-12):
+        raise PositivityError("Phi must be positive and nondecreasing")
+    return grid, phi, log_phi, w
 
 
 def build_entire_solution(profile: MetricProfile, lam: float, r_max: float,
                           dr: float = 0.05,
                           lam0: float | None = None) -> EntireSolution:
-    """Shoot, normalize at r = 1/lam, and sample on the grid [0, r_max]."""
-    if lam <= 0:
-        raise DomainError("lambda must be positive")
-    if lam0 is None:
-        lam0 = lambda_max(profile)
-    if lam > lam0 * (1.0 + 1e-12):
-        raise DomainError(f"lambda={lam:g} exceeds lambda0={lam0:g}")
+    """The family of one, with the derivatives and int_0^r K that only the
+    diagnostics read."""
+    r, (phi,), (log_phi,), (w,) = _shoot(profile, np.array([lam], dtype=float),
+                                         r_max, dr, lam0)
     n = profile.n
-    r_ball = 1.0 / lam
-    sol, r_start, c2 = _solve_log_form(profile, lam, max(r_max, r_ball) + dr)
-
-    l_ball = float(sol(r_ball)[0])          # shift so Phi(1/lam) = 1
-    grid = np.arange(0.0, r_max + dr / 2.0, dr)
-    log_phi = np.empty_like(grid)
-    w = np.empty_like(grid)
-    small = grid < r_start
-    if np.any(small):
-        rs = grid[small]
-        log_phi[small] = np.log1p(c2 * rs * rs) - l_ball
-        w[small] = 2.0 * c2 * rs / (1.0 + c2 * rs * rs)
-    big = ~small
-    lv, wv = sol(grid[big])
-    log_phi[big] = lv - l_ball
-    w[big] = wv
-
-    phi = np.exp(log_phi)
     dphi = w * phi
-    k, k1, _ = eval_k(profile, grid)
-    d2phi = lam * lam * k * k * phi.copy()
-    rpos = grid > 0
-    d2phi[rpos] -= ((n - 1) / grid[rpos] - k1[rpos] / k[rpos]) * dphi[rpos]
-    if not rpos[0]:
-        # even limit: Phi''(0) = lam^2 K(0)^2 Phi(0) / n
-        d2phi[0] = lam * lam * k[0] * k[0] * phi[0] / n
-
-    if np.any(phi <= 0) or np.any(dphi < -1e-12 * np.abs(phi)):
-        raise PositivityError("Phi must be positive and nondecreasing")
+    k, k1, _ = eval_k(profile, r)
+    d2phi = lam * lam * k * k * phi
+    d2phi[1:] -= ((n - 1) / r[1:] - k1[1:] / k[1:]) * dphi[1:]
+    d2phi[0] = lam * lam * k[0] * k[0] * phi[0] / n    # even limit at r = 0
     return EntireSolution(
-        lam=lam, n=n, profile=profile, r=grid,
+        lam=lam, n=n, profile=profile, r=r,
         phi=phi, dphi=dphi, d2phi=d2phi, log_phi=log_phi,
-        k_int=k_integral_grid(profile, grid),
-        phi0=float(np.exp(-l_ball)),
-    )
+        k_int=k_integral_grid(profile, r), phi0=float(phi[0]))
 
 
 def build_family(profile: MetricProfile, lams: np.ndarray, r_max: float,
                  dr: float = 0.05, lam0: float | None = None) -> EigenFamily:
-    """Eigenfunctions for every lambda in the grid, shared radial grid."""
+    """Eigenfunctions for every lambda in the grid, shot as one system."""
     lams = np.sort(np.asarray(lams, dtype=float))
-    if lam0 is None:
-        lam0 = lambda_max(profile)
-    rows = []
-    for lam in lams:
-        sol = build_entire_solution(profile, lam, r_max, dr=dr, lam0=lam0)
-        rows.append(sol.phi)          # every member shares the grid sol.r
-    return EigenFamily(profile=profile, lams=lams, r=sol.r,
-                       phi=np.ascontiguousarray(np.vstack(rows)))
+    r, phi, _, _ = _shoot(profile, lams, r_max, dr, lam0)
+    return EigenFamily(profile=profile, lams=lams, r=r, phi=phi)
 
 
 # -- diagnostics ---------------------------------------------------------------
@@ -192,7 +190,7 @@ def verify_derivative_bounds(sol: EntireSolution) -> float:
     pos = r > 0
     first[pos] = dphi[pos] / (lam2 * r[pos] * phi[pos])
     if not pos[0]:
-        first[0] = eval_k(sol.profile, 0.0)[0] ** 2 / sol.n  # Taylor limit
+        first[0] = eval_k(sol.profile, 0.0)[0] ** 2 / sol.n  # even limit
     second = np.abs(d2phi) / (lam2 * phi)
     return float(max(first.max(), second.max()))
 

@@ -78,7 +78,14 @@ def test_solve_csv_and_snapshots(tmp_path):
     arr = np.load(snap)
     assert arr.shape[0] == 2 and arr.shape[1] == 2
     header = csvp.read_bytes().split(b"\r\n")[0]
-    assert header == b"t,F,Fpp,H,sup_u,edge_r"
+    assert header == b"t,F,Fpp,sup_u,edge_r"
+
+
+def test_solve_eps_zero_is_trivial(capsys):
+    assert run_cli(["solve", "--set", "run.eps=0", "--set", "run.p=2.0",
+                    "--set", "solver.tmax=1"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["status"] == "completed" and rep["sup_final"] == 0.0
 
 
 def test_missing_required_key_exit_2(capsys):
@@ -160,8 +167,9 @@ def test_critical_reads_solver_block(override, message, capsys):
 
 @pytest.mark.parametrize("kind", ["solve", "sweep"])
 def test_unknown_solve_mode_exit_2(kind, capsys):
-    assert run_cli([kind, "--set", "run.eps=0.3", "--set", "run.eps_max=7",
-                    "--set", "run.p=2.0", "--set", "solver.tmax=2",
+    eps = {"solve": "run.eps=0.3", "sweep": "run.eps_max=7"}[kind]
+    assert run_cli([kind, "--set", eps, "--set", "run.p=2.0",
+                    "--set", "solver.tmax=2",
                     "--set", "run.solve_mode=bogus"]) == 2
     err = capsys.readouterr().err
     assert "'bogus'" in err and "'transformed' or 'direct'" in err
@@ -201,7 +209,20 @@ def test_unknown_solve_mode_exit_2(kind, capsys):
                "solver.nonlinear=no"]),
     ("solve", ["run.eps=0.3", "run.p=2.0", "solver.tmax=1",
                'solver.nonlinear="false"']),
-    ("sweep", ["run.p=2.0", "run.eps_max=7", "run.count=3"])])
+    ("sweep", ["run.p=2.0", "run.eps_max=7", "run.count=3"]),
+    # these exited 1 with a DomainError, the sweep after evolving the
+    # earlier points
+    ("solve", ["run.eps=-0.1", "run.p=2.0"]),
+    ("solve", ["run.eps=NaN", "run.p=2.0", "solver.tmax=1"]),
+    ("critical", ["run.eps=-0.1"]),
+    ("ode", ["run.mode=comparison", "run.lam=0"]),
+    ("ode", ["run.mode=comparison", "run.lam=0.5", "run.T=-1"]),
+    ("ode", ["run.beta=0.5"]),
+    ("sweep", ["run.p=2.0", "solver.tmax=1",
+               "run.eps_grid=[0.5,0.4,0.3,0.2,0]"]),
+    # unknown keys were ignored: this solve ran dr = 0.05
+    ("solve", ["run.eps=0.1", "run.p=2", "solver.d=0.5"]),
+    ("critical", ["run.lam_point=9"])])
 def test_bad_config_value_exit_2(kind, overrides, capsys):
     args = [kind]
     for item in overrides:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from aeblow import entire_solutions as es
@@ -121,18 +123,35 @@ def test_mu_diagnostic_flat_n2(flat2):
     assert rep.sup_int_mu <= rep.bound_int
 
 
-def test_family_of_one_equals_single(flat3):
-    fam = es.build_family(flat3, np.array([0.1]), 30.0, dr=0.05)
-    single = es.build_entire_solution(flat3, 0.1, 30.0, dr=0.05, lam0=1.0)
-    assert np.allclose(fam.phi[0], single.phi, rtol=1e-12)
+_PROFILES = st.one_of(
+    st.builds(metric.flat_profile, st.integers(2, 4)),
+    st.builds(metric.power_law_profile, st.integers(2, 4),
+              st.floats(-0.4, 0.5), st.floats(0.5, 2.0)))
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(profile=_PROFILES, count=st.integers(2, 40),
+       decades=st.floats(0.5, 5.0), r_max=st.floats(2.0, 20.0),
+       dr=st.sampled_from([0.02, 0.05, 0.1]))
+def test_family_rows_equal_family_of_one(profile, count, decades, r_max, dr):
+    lam0 = es.lambda_max(profile)
+    lams = np.geomspace(lam0 * 10.0 ** -decades, lam0, count)
+    fam = es.build_family(profile, lams, r_max, dr=dr, lam0=lam0)
+    for lam, row in zip(fam.lams, fam.phi):
+        single = es.build_entire_solution(profile, lam, r_max, dr=dr, lam0=lam0)
+        assert np.array_equal(single.r, fam.r)
+        assert np.max(np.abs(row - single.phi) / single.phi) < 1e-9
 
 
 def test_family_matches_closed_form(flat3):
-    lams = np.geomspace(0.02, 0.2, 5)
-    fam = es.build_family(flat3, lams, 60.0, dr=0.05)
-    for k, lam in enumerate(fam.lams):
-        exact = flat3_closed_form(lam, fam.r)
-        assert np.max(np.abs(fam.phi[k] - exact) / exact) < 1e-6
+    lams = np.geomspace(0.02, 0.2, 5)      # 1/lam from 5 to 50
+    # 60: every 1/lam on the grid; 20: the two smallest lambdas continue
+    # past r_max + dr to their normalization; 3: every row does
+    for r_max in (60.0, 20.0, 3.0):
+        fam = es.build_family(flat3, lams, r_max, dr=0.05)
+        for k, lam in enumerate(fam.lams):
+            exact = flat3_closed_form(lam, fam.r)
+            assert np.max(np.abs(fam.phi[k] - exact) / exact) < 1e-6
 
 
 def test_lambda_above_lambda0_rejected(powerlaw3):
@@ -140,6 +159,11 @@ def test_lambda_above_lambda0_rejected(powerlaw3):
     with pytest.raises(DomainError):
         es.build_entire_solution(powerlaw3, 2.0 * max(lam0, 1.0), 30.0,
                                  dr=0.05, lam0=lam0)
+    # a family is checked row by row
+    for bad in (2.0 * max(lam0, 1.0), 0.0):
+        with pytest.raises(DomainError):
+            es.build_family(powerlaw3, np.array([0.5 * lam0, bad]), 30.0,
+                            dr=0.05, lam0=lam0)
 
 
 def test_residual_improves_at_order_two(flat3):

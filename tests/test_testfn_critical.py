@@ -83,13 +83,13 @@ def test_refine_lambda_grid_shoots_only_midpoints(flat3, zero_damping,
     ev = tc.build_evaluator(flat3, zero_damping, 0.5, r_max=20.0, r1=1.0,
                             lam_grid=tc.log_lambda_grid(1.0, L), dr=0.05)
     shot = []
-    real = es.build_entire_solution
+    real = tc.build_family
 
-    def counting(profile, lam, *args, **kwargs):
-        shot.append(lam)
-        return real(profile, lam, *args, **kwargs)
+    def counting(profile, lams, *args, **kwargs):
+        shot.extend(lams)
+        return real(profile, lams, *args, **kwargs)
 
-    monkeypatch.setattr(es, "build_entire_solution", counting)
+    monkeypatch.setattr(tc, "build_family", counting)
     ref = tc.refine_lambda_grid(ev)
     assert len(shot) == L - 1
     assert np.array_equal(ref.family.lams[0::2], ev.family.lams)
