@@ -147,15 +147,16 @@ _REQUIRED = object()
 
 def _number(block: dict, bname: str, key: str, default=_REQUIRED,
             integer: bool = False, positive: bool = False):
-    """block[key] as a float (an int if integer), or default when the key is
-    absent or null; every numeric config value is read through here."""
+    """block[key] as a finite float (an int if integer), or default when the
+    key is absent or null; every numeric config value is read through here."""
     if block.get(key) is None:
         if default is _REQUIRED:
             raise ConfigurationError(f"config {bname!r} block missing key {key!r}")
         return default
     try:
         val = float(block[key])
-        ok = (not integer or val.is_integer()) and (not positive or val > 0)
+        ok = (math.isfinite(val) and (not integer or val.is_integer())
+              and (not positive or val > 0))
     except (TypeError, ValueError):
         ok = False
     if not ok:
@@ -279,7 +280,7 @@ def _run_solve(cfg: ExperimentConfig) -> int:
     scfg = _solver_config(cfg)
     run = cfg.run
     eps = _number(run, "run", "eps")
-    if not eps >= 0:     # eps = 0 is the trivial solve; NaN is out of range
+    if eps < 0:          # eps = 0 is the trivial solve
         raise ConfigurationError("config key run.eps must be a nonnegative number")
     p = _number(run, "run", "p")
     evolve = lifespan_mod._evolver(run.get("solve_mode", "transformed"))

@@ -3,11 +3,18 @@
 With m(t) = exp(int_0^t b), s = h(t) = int_0^t 1/m, and eta the inverse of h,
 the damped operator d_t^2 + b d_t - Lap becomes d_s^2 - mt(s)^2 Lap with
 mt(s) = m(eta(s)) pinned inside [delta1, 1/delta1], delta1 = exp(-||b||_L1).
+
+A float time (Python float or np.float64, what solve_ivp hands a right-hand
+side) takes a float path through b, m, h, eta and mt: the same formulas in
+float arithmetic, with the dense caches' DOP853 interpolant evaluated in
+floats in scipy's own operation order (_DenseODE).  It returns the same bits
+as a 0-d array holding the time.  Ints, lists and arrays go through arrays.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -33,7 +40,14 @@ _ODE_ATOL = 1e-14
 
 
 class _DenseODE:
-    """Dense DOP853 solution of y' = f(t, y), y(0) = y0, grown on demand."""
+    """Dense DOP853 solution of y' = f(t, y), y(0) = y0, grown on demand.
+
+    A scalar query evaluates scipy's interpolant in floats, in scipy's own
+    order: the segment rule of OdeSolution._call_single (bisect_left on the
+    breakpoints, lower segment at a breakpoint) and the Horner-like loop of
+    Dop853DenseOutput._call_impl.  It reads the fields F, t_old, h and y_old
+    of the segment in place; test_float_path_is_bit_identical guards them.
+    """
 
     def __init__(self, f: Callable, y0: list[float], what: str):
         self._f = f
@@ -41,6 +55,7 @@ class _DenseODE:
         self._what = what
         self.tmax = 0.0
         self._sol = None
+        self._ts = None
 
     def _ensure(self, t: float):
         t = max(float(t), 1.0)
@@ -53,22 +68,44 @@ class _DenseODE:
         if not res.success:
             raise IntegrationError(f"{self._what} integration failed: {res.message}")
         self._sol = res.sol
+        self._ts = res.sol.ts.tolist()
         self.tmax = target
 
     def __call__(self, t, row: int = 0):
         """Component `row` of y at t (scalar or array)."""
-        if np.ndim(t):
+        if not isinstance(t, float) and np.ndim(t):
             self._ensure(np.max(t))
             return self._sol(t)[row]
+        t = float(t)
         self._ensure(t)
-        return float(self._sol(t)[row])
+        pieces = self._sol.interpolants
+        seg = min(max(bisect_left(self._ts, t) - 1, 0), len(pieces) - 1)
+        piece = pieces[seg]
+        F = piece.F
+        x = (t - float(piece.t_old)) / float(piece.h)
+        u = 1 - x
+        y = 0.0
+        for i in range(len(F)):       # scipy: enumerate(reversed(F))
+            y = (y + F.item(-1 - i, row)) * (u if i % 2 else x)
+        return y + piece.y_old.item(row)
 
 
-def _times(t) -> np.ndarray:
+def _times(t):
+    """t as a float when it is one (np.float64 included), else as an array;
+    t >= 0 is checked, NaN passes."""
+    if isinstance(t, float):
+        if t < 0:
+            raise DomainError("time must be nonnegative")
+        return float(t)
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise DomainError("time must be nonnegative")
     return t
+
+
+def _result(out):
+    """A float or 0-d result as a Python float, an array as it is."""
+    return out if isinstance(out, np.ndarray) and out.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -106,7 +143,7 @@ class DampingProfile:
             out = self.mu * np.cos(t) * (1.0 + t) ** (-self.beta)
         else:
             out = np.interp(t, self.table_t, self.table_b, right=0.0)
-        return float(out) if out.ndim == 0 else out
+        return _result(out)
 
 
 def zero_damping() -> DampingProfile:
@@ -179,21 +216,21 @@ def m_of_t(profile: DampingProfile, t):
         out = np.exp(cumb)
     else:
         out = np.exp(profile._cache(t))
-    return float(out) if np.ndim(out) == 0 else out
+    return _result(out)
 
 
 def h_of_t(profile: DampingProfile, t):
     """h(t) = int_0^t 1/m -- the strictly increasing new time variable."""
     t = _times(t)
-    out = t.copy() if profile.kind == "zero" else profile._cache(t, row=1)
-    return float(out) if np.ndim(out) == 0 else out
+    out = np.copy(t) if profile.kind == "zero" else profile._cache(t, row=1)
+    return _result(out)
 
 
 def eta_of_s(profile: DampingProfile, s):
     """eta(s), inverse of h: eta(h(t)) = t, with eta'(s) = m(eta(s))."""
     s = _times(s)
-    out = s.copy() if profile.kind == "zero" else profile._eta_cache(s)
-    return float(out) if np.ndim(out) == 0 else out
+    out = np.copy(s) if profile.kind == "zero" else profile._eta_cache(s)
+    return _result(out)
 
 
 def m_tilde(profile: DampingProfile, s):
@@ -206,11 +243,16 @@ def m_tilde(profile: DampingProfile, s):
 def damping_from_config(cfg: dict) -> DampingProfile:
     try:
         kind = cfg["kind"]
+        values = []
         if kind in ("scattering-power", "signed-oscillatory"):
             mu, beta = float(cfg["mu"]), float(cfg["beta"])
+            values = [mu, beta]
         elif kind == "tabulated":
             tab = np.asarray(cfg["table"], dtype=float)
             tail_l1 = float(cfg.get("tail_l1", 0.0))
+            values = [*tab.ravel(), tail_l1]
+        if not np.all(np.isfinite(values)):
+            raise ValueError("numbers must be finite")
     except KeyError as e:
         raise ConfigurationError(f"damping config missing key {e.args[0]!r}") from None
     except (TypeError, ValueError) as e:

@@ -288,15 +288,20 @@ def validate_long_range(profile: MetricProfile, grid: np.ndarray) -> ValidationR
 def profile_from_config(cfg: dict) -> MetricProfile:
     try:
         kind = cfg["kind"]
+        values = []
         n = float(cfg["n"])
         if not n.is_integer():
             raise ValueError(f"n must be an integer, got {cfg['n']!r}")
         n = int(n)
         if kind == "power-law":
             c, rho = float(cfg["c"]), float(cfg["rho"])
+            values = [c, rho]
         elif kind == "tabulated":
             tab = np.asarray(cfg["table"], dtype=float)
             rho = float(cfg.get("rho", 1.0))
+            values = [*tab.ravel(), rho]
+        if not np.all(np.isfinite(values)):
+            raise ValueError("numbers must be finite")
     except KeyError as e:
         raise ConfigurationError(f"metric config missing key {e.args[0]!r}") from None
     except (TypeError, ValueError) as e:

@@ -222,7 +222,21 @@ def test_unknown_solve_mode_exit_2(kind, capsys):
                "run.eps_grid=[0.5,0.4,0.3,0.2,0]"]),
     # unknown keys were ignored: this solve ran dr = 0.05
     ("solve", ["run.eps=0.1", "run.p=2", "solver.d=0.5"]),
-    ("critical", ["run.lam_point=9"])])
+    ("critical", ["run.lam_point=9"]),
+    # non-finite numbers ended in a traceback (exit 1), or ran and exited 0
+    ("solve", ["run.eps=0.3", "run.p=2", "solver.tmax=NaN"]),
+    ("solve", ["run.eps=0.3", "run.p=2", "solver.tmax=Infinity"]),
+    ("solve", ["run.eps=0.3", "run.p=2", "damping.kind=scattering-power",
+               "damping.mu=NaN", "damping.beta=2"]),
+    ("solve", ["run.eps=0.3", "run.p=2", "solver.tmax=1",
+               "damping.kind=signed-oscillatory", "damping.mu=0.3",
+               "damping.beta=Infinity"]),
+    ("solve", ["run.eps=0.3", "run.p=2", "solver.tmax=1",
+               "damping.kind=tabulated", "damping.table=[[0,NaN],[1,0.1]]"]),
+    ("validate", ["metric.kind=power-law", "metric.c=NaN", "metric.rho=1"]),
+    ("validate", ["metric.kind=power-law", "metric.c=0.3", "metric.rho=NaN"]),
+    ("validate", ["metric.kind=tabulated",
+                  "metric.table=[[0,1],[1,Infinity],[2,1],[3,1]]"])])
 def test_bad_config_value_exit_2(kind, overrides, capsys):
     args = [kind]
     for item in overrides:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from aeblow import damping
@@ -94,6 +96,59 @@ def test_dense_caches_agree_across_regrowth(make):
     t = np.array([5.0, 60.0, 99.0, 101.0, 250.0, 480.0])
     back = damping.eta_of_s(grown, damping.h_of_t(grown, t))
     assert np.max(np.abs(back - t) / t) < 1e-8
+
+
+def _table(t_end, values, signed):
+    b = np.asarray(values) * (np.resize([1.0, -1.0], len(values)) if signed
+                              else 1.0)
+    return damping.tabulated_damping(np.linspace(0.0, t_end, len(values)), b)
+
+
+_MU, _BETA = st.floats(-0.6, 0.6), st.floats(1.2, 3.0, exclude_min=True)
+_TABLES = (st.floats(1.0, 20.0),
+           st.lists(st.floats(0.01, 0.3), min_size=2, max_size=10))
+_DAMPINGS = {
+    "scattering-power": st.builds(damping.scattering_power_damping, _MU, _BETA),
+    "signed-oscillatory": st.builds(damping.signed_oscillatory_damping,
+                                    _MU, _BETA),
+    "tabulated-positive": st.builds(_table, *_TABLES, st.just(False)),
+    "tabulated-signed": st.builds(_table, *_TABLES, st.just(True))}
+
+
+@pytest.mark.parametrize("kind", _DAMPINGS)
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data(),
+       times=st.lists(st.floats(0.0, 300.0), min_size=1, max_size=6),
+       negative=st.floats(-300.0, 0.0, exclude_max=True))
+def test_float_path_is_bit_identical(kind, data, times, negative):
+    # a float time (what solve_ivp hands a right-hand side) skips the
+    # arrays; it must give the bits of the array path, and the dense caches
+    # the bits of scipy's own OdeSolution evaluation
+    prof = data.draw(_DAMPINGS[kind])
+    maps = (damping.m_tilde, damping.eta_of_s, damping.h_of_t)
+    for t in times:
+        for tf in (t, np.float64(t)):
+            for f in (prof.b, lambda t: damping.m_of_t(prof, t)):
+                got = f(tf)
+                assert type(got) is float and got == f(np.asarray(t))
+            for f in maps:
+                got = f(prof, tf)
+                assert type(got) is float
+                assert got == pytest.approx(f(prof, np.array([t]))[0],
+                                            rel=1e-15, abs=0.0)
+    # the maps above grew both caches; rows are checked at the query times
+    # and at breakpoints, where OdeSolution picks the lower of two segments
+    for cache, rows in ((prof._cache, (0, 1)), (prof._eta_cache, (0,))):
+        ts = cache._sol.ts
+        for t in [*times, *ts[::50], ts[-1]]:
+            for row in rows:
+                got = cache(t, row)
+                assert type(got) is float and got == cache._sol(t)[row]
+    for f in (prof.b, *(lambda t, f=f: f(prof, t)
+                        for f in (damping.m_of_t, *maps))):
+        for t in (negative, np.float64(negative), np.array([negative])):
+            with pytest.raises(DomainError):
+                f(t)
 
 
 def test_m_tilde_derivative_identity(scat_damping):
