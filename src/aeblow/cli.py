@@ -3,7 +3,8 @@
 One JSON config (plus repeatable --set overrides) drives every subcommand.
 Outputs are deterministic: runs are sequential, JSON keys sorted, floats
 rendered with repr, CSV written with CRLF line endings.  Exit codes:
-0 success, 1 a measured check failed, 2 configuration or usage error.
+0 success, 1 a measured check failed (any other AeblowError), 2 a usage
+error or a ConfigurationError (DomainError included).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -24,35 +25,24 @@ from . import metric as metric_mod
 from . import ode_lab
 from . import testfn_critical as critical_mod
 from . import wave_solver as solver_mod
-from .errors import AeblowError, ConfigurationError, DomainError
+from .errors import AeblowError, ConfigurationError
 
-KINDS = ("validate", "eigen", "ode", "solve", "sweep", "critical")
-
+# the CLI's own defaults; a data or solver key left out takes the default
+# of DataProfile or SolverConfig
 _DEFAULTS = {
     "metric": {"kind": "flat", "n": 3},
     "damping": {"kind": "zero"},
-    "data": {"r0": 1.0, "u0_amp": 1.0, "u1_amp": 1.0},
-    "solver": {"dr": 0.05, "tmax": 10.0, "cfl": 0.45, "rmax": None},
+    "data": {"u1_amp": 1.0},
+    "solver": {"dr": 0.05},
     "run": {},
 }
 
-# every key a block may hold; the run block's keys depend on the subcommand
+# every key a block may hold; the run block's keys are in _COMMANDS
 _KEYS = {
-    "solver": ("dr", "tmax", "cfl", "rmax", "nonlinear", "sup_cap"),
-    "data": ("r0", "u0_amp", "u1_amp"),
+    "solver": tuple(f.name for f in fields(solver_mod.SolverConfig)),
+    "data": tuple(f.name for f in fields(solver_mod.DataProfile)),
     "metric": ("kind", "n", "c", "rho", "table"),
     "damping": ("kind", "mu", "beta", "table", "tail_l1"),
-    "run": {
-        "validate": ("r_max", "points"),
-        "eigen": ("lam", "r_max", "dr"),
-        "ode": ("mode", "beta", "a", "alpha", "k", "f0", "f0p", "deltas",
-                "lam", "T"),
-        "solve": ("eps", "p", "solve_mode", "snapshots", "snapshot_file",
-                  "stride"),
-        "sweep": ("p", "eps_grid", "eps_max", "count", "ratio", "tmax_budget",
-                  "tmax_exponent", "solve_mode"),
-        "critical": ("p", "t_max", "eps", "lam_points", "snapshot_step", "B"),
-    },
 }
 
 
@@ -69,7 +59,7 @@ class ExperimentConfig:
 
     @staticmethod
     def build(kind: str, path: str | None, overrides, out=None, csv_path=None):
-        if kind not in KINDS:
+        if kind not in _COMMANDS:
             raise ConfigurationError(f"unknown experiment kind {kind!r}")
         blocks = {k: dict(v) for k, v in _DEFAULTS.items()}
         if path is not None:
@@ -103,7 +93,7 @@ class ExperimentConfig:
                 val = raw
             blocks[parts[0]][parts[1]] = val
         for name, block in blocks.items():
-            known = _KEYS[name][kind] if name == "run" else _KEYS[name]
+            known = _COMMANDS[kind][2] if name == "run" else _KEYS[name]
             unknown = sorted(set(block) - set(known))
             if unknown:
                 raise ConfigurationError(
@@ -174,41 +164,43 @@ def _numbers(block: dict, bname: str, key: str,
             for v in block.get(key, [])]
 
 
-def _solver_config(cfg: ExperimentConfig) -> solver_mod.SolverConfig:
-    s = cfg.solver
-    nonlinear = s.get("nonlinear", True)
-    if not isinstance(nonlinear, bool):
-        raise ConfigurationError("config key solver.nonlinear must be true or false")
-    return solver_mod.SolverConfig(
-        dr=_number(s, "solver", "dr"), tmax=_number(s, "solver", "tmax"),
-        cfl=_number(s, "solver", "cfl"), rmax=_number(s, "solver", "rmax", None),
-        nonlinear=nonlinear,
-        sup_cap=_number(s, "solver", "sup_cap", 1e12))
+def _from_block(cls, block: dict, bname: str):
+    """cls built from the keys the block holds, the rest left at cls's
+    defaults; only a field whose default is None accepts null."""
+    values = {}
+    for f in (f for f in fields(cls) if f.name in block):
+        flag = isinstance(f.default, bool)
+        if flag and not isinstance(block[f.name], bool):
+            raise ConfigurationError(
+                f"config key {bname}.{f.name} must be true or false")
+        values[f.name] = block[f.name] if flag else _number(
+            block, bname, f.name, None if f.default is None else _REQUIRED)
+    return cls(**values)
 
 
-def _profiles(cfg: ExperimentConfig):
-    """(metric, damping, data) profiles of an experiment."""
-    d = cfg.data
+def _profiles(cfg: ExperimentConfig, **solver):
+    """(metric, damping, data, solver config) of an experiment; solver
+    replaces values of the solver block."""
     return (metric_mod.profile_from_config(cfg.metric),
             damping_mod.damping_from_config(cfg.damping),
-            solver_mod.DataProfile(r0=_number(d, "data", "r0"),
-                                   u0_amp=_number(d, "data", "u0_amp"),
-                                   u1_amp=_number(d, "data", "u1_amp")))
+            _from_block(solver_mod.DataProfile, cfg.data, "data"),
+            _from_block(solver_mod.SolverConfig, dict(cfg.solver, **solver),
+                        "solver"))
 
 
 # -- subcommand bodies ---------------------------------------------------------
+# each returns (passed, JSON report, (CSV header, rows) or None); run() writes
 
-def _run_validate(cfg: ExperimentConfig) -> int:
+def _run_validate(cfg: ExperimentConfig):
     profile = metric_mod.profile_from_config(cfg.metric)
     r_hi = _number(cfg.run, "run", "r_max", max(50.0, 20.0 / profile.rho))
-    grid = np.linspace(1e-3, r_hi,
-                       _number(cfg.run, "run", "points", 4000, integer=True))
+    grid = np.linspace(1e-3, r_hi, _number(cfg.run, "run", "points", 4000,
+                                           integer=True, positive=True))
     rep = metric_mod.validate_long_range(profile, grid)
-    _write_json(asdict(rep), cfg.out)
-    return 0 if rep.passed else 1
+    return rep.passed, asdict(rep), None
 
 
-def _run_eigen(cfg: ExperimentConfig) -> int:
+def _run_eigen(cfg: ExperimentConfig):
     profile = metric_mod.profile_from_config(cfg.metric)
     lam = _number(cfg.run, "run", "lam", positive=True)
     r_max = _number(cfg.run, "run", "r_max", 50.0 / lam)
@@ -229,38 +221,31 @@ def _run_eigen(cfg: ExperimentConfig) -> int:
         "mu_int_bound": mu.bound_int, "mu_bound": mu.bound_mu,
         "passed": bool(env.c_low > 0.0 and mu.passed),
     }
-    _write_json(report, cfg.out)
-    if cfg.csv is not None:
-        rows = zip(sol.r, sol.phi, sol.dphi, sol.log_phi, sol.k_int)
-        _write_csv(["r", "phi", "dphi", "log_phi", "k_int"], rows, cfg.csv)
-    return 0 if report["passed"] else 1
+    rows = zip(sol.r, sol.phi, sol.dphi, sol.log_phi, sol.k_int)
+    return (report["passed"], report,
+            (["r", "phi", "dphi", "log_phi", "k_int"], rows))
 
 
-def _run_ode(cfg: ExperimentConfig) -> int:
+def _run_ode(cfg: ExperimentConfig):
     run = cfg.run
     mode = run.get("mode", "kato")
     if mode == "kato":
-        values = {key: _number(run, "run", key, default) for key, default in
-                  (("beta", _REQUIRED), ("a", 1.0), ("alpha", 0.0), ("k", 1.0),
-                   ("f0", 1.0), ("f0p", 0.0))}
-        try:
-            prob = ode_lab.KatoProblem(**values)
-        except DomainError as e:
-            raise ConfigurationError(f"run block: {e}") from None
+        # a and alpha take the CLI's defaults; beta has none (null is missing)
+        prob = _from_block(ode_lab.KatoProblem,
+                           {"a": 1.0, "alpha": 0.0, "beta": None, **run}, "run")
         res = ode_lab.kato_blowup_time(prob)
         report = {"mode": "kato", "problem": asdict(prob),
                   "blew_up": res.blew_up, "t_blowup": res.t_blowup,
                   "crossings": list(res.crossings),
                   "theory_exponent": prob.theory_exponent}
         if "deltas" in run:
-            deltas = _numbers(run, "run", "deltas")
+            deltas = _numbers(run, "run", "deltas", positive=True)
             times, slope, intercept = ode_lab.kato_delta_sweep(
                 prob.a, prob.alpha, prob.beta, np.asarray(deltas), k=prob.k)
             report["sweep"] = {"deltas": deltas,
                                "times": [float(t) for t in times],
                                "slope": slope, "intercept": intercept}
-        _write_json(report, cfg.out)
-        return 0 if res.blew_up else 1
+        return res.blew_up, report, None
     if mode == "comparison":
         prof = damping_mod.damping_from_config(cfg.damping)
         lam = _number(run, "run", "lam", positive=True)
@@ -270,21 +255,18 @@ def _run_ode(cfg: ExperimentConfig) -> int:
         report = {"mode": "comparison", "lam": lam, "T": T,
                   "delta1": prof.delta1,
                   "forward_c_low": fwd.c_low, "backward_c_low": bwd.c_low}
-        _write_json(report, cfg.out)
-        return 0 if min(fwd.c_low, bwd.c_low) > 0 else 1
+        return min(fwd.c_low, bwd.c_low) > 0, report, None
     raise ConfigurationError(f"config key run.mode: unknown ode mode {mode!r}")
 
 
-def _run_solve(cfg: ExperimentConfig) -> int:
-    profile, dprof, data = _profiles(cfg)
-    scfg = _solver_config(cfg)
+def _run_solve(cfg: ExperimentConfig):
+    profile, dprof, data, scfg = _profiles(cfg)
     run = cfg.run
     eps = _number(run, "run", "eps")
-    if eps < 0:          # eps = 0 is the trivial solve
-        raise ConfigurationError("config key run.eps must be a nonnegative number")
     p = _number(run, "run", "p")
     evolve = lifespan_mod._evolver(run.get("solve_mode", "transformed"))
     snaps = _numbers(run, "run", "snapshots")
+    stride = _number(run, "run", "stride", 1, integer=True, positive=True)
     traj = evolve(profile, dprof, data, eps, scfg, p=p, snapshot_times=snaps)
     sup_rep = solver_mod.check_support_trajectory(traj)
     report = {
@@ -299,20 +281,14 @@ def _run_solve(cfg: ExperimentConfig) -> int:
         with open(run["snapshot_file"], "wb") as f:
             np.save(f, np.stack([traj.snap_u, traj.snap_v], axis=1))
         report["snapshot_times"] = [float(t) for t in traj.snap_t]
-    _write_json(report, cfg.out)
-    if cfg.csv is not None:
-        stride = max(1, _number(run, "run", "stride", 1, integer=True))
-        idx = range(0, len(traj.t), stride)
-        fpp, edge_r = traj.fpp, traj.edge_r
-        rows = ((traj.t[i], traj.F[i], fpp[i], traj.sup[i], edge_r[i])
-                for i in idx)
-        _write_csv(["t", "F", "Fpp", "sup_u", "edge_r"], rows, cfg.csv)
-    return 0
+    fpp, edge_r = traj.fpp, traj.edge_r
+    rows = ((traj.t[i], traj.F[i], fpp[i], traj.sup[i], edge_r[i])
+            for i in range(0, len(traj.t), stride))
+    return True, report, (["t", "F", "Fpp", "sup_u", "edge_r"], rows)
 
 
-def _run_sweep(cfg: ExperimentConfig) -> int:
-    profile, dprof, data = _profiles(cfg)
-    scfg = _solver_config(cfg)
+def _run_sweep(cfg: ExperimentConfig):
+    profile, dprof, data, scfg = _profiles(cfg)
     run = cfg.run
     p = _number(run, "run", "p")
     if "eps_grid" in run:
@@ -330,23 +306,19 @@ def _run_sweep(cfg: ExperimentConfig) -> int:
     fit = lifespan_mod.sweep_and_fit(profile, dprof, data, grid, p, scfg,
                                      mode=run.get("solve_mode", "transformed"),
                                      tmax_for=tmax_for)
-    _write_json(fit.as_dict(), cfg.out)
-    if cfg.csv is not None:
-        _write_csv(["eps", "t_blowup"], zip(fit.eps, fit.t), cfg.csv)
-    return 0
+    return True, fit.as_dict(), (["eps", "t_blowup"], zip(fit.eps, fit.t))
 
 
-def _run_critical(cfg: ExperimentConfig) -> int:
-    profile, dprof, data = _profiles(cfg)
+def _run_critical(cfg: ExperimentConfig):
     run = cfg.run
+    t_max = _number(run, "run", "t_max", 40.0)
+    profile, dprof, data, scfg = _profiles(cfg, tmax=t_max)
     n = profile.n
     p_raw = run.get("p", "auto")
     p = (lifespan_mod.critical_exponent(n) if p_raw == "auto"
          else _number(run, "run", "p"))
     q = critical_mod.critical_q(n, p)
-    t_max = _number(run, "run", "t_max", 40.0)
     eps = _number(run, "run", "eps", 0.4, positive=True)
-    scfg = _solver_config(replace(cfg, solver=dict(cfg.solver, tmax=t_max)))
     lam0 = eigen_mod.lambda_max(profile)
     lam_grid = critical_mod.log_lambda_grid(
         lam0, _number(run, "run", "lam_points", 17, integer=True))
@@ -379,19 +351,43 @@ def _run_critical(cfg: ExperimentConfig) -> int:
         "threshold_T": irep.threshold_T,
         "iteration_rel_err": irep.max_iter_rel_err,
     }
-    _write_json(report, cfg.out)
     ok = (brep.passed and crep.min_ratio > 0.0 and crep.min_slicing1 > 0.0
           and irep.max_iter_rel_err < 1e-2)
-    return 0 if ok else 1
+    return ok, report, None
 
 
-_BODIES = {"validate": _run_validate, "eigen": _run_eigen, "ode": _run_ode,
-           "solve": _run_solve, "sweep": _run_sweep, "critical": _run_critical}
+# subcommand -> (body, help, the keys its run block takes)
+_COMMANDS = {
+    "validate": (_run_validate,
+                 "check the long-range conditions on a metric profile",
+                 ("r_max", "points")),
+    "eigen": (_run_eigen,
+              "build one exponential-growth eigenfunction and its report",
+              ("lam", "r_max", "dr")),
+    "ode": (_run_ode,
+            "comparison/blow-up ODE studies (run.mode: kato|comparison)",
+            ("mode", "beta", "a", "alpha", "k", "f0", "f0p", "deltas", "lam",
+             "T")),
+    "solve": (_run_solve, "one radial wave evolution with scalar records",
+              ("eps", "p", "solve_mode", "snapshots", "snapshot_file",
+               "stride")),
+    "sweep": (_run_sweep, "lifespan sweep over an eps grid with slope fit",
+              ("p", "eps_grid", "eps_max", "count", "ratio", "tmax_budget",
+               "tmax_exponent", "solve_mode")),
+    "critical": (_run_critical,
+                 "critical-exponent test-function and slicing checks",
+                 ("p", "t_max", "eps", "lam_points", "snapshot_step", "B")),
+}
 
 
 def run(cfg: ExperimentConfig) -> int:
-    """Execute one experiment; returns the process exit status."""
-    return _BODIES[cfg.kind](cfg)
+    """Execute one experiment and write its report, and its CSV when asked
+    for; returns the process exit status."""
+    ok, report, table = _COMMANDS[cfg.kind][0](cfg)
+    _write_json(report, cfg.out)
+    if cfg.csv is not None and table is not None:
+        _write_csv(*table, cfg.csv)
+    return 0 if ok else 1
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -400,16 +396,8 @@ def _parser() -> argparse.ArgumentParser:
         description="numerical laboratory for radial waves on asymptotically "
                     "flat backgrounds")
     sub = ap.add_subparsers(dest="kind", required=True)
-    helps = {
-        "validate": "check the long-range conditions on a metric profile",
-        "eigen": "build one exponential-growth eigenfunction and its report",
-        "ode": "comparison/blow-up ODE studies (run.mode: kato|comparison)",
-        "solve": "one radial wave evolution with scalar records",
-        "sweep": "lifespan sweep over an eps grid with slope fit",
-        "critical": "critical-exponent test-function and slicing checks",
-    }
-    for kind in KINDS:
-        sp = sub.add_parser(kind, help=helps[kind])
+    for kind, (_, help_text, _) in _COMMANDS.items():
+        sp = sub.add_parser(kind, help=help_text)
         sp.add_argument("--config", help="JSON config file")
         sp.add_argument("--set", action="append", dest="overrides",
                         metavar="BLOCK.KEY=VALUE",

@@ -14,6 +14,7 @@ as a 0-d array holding the time.  Ints, lists and arrays go through arrays.
 from __future__ import annotations
 
 import math
+import weakref
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable
@@ -92,13 +93,13 @@ class _DenseODE:
 
 def _times(t):
     """t as a float when it is one (np.float64 included), else as an array;
-    t >= 0 is checked, NaN passes."""
+    t >= 0 is checked, so NaN is rejected too."""
     if isinstance(t, float):
-        if t < 0:
+        if not t >= 0:
             raise DomainError("time must be nonnegative")
         return float(t)
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
+    if not np.all(t >= 0):
         raise DomainError("time must be nonnegative")
     return t
 
@@ -154,11 +155,14 @@ def _finish(profile: DampingProfile) -> DampingProfile:
     # caches are mutable helpers living on a frozen dataclass; they hold
     # derived state only, so sharing the profile across workers stays safe
     # _cache solves c' = b (c = int b) and h' = exp(-c); _eta_cache solves
-    # eta'(s) = m(eta(s)), eta(0) = 0
+    # eta'(s) = m(eta(s)), eta(0) = 0.  The right-hand sides reach the
+    # profile through a weak proxy, so no reference cycle keeps a dropped
+    # profile and its dense solutions alive until the cyclic collector runs.
+    ref = weakref.proxy(profile)
     object.__setattr__(profile, "_cache", _DenseODE(
-        lambda t, y: [profile.b(t), np.exp(-y[0])], [0.0, 0.0], "damping cache"))
+        lambda t, y: [ref.b(t), np.exp(-y[0])], [0.0, 0.0], "damping cache"))
     object.__setattr__(profile, "_eta_cache", _DenseODE(
-        lambda s, y: [m_of_t(profile, y[0])], [0.0], "eta"))
+        lambda s, y: [m_of_t(ref, y[0])], [0.0], "eta"))
     return profile
 
 

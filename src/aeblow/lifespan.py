@@ -16,7 +16,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .damping import DampingProfile
-from .errors import (ConfigurationError, DomainError, InsufficientDataError)
+from .errors import (ConfigurationError, DomainError, InsufficientDataError,
+                     PositivityError)
 from .metric import MetricProfile
 from .ode_lab import _aitken
 from .wave_solver import (DataProfile, SolverConfig, Trajectory,
@@ -69,7 +70,7 @@ class LifespanRecord:
 
     def __post_init__(self):
         if self.blew_up and not self.t_detected > 0:
-            raise DomainError("blow-up record with nonpositive time")
+            raise PositivityError("blow-up record with nonpositive time")
 
 
 def _crossing_times(traj: Trajectory, eps: float):

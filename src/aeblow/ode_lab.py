@@ -99,6 +99,8 @@ class KatoProblem:
             raise DomainError("need beta > 1 and a >= 1")
         if (self.beta - 1.0) * self.a <= self.alpha - 2.0:
             raise DomainError("hypothesis (beta-1) a > alpha - 2 violated")
+        if not self.f0 > 0:
+            raise DomainError("need f0 > 0")
 
     @property
     def theory_exponent(self) -> float:

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import _kernels
 from .damping import DampingProfile, eta_of_s, m_tilde, zero_damping
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, IntegrationError
 from .metric import MetricProfile, eval_k, k_integral, k_integral_grid
 
 __all__ = [
@@ -238,7 +238,7 @@ def step(state: RadialWaveState, dt: float) -> RadialWaveState:
         *(np.zeros(2) for _ in range(4)), np.zeros(2, dtype=np.int64),
         _support_edge(u, v))
     if status == 2:
-        raise DomainError("non-finite values: blow-up reached inside step")
+        raise IntegrationError("non-finite values: blow-up reached inside step")
     return replace(state, t=t1, u=u, v=v, a=a)
 
 

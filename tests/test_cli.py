@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from aeblow import cli
+from aeblow import cli, errors
 
 
 def run_cli(args):
@@ -236,7 +236,24 @@ def test_unknown_solve_mode_exit_2(kind, capsys):
     ("validate", ["metric.kind=power-law", "metric.c=NaN", "metric.rho=1"]),
     ("validate", ["metric.kind=power-law", "metric.c=0.3", "metric.rho=NaN"]),
     ("validate", ["metric.kind=tabulated",
-                  "metric.table=[[0,1],[1,Infinity],[2,1],[3,1]]"])])
+                  "metric.table=[[0,1],[1,Infinity],[2,1],[3,1]]"]),
+    # out-of-domain values exited 1 with a DomainError
+    ("validate", ["metric.n=1"]),
+    ("validate", ["metric.kind=power-law", "metric.c=0.7", "metric.rho=1"]),
+    ("validate", ["metric.kind=power-law", "metric.c=0.3", "metric.rho=-1"]),
+    ("validate", ["run.r_max=-1"]),
+    ("solve", ["run.eps=0.3", "run.p=2", "damping.kind=scattering-power",
+               "damping.mu=0.3", "damping.beta=0.5"]),
+    ("critical", ["run.p=2"]),
+    ("eigen", ["run.lam=5"]),
+    # f0 = 0 ran without end; a negative seed ended in a scipy traceback
+    ("ode", ["run.beta=2", "run.f0=0"]),
+    ("ode", ["run.beta=2", "run.f0=-1"]),
+    ("ode", ["run.beta=2", "run.deltas=[0.1,-1]"]),
+    # points = 0 ended in a traceback; a bad stride was clamped to 1, and
+    # without --csv never read
+    ("validate", ["run.points=0"]),
+    ("solve", ["run.eps=0.3", "run.p=2", "run.stride=-3"])])
 def test_bad_config_value_exit_2(kind, overrides, capsys):
     args = [kind]
     for item in overrides:
@@ -245,6 +262,20 @@ def test_bad_config_value_exit_2(kind, overrides, capsys):
     err = capsys.readouterr().err
     assert "configuration error" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("error,status", [
+    (errors.ConfigurationError, 2), (errors.DomainError, 2),
+    (errors.IntegrationError, 1), (errors.PositivityError, 1),
+    (errors.InsufficientDataError, 1)])
+def test_error_class_sets_exit_status(error, status, monkeypatch, capsys):
+    def body(cfg):
+        raise error("raised by the body")
+    monkeypatch.setitem(cli._COMMANDS, "validate",
+                        (body, *cli._COMMANDS["validate"][1:]))
+    assert run_cli(["validate"]) == status
+    err = capsys.readouterr().err
+    assert "raised by the body" in err and "Traceback" not in err
 
 
 def _child_env():

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -197,6 +199,26 @@ def test_negative_time_rejected(scat_damping):
         damping.h_of_t(scat_damping, -1.0)
     with pytest.raises(DomainError):
         damping.eta_of_s(scat_damping, -0.5)
+    # a NaN time reached the dense cache, whose solve_ivp horizon max(2t,
+    # 100) is then NaN, and the call did not return
+    prof = damping.signed_oscillatory_damping(0.4, 2.0)
+    with pytest.raises(DomainError):
+        damping.m_tilde(prof, float("nan"))
+    with pytest.raises(DomainError):
+        damping.m_of_t(prof, np.array([1.0, np.nan]))
+
+
+def test_used_profile_freed_without_cycle_collector():
+    prof = damping.signed_oscillatory_damping(0.4, 2.0)
+    damping.m_tilde(prof, 3.0)          # grows both dense caches
+    refs = [weakref.ref(x) for x in
+            (prof, prof._cache._sol, prof._eta_cache._sol)]
+    gc.disable()
+    try:
+        del prof
+        assert [r() for r in refs] == [None, None, None]
+    finally:
+        gc.enable()
 
 
 def test_config_errors_name_keys():

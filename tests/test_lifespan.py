@@ -6,7 +6,7 @@ import pytest
 from aeblow import lifespan as ls
 from aeblow import wave_solver as ws
 from aeblow.errors import (ConfigurationError, DomainError,
-                           InsufficientDataError)
+                           InsufficientDataError, PositivityError)
 
 
 def test_critical_exponent_values():
@@ -123,6 +123,12 @@ def test_unknown_solve_mode_rejected(mode, flat3, zero_damping, bump_data):
     with pytest.raises(ConfigurationError, match="'transformed' or 'direct'"):
         ls.detect_blowup(flat3, zero_damping, bump_data, 1.0, 2.0,
                          ws.SolverConfig(dr=0.1, tmax=2.0), mode=mode)
+
+
+def test_blowup_record_needs_positive_time():
+    with pytest.raises(PositivityError):
+        ls.LifespanRecord(eps=1.0, blew_up=True, t_detected=0.0,
+                          crossings=(), status="blowup")
 
 
 def test_negative_eps_rejected(flat3, zero_damping, bump_data):

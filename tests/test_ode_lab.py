@@ -65,6 +65,9 @@ def test_kato_hypothesis_rejected():
         ol.KatoProblem(a=1.0, alpha=0.0, beta=1.0)   # beta must exceed 1
     with pytest.raises(DomainError):
         ol.KatoProblem(a=0.5, alpha=0.0, beta=2.0)   # a must be >= 1
+    for f0 in (0.0, -1.0):                           # the seed must be > 0
+        with pytest.raises(DomainError):
+            ol.KatoProblem(a=1.0, alpha=0.0, beta=2.0, f0=f0)
 
 
 def test_forward_comparison_zero_damping(zero_damping):

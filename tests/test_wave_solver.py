@@ -9,7 +9,7 @@ from aeblow import damping as damping_mod
 from aeblow import entire_solutions as es
 from aeblow import metric as metric_mod
 from aeblow import wave_solver as ws
-from aeblow.errors import ConfigurationError, DomainError
+from aeblow.errors import ConfigurationError, DomainError, IntegrationError
 
 
 def dalembert_radial(data, t, r):
@@ -178,6 +178,14 @@ def test_cfl_violation_rejected(flat3, zero_damping, bump_data):
                     ws.SolverConfig(dr=0.05, tmax=1.0))
     with pytest.raises(ConfigurationError):
         ws.step(state, 10.0 * state.disc.dt_max)
+
+
+def test_nonfinite_step_is_integration_error(flat3, zero_damping, bump_data):
+    state = ws.init(flat3, zero_damping, bump_data, 0.3,
+                    ws.SolverConfig(dr=0.05, tmax=1.0))
+    state.u[3] = np.nan
+    with pytest.raises(IntegrationError):
+        ws.step(state, state.disc.dt_max)
 
 
 def test_config_validation():

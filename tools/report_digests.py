@@ -1,8 +1,8 @@
 """Print the sha256 of every JSON report one benchmark pass writes.
 
 Runs each job of ``bench/workloads.py`` for one workload and seed
-in-process, through ``aeblow.cli.run`` as the benchmark worker does, and
-prints one line per job: index, kind, exit status and the sha256 of the
+in-process, through ``aeblow.cli.main`` with the job's ``--set`` overrides,
+and prints one line per job: index, kind, exit status and the sha256 of the
 report (``-`` when the job wrote none).  Two checkouts that print the same
 lines wrote byte-identical reports.
 
@@ -41,7 +41,7 @@ def main(argv=None) -> int:
     sys.dont_write_bytecode = True        # no __pycache__ under bench/
     sys.path[:0] = [str(root / "src"), str(root / "bench")]
     import aeblow
-    from aeblow import cli, errors
+    from aeblow import cli
     import workloads as W
     if root / "src" not in Path(aeblow.__file__).resolve().parents:
         print(f"report_digests: aeblow imported from {aeblow.__file__}, not "
@@ -54,15 +54,8 @@ def main(argv=None) -> int:
                                                          args.seed)):
             out = outdir / f"job-{i:03d}.json"
             out.unlink(missing_ok=True)
-            try:
-                cfg = cli.ExperimentConfig.build(kind, None, overrides,
-                                                 out=str(out))
-                status = cli.run(cfg)
-            # the status mapping of aeblow.cli.main
-            except errors.ConfigurationError:
-                status = 2
-            except errors.AeblowError:
-                status = 1
+            sets = [arg for item in overrides for arg in ("--set", item)]
+            status = cli.main([kind, *sets, "--out", str(out)])
             digest = (hashlib.sha256(out.read_bytes()).hexdigest()
                       if out.exists() else "-")
             print(f"{i:3d} {kind:8s} {status} {digest}", flush=True)
