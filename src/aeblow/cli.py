@@ -25,24 +25,18 @@ from . import metric as metric_mod
 from . import ode_lab
 from . import testfn_critical as critical_mod
 from . import wave_solver as solver_mod
+from . import _config
+from ._config import from_block, number, numbers
 from .errors import AeblowError, ConfigurationError
 
-# the CLI's own defaults; a data or solver key left out takes the default
-# of DataProfile or SolverConfig
-_DEFAULTS = {
-    "metric": {"kind": "flat", "n": 3},
-    "damping": {"kind": "zero"},
-    "data": {"u1_amp": 1.0},
-    "solver": {"dr": 0.05},
-    "run": {},
-}
+# a data or solver key left out takes its DataProfile or SolverConfig default
+_DEFAULTS = {"metric": {"kind": "flat", "n": 3}, "damping": {"kind": "zero"},
+             "data": {}, "solver": {}, "run": {}}
 
-# every key a block may hold; the run block's keys are in _COMMANDS
+# data and solver keys (metric, damping: _config.KIND_KEYS; run: _COMMANDS)
 _KEYS = {
     "solver": tuple(f.name for f in fields(solver_mod.SolverConfig)),
     "data": tuple(f.name for f in fields(solver_mod.DataProfile)),
-    "metric": ("kind", "n", "c", "rho", "table"),
-    "damping": ("kind", "mu", "beta", "table", "tail_l1"),
 }
 
 
@@ -92,13 +86,15 @@ class ExperimentConfig:
             except json.JSONDecodeError:
                 val = raw
             blocks[parts[0]][parts[1]] = val
-        for name, block in blocks.items():
-            known = _COMMANDS[kind][2] if name == "run" else _KEYS[name]
-            unknown = sorted(set(block) - set(known))
-            if unknown:
-                raise ConfigurationError(
-                    f"unknown config key {name}.{unknown[0]}; {kind!r} "
-                    f"takes {name} keys {', '.join(known)}")
+        for name in _config.KIND_KEYS:
+            _config.kind(blocks[name], name)
+        for name in ("data", "solver"):
+            _config.check_keys(blocks[name], name, _KEYS[name], repr(kind))
+        run_keys = _COMMANDS[kind][2]
+        if isinstance(run_keys, dict):      # ode: the keys of its run.mode
+            _config.kind(blocks["run"], "run", run_keys, "mode", "kato")
+        else:
+            _config.check_keys(blocks["run"], "run", run_keys, repr(kind))
         return ExperimentConfig(kind=kind, out=out, csv=csv_path, **blocks)
 
 
@@ -132,60 +128,14 @@ def _write_csv(header, rows, path: str | None) -> None:
             f.close()
 
 
-_REQUIRED = object()
-
-
-def _number(block: dict, bname: str, key: str, default=_REQUIRED,
-            integer: bool = False, positive: bool = False):
-    """block[key] as a finite float (an int if integer), or default when the
-    key is absent or null; every numeric config value is read through here."""
-    if block.get(key) is None:
-        if default is _REQUIRED:
-            raise ConfigurationError(f"config {bname!r} block missing key {key!r}")
-        return default
-    try:
-        val = float(block[key])
-        ok = (math.isfinite(val) and (not integer or val.is_integer())
-              and (not positive or val > 0))
-    except (TypeError, ValueError):
-        ok = False
-    if not ok:
-        what = "positive " * positive + ("integer" if integer else "number")
-        raise ConfigurationError(f"config key {bname}.{key} must be a {what}")
-    return int(val) if integer else val
-
-
-def _numbers(block: dict, bname: str, key: str,
-             positive: bool = False) -> list[float]:
-    """block[key] as a list of floats, [] when the key is absent."""
-    if not isinstance(block.get(key, []), list):
-        raise ConfigurationError(f"config key {bname}.{key} must be a list")
-    return [_number({key: v}, bname, key, positive=positive)
-            for v in block.get(key, [])]
-
-
-def _from_block(cls, block: dict, bname: str):
-    """cls built from the keys the block holds, the rest left at cls's
-    defaults; only a field whose default is None accepts null."""
-    values = {}
-    for f in (f for f in fields(cls) if f.name in block):
-        flag = isinstance(f.default, bool)
-        if flag and not isinstance(block[f.name], bool):
-            raise ConfigurationError(
-                f"config key {bname}.{f.name} must be true or false")
-        values[f.name] = block[f.name] if flag else _number(
-            block, bname, f.name, None if f.default is None else _REQUIRED)
-    return cls(**values)
-
-
 def _profiles(cfg: ExperimentConfig, **solver):
     """(metric, damping, data, solver config) of an experiment; solver
     replaces values of the solver block."""
     return (metric_mod.profile_from_config(cfg.metric),
             damping_mod.damping_from_config(cfg.damping),
-            _from_block(solver_mod.DataProfile, cfg.data, "data"),
-            _from_block(solver_mod.SolverConfig, dict(cfg.solver, **solver),
-                        "solver"))
+            from_block(solver_mod.DataProfile, cfg.data, "data"),
+            from_block(solver_mod.SolverConfig, dict(cfg.solver, **solver),
+                       "solver"))
 
 
 # -- subcommand bodies ---------------------------------------------------------
@@ -193,22 +143,21 @@ def _profiles(cfg: ExperimentConfig, **solver):
 
 def _run_validate(cfg: ExperimentConfig):
     profile = metric_mod.profile_from_config(cfg.metric)
-    r_hi = _number(cfg.run, "run", "r_max", max(50.0, 20.0 / profile.rho))
-    grid = np.linspace(1e-3, r_hi, _number(cfg.run, "run", "points", 4000,
-                                           integer=True, positive=True))
+    r_hi = number(cfg.run, "run", "r_max", max(50.0, 20.0 / profile.rho))
+    grid = np.linspace(1e-3, r_hi, number(cfg.run, "run", "points", 4000,
+                                          integer=True, positive=True))
     rep = metric_mod.validate_long_range(profile, grid)
     return rep.passed, asdict(rep), None
 
 
 def _run_eigen(cfg: ExperimentConfig):
     profile = metric_mod.profile_from_config(cfg.metric)
-    lam = _number(cfg.run, "run", "lam", positive=True)
-    r_max = _number(cfg.run, "run", "r_max", 50.0 / lam)
+    lam = number(cfg.run, "run", "lam", positive=True)
+    r_max = number(cfg.run, "run", "r_max", 50.0 / lam)
     if r_max < 1.0 / lam:    # mu_diagnostic needs the exterior r >= 1/lam
         raise ConfigurationError(
             f"config key run.r_max={r_max:g} must reach 1/run.lam = {1.0 / lam:g}")
-    dr = _number(cfg.run, "run", "dr", _number(cfg.solver, "solver", "dr"),
-                 positive=True)
+    dr = from_block(solver_mod.SolverConfig, cfg.solver, "solver").dr
     sol = eigen_mod.build_entire_solution(profile, lam, r_max, dr=dr)
     env = eigen_mod.verify_envelopes(sol)
     mu = eigen_mod.mu_diagnostic(sol)
@@ -226,47 +175,49 @@ def _run_eigen(cfg: ExperimentConfig):
             (["r", "phi", "dphi", "log_phi", "k_int"], rows))
 
 
+# the keys an ode run block takes, by its mode
+_ODE_KEYS = {"kato": ("mode", "beta", "a", "alpha", "k", "f0", "f0p", "deltas"),
+             "comparison": ("mode", "lam", "T")}
+
+
 def _run_ode(cfg: ExperimentConfig):
     run = cfg.run
-    mode = run.get("mode", "kato")
-    if mode == "kato":
-        # a and alpha take the CLI's defaults; beta has none (null is missing)
-        prob = _from_block(ode_lab.KatoProblem,
-                           {"a": 1.0, "alpha": 0.0, "beta": None, **run}, "run")
+    if _config.kind(run, "run", _ODE_KEYS, "mode", "kato") == "kato":
+        # a and alpha take the CLI's defaults
+        prob = from_block(ode_lab.KatoProblem,
+                          {"a": 1.0, "alpha": 0.0, **run}, "run")
         res = ode_lab.kato_blowup_time(prob)
         report = {"mode": "kato", "problem": asdict(prob),
                   "blew_up": res.blew_up, "t_blowup": res.t_blowup,
                   "crossings": list(res.crossings),
                   "theory_exponent": prob.theory_exponent}
         if "deltas" in run:
-            deltas = _numbers(run, "run", "deltas", positive=True)
+            deltas = numbers(run, "run", "deltas", positive=True)
             times, slope, intercept = ode_lab.kato_delta_sweep(
                 prob.a, prob.alpha, prob.beta, np.asarray(deltas), k=prob.k)
             report["sweep"] = {"deltas": deltas,
                                "times": [float(t) for t in times],
                                "slope": slope, "intercept": intercept}
         return res.blew_up, report, None
-    if mode == "comparison":
-        prof = damping_mod.damping_from_config(cfg.damping)
-        lam = _number(run, "run", "lam", positive=True)
-        T = _number(run, "run", "T", 20.0, positive=True)
-        fwd = ode_lab.forward_comparison(prof, lam, T)
-        bwd = ode_lab.backward_comparison(prof, lam, T)
-        report = {"mode": "comparison", "lam": lam, "T": T,
-                  "delta1": prof.delta1,
-                  "forward_c_low": fwd.c_low, "backward_c_low": bwd.c_low}
-        return min(fwd.c_low, bwd.c_low) > 0, report, None
-    raise ConfigurationError(f"config key run.mode: unknown ode mode {mode!r}")
+    prof = damping_mod.damping_from_config(cfg.damping)
+    lam = number(run, "run", "lam", positive=True)
+    T = number(run, "run", "T", 20.0, positive=True)
+    fwd = ode_lab.forward_comparison(prof, lam, T)
+    bwd = ode_lab.backward_comparison(prof, lam, T)
+    report = {"mode": "comparison", "lam": lam, "T": T,
+              "delta1": prof.delta1,
+              "forward_c_low": fwd.c_low, "backward_c_low": bwd.c_low}
+    return min(fwd.c_low, bwd.c_low) > 0, report, None
 
 
 def _run_solve(cfg: ExperimentConfig):
     profile, dprof, data, scfg = _profiles(cfg)
     run = cfg.run
-    eps = _number(run, "run", "eps")
-    p = _number(run, "run", "p")
+    eps = number(run, "run", "eps")
+    p = number(run, "run", "p")
     evolve = lifespan_mod._evolver(run.get("solve_mode", "transformed"))
-    snaps = _numbers(run, "run", "snapshots")
-    stride = _number(run, "run", "stride", 1, integer=True, positive=True)
+    snaps = numbers(run, "run", "snapshots")
+    stride = number(run, "run", "stride", 1, integer=True, positive=True)
     traj = evolve(profile, dprof, data, eps, scfg, p=p, snapshot_times=snaps)
     sup_rep = solver_mod.check_support_trajectory(traj)
     report = {
@@ -290,18 +241,18 @@ def _run_solve(cfg: ExperimentConfig):
 def _run_sweep(cfg: ExperimentConfig):
     profile, dprof, data, scfg = _profiles(cfg)
     run = cfg.run
-    p = _number(run, "run", "p")
+    p = number(run, "run", "p")
     if "eps_grid" in run:
-        grid = _numbers(run, "run", "eps_grid", positive=True)
+        grid = numbers(run, "run", "eps_grid", positive=True)
     else:
         grid = lifespan_mod.geometric_eps_grid(
-            _number(run, "run", "eps_max"),
-            _number(run, "run", "count", 7, integer=True),
-            ratio=_number(run, "run", "ratio", math.sqrt(2.0)))
+            number(run, "run", "eps_max"),
+            number(run, "run", "count", 7, integer=True),
+            ratio=number(run, "run", "ratio", math.sqrt(2.0)))
     tmax_for = None
     if "tmax_budget" in run:
-        budget = _number(run, "run", "tmax_budget")
-        expo = _number(run, "run", "tmax_exponent", 2.0)
+        budget = number(run, "run", "tmax_budget")
+        expo = number(run, "run", "tmax_exponent", 2.0)
         tmax_for = lambda e: min(scfg.tmax, budget / e ** expo)
     fit = lifespan_mod.sweep_and_fit(profile, dprof, data, grid, p, scfg,
                                      mode=run.get("solve_mode", "transformed"),
@@ -311,18 +262,16 @@ def _run_sweep(cfg: ExperimentConfig):
 
 def _run_critical(cfg: ExperimentConfig):
     run = cfg.run
-    t_max = _number(run, "run", "t_max", 40.0)
+    t_max = number(run, "run", "t_max", 40.0)
     profile, dprof, data, scfg = _profiles(cfg, tmax=t_max)
     n = profile.n
-    p_raw = run.get("p", "auto")
-    p = (lifespan_mod.critical_exponent(n) if p_raw == "auto"
-         else _number(run, "run", "p"))
+    p = lifespan_mod.critical_exponent(n)
     q = critical_mod.critical_q(n, p)
-    eps = _number(run, "run", "eps", 0.4, positive=True)
+    eps = number(run, "run", "eps", 0.4, positive=True)
     lam0 = eigen_mod.lambda_max(profile)
     lam_grid = critical_mod.log_lambda_grid(
-        lam0, _number(run, "run", "lam_points", 17, integer=True))
-    step = _number(run, "run", "snapshot_step", 0.5, positive=True)
+        lam0, number(run, "run", "lam_points", 17, integer=True))
+    step = number(run, "run", "snapshot_step", 0.5, positive=True)
     snaps = list(np.arange(0.0, t_max + 1e-9, step))
     traj = solver_mod.evolve_transformed(profile, dprof, data, eps, scfg,
                                          p=p, snapshot_times=snaps)
@@ -336,7 +285,7 @@ def _run_critical(cfg: ExperimentConfig):
                + [(r, T, T) for r in (data.r0, 0.25 * T, 0.6 * T, 0.9 * T)]]
     brep = critical_mod.xi_bounds_check(ev, samples)
     consts = critical_mod.SlicingConstants(
-        c_int=crep.min_ratio, B=_number(run, "run", "B", 0.5), eps=eps, p=p)
+        c_int=crep.min_ratio, B=number(run, "run", "B", 0.5), eps=eps, p=p)
     irep = critical_mod.slicing_iteration_check(crep.T, crep.lhs, consts)
     report = {
         "n": n, "p": p, "q": q, "eps": eps, "t_max": t_max,
@@ -356,18 +305,17 @@ def _run_critical(cfg: ExperimentConfig):
     return ok, report, None
 
 
-# subcommand -> (body, help, the keys its run block takes)
+# subcommand -> (body, help, the keys its run block takes, by mode for ode)
 _COMMANDS = {
     "validate": (_run_validate,
                  "check the long-range conditions on a metric profile",
                  ("r_max", "points")),
     "eigen": (_run_eigen,
               "build one exponential-growth eigenfunction and its report",
-              ("lam", "r_max", "dr")),
+              ("lam", "r_max")),
     "ode": (_run_ode,
             "comparison/blow-up ODE studies (run.mode: kato|comparison)",
-            ("mode", "beta", "a", "alpha", "k", "f0", "f0p", "deltas", "lam",
-             "T")),
+            _ODE_KEYS),
     "solve": (_run_solve, "one radial wave evolution with scalar records",
               ("eps", "p", "solve_mode", "snapshots", "snapshot_file",
                "stride")),
@@ -376,7 +324,7 @@ _COMMANDS = {
                "tmax_exponent", "solve_mode")),
     "critical": (_run_critical,
                  "critical-exponent test-function and slicing checks",
-                 ("p", "t_max", "eps", "lam_points", "snapshot_step", "B")),
+                 ("t_max", "eps", "lam_points", "snapshot_step", "B")),
 }
 
 

@@ -21,6 +21,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import _config
 from .errors import ConfigurationError, DomainError, IntegrationError
 
 __all__ = [
@@ -245,31 +246,14 @@ def m_tilde(profile: DampingProfile, s):
 # -- config parsing --------------------------------------------------------------
 
 def damping_from_config(cfg: dict) -> DampingProfile:
-    try:
-        kind = cfg["kind"]
-        values = []
-        if kind in ("scattering-power", "signed-oscillatory"):
-            mu, beta = float(cfg["mu"]), float(cfg["beta"])
-            values = [mu, beta]
-        elif kind == "tabulated":
-            tab = np.asarray(cfg["table"], dtype=float)
-            tail_l1 = float(cfg.get("tail_l1", 0.0))
-            values = [*tab.ravel(), tail_l1]
-        if not np.all(np.isfinite(values)):
-            raise ValueError("numbers must be finite")
-    except KeyError as e:
-        raise ConfigurationError(f"damping config missing key {e.args[0]!r}") from None
-    except (TypeError, ValueError) as e:
-        raise ConfigurationError(f"bad damping config value: {e}") from None
+    kind = _config.kind(cfg, "damping")
     if kind == "zero":
         return zero_damping()
-    if kind in ("scattering-power", "signed-oscillatory"):
-        maker = (scattering_power_damping if kind == "scattering-power"
-                 else signed_oscillatory_damping)
-        return maker(mu, beta)
     if kind == "tabulated":
-        if tab.ndim != 2 or tab.shape[1] != 2:
-            raise ConfigurationError("damping table must be a list of [t, b] rows")
-        return tabulated_damping(tab[:, 0], tab[:, 1], tail_l1=tail_l1)
-    raise ConfigurationError(f"unknown damping kind {kind!r}")
-
+        t, b = _config.rows(cfg, "damping", "table")
+        return tabulated_damping(
+            t, b, tail_l1=_config.number(cfg, "damping", "tail_l1", 0.0))
+    maker = (scattering_power_damping if kind == "scattering-power"
+             else signed_oscillatory_damping)
+    return maker(_config.number(cfg, "damping", "mu"),
+                 _config.number(cfg, "damping", "beta"))

@@ -112,8 +112,6 @@ def detect_blowup(metric: MetricProfile, damping: DampingProfile | None,
     yields a valid no-blow-up record (t_detected = nan), which a sweep may
     treat as "eps too small for this budget".
     """
-    if eps < 0:
-        raise DomainError("eps must be nonnegative")
     evolve = _evolver(mode)
     # the cap must sit above the largest detection threshold
     cap = max(config.sup_cap, 1e11 * eps)

@@ -13,6 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _config
 from .errors import ConfigurationError, DomainError
 
 __all__ = [
@@ -160,23 +161,20 @@ def k_integral(profile: MetricProfile, r: float) -> float:
 
 
 def k_integral_grid(profile: MetricProfile, r_grid: np.ndarray) -> np.ndarray:
-    """Cumulative integral of K at every node of an increasing grid.
+    """Cumulative integral of K at every node of an increasing grid from 0.
 
     Per-interval 5-point Gauss-Legendre, so the table is cheap to build on
     solver grids yet far below 1e-10 relative for smooth K.
     """
     r = np.asarray(r_grid, dtype=float)
-    if r[0] < 0 or np.any(np.diff(r) <= 0):
-        raise DomainError("grid must be increasing and nonnegative")
-    if r[0] > 0:     # the first cell is [0, r_0]
-        lo, hi, head = np.concatenate(([0.0], r[:-1])), r, []
-    else:            # r_0 = 0 is a node with integral 0
-        lo, hi, head = r[:-1], r[1:], [0.0]
+    if r[0] != 0 or np.any(np.diff(r) <= 0):
+        raise DomainError("grid must start at 0 and increase")
+    lo, hi = r[:-1], r[1:]
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     pts = mid[:, None] + half[:, None] * _GL_X[None, :]
     kv = eval_k(profile, pts.ravel())[0].reshape(pts.shape)
-    return np.concatenate((head, np.cumsum(half * (kv @ _GL_W))))
+    return np.concatenate(([0.0], np.cumsum(half * (kv @ _GL_W))))
 
 
 def g_potential(profile: MetricProfile, r):
@@ -286,33 +284,12 @@ def validate_long_range(profile: MetricProfile, grid: np.ndarray) -> ValidationR
 # -- config parsing ------------------------------------------------------------
 
 def profile_from_config(cfg: dict) -> MetricProfile:
-    try:
-        kind = cfg["kind"]
-        values = []
-        n = float(cfg["n"])
-        if not n.is_integer():
-            raise ValueError(f"n must be an integer, got {cfg['n']!r}")
-        n = int(n)
-        if kind == "power-law":
-            c, rho = float(cfg["c"]), float(cfg["rho"])
-            values = [c, rho]
-        elif kind == "tabulated":
-            tab = np.asarray(cfg["table"], dtype=float)
-            rho = float(cfg.get("rho", 1.0))
-            values = [*tab.ravel(), rho]
-        if not np.all(np.isfinite(values)):
-            raise ValueError("numbers must be finite")
-    except KeyError as e:
-        raise ConfigurationError(f"metric config missing key {e.args[0]!r}") from None
-    except (TypeError, ValueError) as e:
-        raise ConfigurationError(f"bad metric config value: {e}") from None
+    kind = _config.kind(cfg, "metric")
+    n = _config.number(cfg, "metric", "n", integer=True)
     if kind == "flat":
         return flat_profile(n)
     if kind == "power-law":
-        return power_law_profile(n, c, rho)
-    if kind == "tabulated":
-        if tab.ndim != 2 or tab.shape[1] != 2:
-            raise ConfigurationError("metric table must be a list of [r, K] rows")
-        return tabulated_profile(n, tab[:, 0], tab[:, 1], rho=rho)
-    raise ConfigurationError(f"unknown metric kind {kind!r}")
-
+        return power_law_profile(n, _config.number(cfg, "metric", "c"),
+                                 _config.number(cfg, "metric", "rho"))
+    r, k = _config.rows(cfg, "metric", "table")
+    return tabulated_profile(n, r, k, rho=_config.number(cfg, "metric", "rho", 1.0))

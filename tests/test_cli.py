@@ -34,7 +34,7 @@ def test_eigen_csv_matches_closed_form(tmp_path):
     out = tmp_path / "rep.json"
     csvp = tmp_path / "phi.csv"
     assert run_cli(["eigen", "--set", "run.lam=0.1",
-                    "--set", "run.r_max=40.0", "--set", "run.dr=0.05",
+                    "--set", "run.r_max=40.0", "--set", "solver.dr=0.05",
                     "--out", str(out), "--csv", str(csvp)]) == 0
     rep = json.loads(out.read_text())
     assert rep["phi0"] == pytest.approx(1.0 / math.sinh(1.0), rel=1e-6)
@@ -49,10 +49,16 @@ def test_eigen_csv_matches_closed_form(tmp_path):
 
 def test_ode_kato_report(capsys):
     assert run_cli(["ode", "--set", "run.beta=2.0", "--set", "run.k=6.0",
-                    "--set", "run.f0=1.0", "--set", "run.f0p=2.0"]) == 0
+                    "--set", "run.f0=1.0", "--set", "run.f0p=2.0",
+                    "--set", "run.deltas=[0.001,0.002,0.004,0.008]"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["blew_up"] is True
     assert rep["t_blowup"] == pytest.approx(1.0, abs=1e-3)
+    sweep = rep["sweep"]
+    assert sweep["deltas"] == [0.001, 0.002, 0.004, 0.008]
+    assert len(sweep["times"]) == 4 and sweep["times"] == sorted(
+        sweep["times"], reverse=True)
+    assert sweep["slope"] == pytest.approx(rep["theory_exponent"], abs=0.05)
 
 
 def test_ode_comparison_mode(capsys):
@@ -99,6 +105,18 @@ def test_bad_config_file_exit_2(tmp_path, capsys):
     bad.write_text('{"solver": {"dr": }')
     assert run_cli(["solve", "--config", str(bad)]) == 2
     assert "line" in capsys.readouterr().err
+
+
+def test_config_file_with_override(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "metric": {"kind": "power-law", "n": 3, "c": 0.5, "rho": 1.0},
+        "run": {"points": 500}}))
+    assert run_cli(["validate", "--config", str(cfg),
+                    "--set", "metric.c=-0.3"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["profile_name"] == "power-n3-c-0.3-rho1.0"
+    assert rep["passed"] is True
 
 
 def test_unknown_block_exit_2(tmp_path, capsys):
@@ -156,6 +174,8 @@ def test_critical_family_covers_solver_grid(extra, tmp_path):
 @pytest.mark.parametrize("override,message", [
     ("solver.dr=abc", "solver.dr must be a number"),
     ("solver.rmax=1", "rmax=1 too small"),
+    ("solver.sup_cap=null", "solver.sup_cap must not be null"),
+    ("run.eps=true", "run.eps must be a positive number"),
     # the cubic lambda weights need 4 nodes; 3 gave NaN/inf and exit 1
     ("run.lam_points=3", "at least 4 grid points")])
 def test_critical_reads_solver_block(override, message, capsys):
@@ -189,7 +209,7 @@ def test_unknown_solve_mode_exit_2(kind, capsys):
     ("ode", ["run.beta=2.0", "run.deltas=[]"]),
     ("ode", ["run.beta=2.0", "run.deltas=[0.1]"]),
     ("eigen", ["run.lam=0.1", "run.r_max=x"]),
-    ("eigen", ["run.lam=0.1", "run.dr=0"]),
+    ("eigen", ["run.lam=0.1", "solver.dr=0"]),
     ("eigen", ["run.lam=0"]),
     ("validate", ["metric.n=abc"]),
     ("validate", ["metric.n=3.5"]),
@@ -253,7 +273,20 @@ def test_unknown_solve_mode_exit_2(kind, capsys):
     # points = 0 ended in a traceback; a bad stride was clamped to 1, and
     # without --csv never read
     ("validate", ["run.points=0"]),
-    ("solve", ["run.eps=0.3", "run.p=2", "run.stride=-3"])])
+    ("solve", ["run.eps=0.3", "run.p=2", "run.stride=-3"]),
+    # a key its block's kind or mode does not take was dropped, and true
+    # read as 1.0: each ran and exited 0
+    ("solve", ["run.eps=0.3", "run.p=2", "solver.tmax=2", "damping.mu=0.5",
+               "damping.beta=2"]),
+    ("validate", ["metric.c=0.3"]),
+    ("ode", ["run.mode=comparison", "run.lam=0.5", "run.beta=3"]),
+    ("ode", ["run.beta=2", "run.lam=0.3"]),
+    ("solve", ["run.eps=true", "run.p=2", "solver.tmax=1"]),
+    # a block the subcommand never reads is checked too
+    ("validate", ["damping.kind=bogus"]),
+    # a present null was reported as a missing key
+    ("solve", ["run.eps=0.3", "run.p=2", "data.r0=null"]),
+    ("ode", ["run.beta=null"])])
 def test_bad_config_value_exit_2(kind, overrides, capsys):
     args = [kind]
     for item in overrides:

@@ -118,6 +118,18 @@ def test_short_sweep_slope_near_theory(flat3, zero_damping, bump_data):
     assert set(d) >= {"slope", "intercept", "ci", "theory", "ratio", "eps", "t"}
 
 
+def test_fit_records_special_exponent():
+    # n = 2, p < 2 and nonzero velocity data: the special law, -1/3 at p = 1.5
+    records = [ls.LifespanRecord(eps=e, blew_up=True, t_detected=e ** -0.5,
+                                 crossings=(), status="blowup")
+               for e in (1.0, 0.5, 0.25, 0.125, 0.0625)]
+    fit = ls.fit_records(records, 2, 1.5, ws.DataProfile())
+    assert fit.theory_special == pytest.approx(-1.0 / 3.0, rel=1e-14)
+    assert fit.slope == pytest.approx(-0.5, rel=1e-12)
+    assert ls.fit_records(records, 2, 1.5, ws.DataProfile(u1_amp=0.0)
+                          ).theory_special is None
+
+
 @pytest.mark.parametrize("mode", ["bogus", "Direct", ""])
 def test_unknown_solve_mode_rejected(mode, flat3, zero_damping, bump_data):
     with pytest.raises(ConfigurationError, match="'transformed' or 'direct'"):

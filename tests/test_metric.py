@@ -88,6 +88,8 @@ def test_eval_k_float_path_matches_array_path(power, c, rho, r, neg):
 def test_k_integral_flat(flat3):
     assert metric.k_integral(flat3, 3.7) == pytest.approx(3.7, rel=1e-14)
     assert metric.k_integral(flat3, 0.0) == 0.0
+    with pytest.raises(DomainError):     # the grid's first node is r = 0
+        metric.k_integral_grid(flat3, np.array([0.5, 1.0, 1.5]))
 
 
 def test_k_integral_power_law_quadrature_oracle(powerlaw3):
@@ -186,6 +188,17 @@ def test_validate_flags_nondecaying_table():
     rep = metric.validate_long_range(prof, np.linspace(1e-3, 55.0, 2000))
     assert not rep.passed
     assert rep.failures
+
+
+def test_validate_r2_past_a_bump():
+    # n - 1 - r K'/K < 0 on the inner flank of the bump, so R2 > 0
+    r = np.linspace(0.0, 8.0, 33)
+    prof = metric.tabulated_profile(
+        2, r, 1.0 + 0.45 * np.exp(-4.0 * (r - 4.0) ** 2))
+    rep = metric.validate_long_range(prof, np.linspace(1e-3, 50.0, 4000))
+    assert rep.passed
+    assert rep.r2 == pytest.approx(3.90, abs=0.005)
+    assert rep.lambda0 == pytest.approx(1.0 / rep.r2, rel=1e-14)
 
 
 def test_validate_needs_long_grid(powerlaw3):
