@@ -164,7 +164,7 @@ def _run_eigen(cfg: ExperimentConfig):
     d0 = eigen_mod.verify_derivative_bounds(sol)
     report = {
         "lam": lam, "n": profile.n, "metric": cfg.metric, "r_max": r_max,
-        "phi0": sol.phi0,
+        "phi0": float(sol.phi[0]),
         "c_low": env.c_low, "c_high": env.c_high, "d0": d0,
         "sup_int_mu": mu.sup_int_mu, "sup_mu_over_lam": mu.sup_mu_over_lam,
         "mu_int_bound": mu.bound_int, "mu_bound": mu.bound_mu,
@@ -193,8 +193,7 @@ def _run_ode(cfg: ExperimentConfig):
                   "theory_exponent": prob.theory_exponent}
         if "deltas" in run:
             deltas = numbers(run, "run", "deltas", positive=True)
-            times, slope, intercept = ode_lab.kato_delta_sweep(
-                prob.a, prob.alpha, prob.beta, np.asarray(deltas), k=prob.k)
+            times, slope, intercept = ode_lab.kato_delta_sweep(prob, deltas)
             report["sweep"] = {"deltas": deltas,
                                "times": [float(t) for t in times],
                                "slope": slope, "intercept": intercept}
@@ -266,11 +265,11 @@ def _run_critical(cfg: ExperimentConfig):
     profile, dprof, data, scfg = _profiles(cfg, tmax=t_max)
     n = profile.n
     p = lifespan_mod.critical_exponent(n)
-    q = critical_mod.critical_q(n, p)
+    q = critical_mod.critical_q(n)
     eps = number(run, "run", "eps", 0.4, positive=True)
-    lam0 = eigen_mod.lambda_max(profile)
     lam_grid = critical_mod.log_lambda_grid(
-        lam0, number(run, "run", "lam_points", 17, integer=True))
+        eigen_mod.lambda_max(profile),
+        number(run, "run", "lam_points", 17, integer=True))
     step = number(run, "run", "snapshot_step", 0.5, positive=True)
     snaps = list(np.arange(0.0, t_max + 1e-9, step))
     traj = solver_mod.evolve_transformed(profile, dprof, data, eps, scfg,
@@ -278,7 +277,7 @@ def _run_critical(cfg: ExperimentConfig):
     # the family spans the solver grid, which Discretization already sized
     ev = critical_mod.build_evaluator(
         profile, dprof, q=q, r_max=float(traj.r[-1]), r1=traj.r1,
-        lam_grid=lam_grid, dr=traj.dr, lam0=lam0)
+        lam_grid=lam_grid, dr=traj.dr)
     crep = critical_mod.critical_F(traj, ev)
     samples = [s for T in (t_max / 4, t_max / 2, t_max) for s in
                [(r, T, t) for t in (0.0, T / 4, T / 2) for r in (data.r0, 0.4 * T)]

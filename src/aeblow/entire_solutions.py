@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 _RTOL = 1e-11
-_ATOL = 1e-13
+_ATOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,6 @@ class EntireSolution:
     """One eigenfunction Phi_lam on a uniform radial grid, Phi(1/lam) = 1."""
 
     lam: float
-    n: int
     profile: MetricProfile
     r: np.ndarray
     phi: np.ndarray
@@ -47,7 +46,6 @@ class EntireSolution:
     d2phi: np.ndarray
     log_phi: np.ndarray
     k_int: np.ndarray          # cumulative int_0^r K on the same grid
-    phi0: float                # Phi at the origin
 
     @property
     def r_ball(self) -> float:
@@ -76,8 +74,7 @@ def lambda_max(profile: MetricProfile) -> float:
     return validate_long_range(profile, grid).lambda0
 
 
-def _shoot(profile: MetricProfile, lams: np.ndarray, r_max: float, dr: float,
-           lam0: float | None = None):
+def _shoot(profile: MetricProfile, lams: np.ndarray, r_max: float, dr: float):
     """Shoot every lambda as one system and sample the grid [0, r_max].
 
     Returns (grid, Phi, log Phi, Phi'/Phi), one row per lambda, normalized to
@@ -87,8 +84,7 @@ def _shoot(profile: MetricProfile, lams: np.ndarray, r_max: float, dr: float,
     from scipy.integrate import solve_ivp
     if np.any(lams <= 0):
         raise DomainError("lambda must be positive")
-    if lam0 is None:
-        lam0 = lambda_max(profile)
+    lam0 = lambda_max(profile)
     if lams.max() > lam0 * (1.0 + 1e-12):
         raise DomainError(f"lambda={lams.max():g} exceeds lambda0={lam0:g}")
     n = profile.n
@@ -133,12 +129,11 @@ def _shoot(profile: MetricProfile, lams: np.ndarray, r_max: float, dr: float,
 
 
 def build_entire_solution(profile: MetricProfile, lam: float, r_max: float,
-                          dr: float = 0.05,
-                          lam0: float | None = None) -> EntireSolution:
+                          dr: float = 0.05) -> EntireSolution:
     """The family of one, with the derivatives and int_0^r K that only the
     diagnostics read."""
     r, (phi,), (log_phi,), (w,) = _shoot(profile, np.array([lam], dtype=float),
-                                         r_max, dr, lam0)
+                                         r_max, dr)
     n = profile.n
     dphi = w * phi
     k, k1, _ = eval_k(profile, r)
@@ -146,16 +141,16 @@ def build_entire_solution(profile: MetricProfile, lam: float, r_max: float,
     d2phi[1:] -= ((n - 1) / r[1:] - k1[1:] / k[1:]) * dphi[1:]
     d2phi[0] = lam * lam * k[0] * k[0] * phi[0] / n    # even limit at r = 0
     return EntireSolution(
-        lam=lam, n=n, profile=profile, r=r,
+        lam=lam, profile=profile, r=r,
         phi=phi, dphi=dphi, d2phi=d2phi, log_phi=log_phi,
-        k_int=k_integral_grid(profile, r), phi0=float(phi[0]))
+        k_int=k_integral_grid(profile, r))
 
 
 def build_family(profile: MetricProfile, lams: np.ndarray, r_max: float,
-                 dr: float = 0.05, lam0: float | None = None) -> EigenFamily:
+                 dr: float = 0.05) -> EigenFamily:
     """Eigenfunctions for every lambda in the grid, shot as one system."""
     lams = np.sort(np.asarray(lams, dtype=float))
-    r, phi, _, _ = _shoot(profile, lams, r_max, dr, lam0)
+    r, phi, _, _ = _shoot(profile, lams, r_max, dr)
     return EigenFamily(profile=profile, lams=lams, r=r, phi=phi)
 
 
@@ -171,7 +166,7 @@ class EnvelopeReport:
 def verify_envelopes(sol: EntireSolution) -> EnvelopeReport:
     """Measure Phi against E(r) = <lam r>^(-(n-1)/2) exp(lam int_0^r K)."""
     lam = sol.lam
-    log_env = (-(sol.n - 1) / 2.0 * 0.5 * np.log1p((lam * sol.r) ** 2)
+    log_env = (-(sol.profile.n - 1) / 2.0 * 0.5 * np.log1p((lam * sol.r) ** 2)
                + lam * sol.k_int)
     ratio = np.exp(sol.log_phi - log_env)
     return EnvelopeReport(c_low=float(ratio.min()),
@@ -190,7 +185,7 @@ def verify_derivative_bounds(sol: EntireSolution) -> float:
     pos = r > 0
     first[pos] = dphi[pos] / (lam2 * r[pos] * phi[pos])
     if not pos[0]:
-        first[0] = eval_k(sol.profile, 0.0)[0] ** 2 / sol.n  # even limit
+        first[0] = eval_k(sol.profile, 0.0)[0] ** 2 / sol.profile.n  # even limit
     second = np.abs(d2phi) / (lam2 * phi)
     return float(max(first.max(), second.max()))
 
@@ -211,7 +206,7 @@ def mu_diagnostic(sol: EntireSolution) -> MuReport:
     so no quadrature of mu itself enters.
     """
     lam = sol.lam
-    n = sol.n
+    n = sol.profile.n
     mask = sol.r >= 1.0 / lam
     if not np.any(mask):
         raise DomainError("grid does not reach the exterior region r >= 1/lambda")

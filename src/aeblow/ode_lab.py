@@ -7,7 +7,7 @@ blow-up time scales like a power of the seed size delta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -149,6 +149,9 @@ def kato_blowup_time(problem: KatoProblem, tolerance: float = 1e-10,
     res = solve_ivp(rhs, (0.0, t_budget), [p.f0, p.f0p], method="RK45",
                     rtol=tolerance, atol=tolerance * p.f0, events=events,
                     max_step=t_budget / 16.0)
+    if res.status == -1:
+        raise IntegrationError(f"kato solve failed at t={res.t[-1]:g}, "
+                               f"F={res.y[0, -1]:g}: {res.message}")
     crossings = tuple(float(ev[0]) for ev in res.t_events if len(ev))
     if len(crossings) < 3:
         return KatoResult(blew_up=False, t_blowup=None, crossings=crossings)
@@ -156,9 +159,7 @@ def kato_blowup_time(problem: KatoProblem, tolerance: float = 1e-10,
     return KatoResult(blew_up=True, t_blowup=float(tb), crossings=crossings[:3])
 
 
-def kato_delta_sweep(a: float, alpha: float, beta: float,
-                     deltas: np.ndarray, k: float = 1.0,
-                     tolerance: float = 1e-10):
+def kato_delta_sweep(problem: KatoProblem, deltas: np.ndarray):
     """Blow-up times over a delta grid plus the fitted log-log slope.
 
     Seeds F(0) = F'(0) = delta, matching the lemma's hypothesis at a = 1.
@@ -168,8 +169,7 @@ def kato_delta_sweep(a: float, alpha: float, beta: float,
         raise ConfigurationError("a delta sweep needs at least 2 deltas")
     times = []
     for d in deltas:
-        prob = KatoProblem(a=a, alpha=alpha, beta=beta, k=k, f0=d, f0p=d)
-        res = kato_blowup_time(prob, tolerance=tolerance)
+        res = kato_blowup_time(replace(problem, f0=d, f0p=d))
         if not res.blew_up:
             raise IntegrationError(f"no blow-up for delta={d:g} within budget")
         times.append(res.t_blowup)

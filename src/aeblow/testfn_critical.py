@@ -18,6 +18,7 @@ import numpy as np
 from .damping import DampingProfile, eta_of_s
 from .entire_solutions import EigenFamily, build_family, lambda_max
 from .errors import ConfigurationError, DomainError
+from .lifespan import critical_exponent
 from .metric import MetricProfile, k_integral
 
 
@@ -63,7 +64,6 @@ class XiEvaluator:
     family: EigenFamily
     damping: DampingProfile
     q: float
-    lam0: float
     r1: float
     w: np.ndarray = field(repr=False, default=None)
 
@@ -71,8 +71,8 @@ class XiEvaluator:
         lam = self.family.lams
         if self.q <= -1.0:
             raise ConfigurationError("lambda weight needs q > -1")
-        if lam[0] <= 0.0 or lam[-1] > self.lam0 + 1e-12:
-            raise ConfigurationError("lambda grid must sit inside (0, lam0]")
+        if lam[0] <= 0.0:
+            raise ConfigurationError("lambda grid must be positive")
         w = _cubic_weights(lam)
         # integral of (f(lam_min)/lam_min^q) * s^q over [0, lam_min]
         w[0] += lam[0] / (self.q + 1.0)
@@ -80,15 +80,12 @@ class XiEvaluator:
 
 
 def build_evaluator(profile: MetricProfile, damping: DampingProfile, q: float,
-                    r_max: float, r1: float, lam_grid=None, dr: float = 0.05,
-                    lam0: float | None = None) -> XiEvaluator:
-    if lam0 is None:
-        lam0 = lambda_max(profile)
+                    r_max: float, r1: float, lam_grid=None,
+                    dr: float = 0.05) -> XiEvaluator:
     if lam_grid is None:
-        lam_grid = log_lambda_grid(lam0)
-    fam = build_family(profile, np.asarray(lam_grid, dtype=float), r_max,
-                       dr=dr, lam0=lam0)
-    return XiEvaluator(family=fam, damping=damping, q=q, lam0=lam0, r1=r1)
+        lam_grid = log_lambda_grid(lambda_max(profile))
+    fam = build_family(profile, lam_grid, r_max, dr=dr)
+    return XiEvaluator(family=fam, damping=damping, q=q, r1=r1)
 
 
 def refine_lambda_grid(ev: XiEvaluator) -> XiEvaluator:
@@ -96,13 +93,13 @@ def refine_lambda_grid(ev: XiEvaluator) -> XiEvaluator:
     only the midpoints are shot, the base rows are reused."""
     fam = ev.family
     mids = build_family(fam.profile, np.sqrt(fam.lams[:-1] * fam.lams[1:]),
-                        fam.r[-1], dr=float(fam.r[1] - fam.r[0]), lam0=ev.lam0)
+                        fam.r[-1], dr=float(fam.r[1] - fam.r[0]))
     lams = np.empty(2 * len(fam.lams) - 1)
     phi = np.empty((len(lams), len(fam.r)))
     lams[0::2], lams[1::2] = fam.lams, mids.lams
     phi[0::2], phi[1::2] = fam.phi, mids.phi
     return XiEvaluator(family=replace(fam, lams=lams, phi=phi),
-                       damping=ev.damping, q=ev.q, lam0=ev.lam0, r1=ev.r1)
+                       damping=ev.damping, q=ev.q, r1=ev.r1)
 
 
 def _time_weight(ev: XiEvaluator, T: float, eta_T: float, t, eta_t):
@@ -202,24 +199,14 @@ def xi_bounds_check(ev: XiEvaluator, samples) -> BoundReport:
 
 # -- the critical weight exponent -------------------------------------------
 
-def critical_q(n: int, p: float) -> float:
-    """q = (n-1)/2 - 1/p, valid only at the critical p for dimension n.
+def critical_q(n: int) -> float:
+    """q = (n-1)/2 - 1/p at the critical p = p_c(n).
 
     The whole construction rests on the exponent identity
-    (n-1)(1-p/2) - q = -1, which holds exactly when p is the positive root
-    of (n-1)p^2 - (n+1)p - 2 = 0; anything else is rejected.
+    (n-1)(1-p/2) - q = -1, which holds exactly because p_c(n) is the
+    positive root of (n-1)p^2 - (n+1)p - 2 = 0.
     """
-    if n < 2:
-        raise DomainError("need spatial dimension n >= 2")
-    q = (n - 1) / 2.0 - 1.0 / p
-    ident = (n - 1) * (1.0 - p / 2.0) - q
-    if abs(ident + 1.0) > 1e-12:
-        raise DomainError(
-            f"exponent identity fails at p={p}: got {ident}, need -1; "
-            "p must be the critical exponent for this n")
-    if q <= max(0.0, (n - 3) / 2.0):
-        raise DomainError("critical q fell outside its admissible range")
-    return q
+    return (n - 1) / 2.0 - 1.0 / critical_exponent(n)
 
 
 # -- the integral inequality --------------------------------------------------

@@ -246,15 +246,16 @@ class Trajectory:
 
     Scalars are sampled at every step: sup = sup|u|, F = integral of u dv_g,
     int_up = integral of |u|^p dv_g, H = integral of u phi dv_g scaled by
-    exp(-lam1 eta(t)) fold step by step (zero when no test eigenfunction was
-    attached).  The fold happens inside the accumulation because the unscaled
-    pairing reaches exp(lam1 eta) ~ 1e80+ on long runs and the interesting
-    O(eps) part would drown in float cancellation noise.  eta holds eta(s) for
-    the transformed mode and t itself for the direct mode, so eta + r1 is
-    always the support budget in int-K units.
+    exp(-lam eta(t)), lam the eigenfunction's own, fold step by step (zero
+    when no test eigenfunction was attached).  The fold happens inside the
+    accumulation because the unscaled pairing reaches exp(lam eta) ~ 1e80+ on
+    long runs and the O(eps) part would drown in float cancellation noise.
+    eta holds eta(s) for the transformed mode and t itself for the direct
+    mode, so eta + r1 is always the support budget in int-K units.
     """
 
     mode: str
+    n: int                           # spatial dimension of the metric
     eps: float
     p: float
     dr: float
@@ -287,8 +288,8 @@ class Trajectory:
         return self.msq * self.int_up
 
 
-def _evolve(state: RadialWaveState, snapshot_times=None, phi_sol=None,
-            lam1: float = 0.0) -> Trajectory:
+def _evolve(state: RadialWaveState, snapshot_times=None,
+            phi_sol=None) -> Trajectory:
     disc = state.disc
     cfg = disc.config
     phiV = np.zeros_like(disc.V) if phi_sol is None \
@@ -298,7 +299,8 @@ def _evolve(state: RadialWaveState, snapshot_times=None, phi_sol=None,
     dt = tmax / nsteps
     tgrid = np.arange(nsteps + 1) * dt
     msq_arr, bh_arr, eta_full = disc.schedule(tgrid, dt)
-    esc = np.exp(-lam1 * eta_full) if lam1 else np.ones(nsteps + 1)
+    esc = np.ones(nsteps + 1) if phi_sol is None \
+        else np.exp(-phi_sol.lam * eta_full)
 
     u = state.u.copy()
     v = state.v.copy()
@@ -340,13 +342,12 @@ def _evolve(state: RadialWaveState, snapshot_times=None, phi_sol=None,
         snap_v.append(v + d * a)
 
     last = m_cur + 1
-    t_rec = tgrid[:last]
-    eta_rec = eta_full[:last].copy()
     return Trajectory(
-        mode=disc.mode, eps=disc.eps, p=disc.p, dr=disc.dr, dt=dt, r=disc.r,
-        t=t_rec, sup=rec_sup[:last], F=rec_F[:last], int_up=rec_Ip[:last],
-        H=rec_G[:last], edge=rec_edge[:last], msq=msq_arr[:last],
-        eta=eta_rec, kint=disc.kint, V=disc.V, r1=disc.r1, delta0=disc.delta0,
+        mode=disc.mode, n=disc.n, eps=disc.eps, p=disc.p, dr=disc.dr, dt=dt,
+        r=disc.r, t=tgrid[:last], sup=rec_sup[:last], F=rec_F[:last],
+        int_up=rec_Ip[:last], H=rec_G[:last], edge=rec_edge[:last],
+        msq=msq_arr[:last], eta=eta_full[:last].copy(), kint=disc.kint,
+        V=disc.V, r1=disc.r1, delta0=disc.delta0,
         status={0: "completed", 1: "blowup", 2: "nonfinite"}[status],
         snap_t=np.asarray(snap_t), snap_u=np.asarray(snap_u),
         snap_v=np.asarray(snap_v))
@@ -360,30 +361,31 @@ def _phi_on_grid(disc: Discretization, phi_sol) -> np.ndarray:
 
 def evolve_transformed(metric: MetricProfile, damping: DampingProfile | None,
                        data: DataProfile, eps: float, config: SolverConfig,
-                       p: float = 2.0, snapshot_times=None, phi_sol=None,
-                       lam1: float = 0.0) -> Trajectory:
+                       p: float = 2.0, snapshot_times=None,
+                       phi_sol=None) -> Trajectory:
     """Evolve d_s^2 u = mt(s)^2 (Lap_g u + |u|^p) in the slow time s."""
     state = init(metric, damping, data, eps, config, p=p, mode="transformed")
-    return _evolve(state, snapshot_times, phi_sol, lam1)
+    return _evolve(state, snapshot_times, phi_sol)
 
 
 def evolve_damped_direct(metric: MetricProfile, damping: DampingProfile | None,
                          data: DataProfile, eps: float, config: SolverConfig,
-                         p: float = 2.0, snapshot_times=None, phi_sol=None,
-                         lam1: float = 0.0) -> Trajectory:
+                         p: float = 2.0, snapshot_times=None,
+                         phi_sol=None) -> Trajectory:
     """Evolve d_t^2 u + b(t) d_t u = Lap_g u + |u|^p in the original time."""
     state = init(metric, damping, data, eps, config, p=p, mode="direct")
-    return _evolve(state, snapshot_times, phi_sol, lam1)
+    return _evolve(state, snapshot_times, phi_sol)
 
 
 # -- functionals ---------------------------------------------------------------
 
-def functional_H(state: RadialWaveState, phi_sol, lam1: float) -> float:
-    """H = exp(-lam1 eta) integral of u phi dv_g, eta the physical time."""
+def functional_H(state: RadialWaveState, phi_sol) -> float:
+    """H = exp(-lam eta) integral of u phi dv_g, lam = phi_sol.lam and eta
+    the physical time."""
     disc = state.disc
     tau = float(disc.schedule(state.t, 1.0)[2])
     phi = _phi_on_grid(disc, phi_sol)
-    return math.exp(-lam1 * tau) * float(state.u @ (phi * disc.V))
+    return math.exp(-phi_sol.lam * tau) * float(state.u @ (phi * disc.V))
 
 
 # -- support and inequality reports ---------------------------------------------
@@ -430,14 +432,14 @@ class InequalityReport:
     fpp_min: float
 
 
-def check_inequalities(traj: Trajectory, n: int) -> InequalityReport:
+def check_inequalities(traj: Trajectory) -> InequalityReport:
     """Measure the functional inequalities on a transformed-mode trajectory
     over the window t >= 1."""
     if traj.mode != "transformed":
         raise ConfigurationError(
             "inequality report needs the transformed formulation")
     t = traj.t
-    p, eps = traj.p, traj.eps
+    n, p, eps = traj.n, traj.p, traj.eps
     # Drop the runaway tail: once sup|u| passes the first detection threshold
     # the focusing time scale falls below dt and the records stop meaning
     # anything.  1e6*eps matches the coarsest lifespan-detector threshold.

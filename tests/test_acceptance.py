@@ -64,8 +64,7 @@ def test_criterion_2_lambda_uniform_envelopes(capsys):
         vals = {"c_low": [], "c_high": [], "D0": [], "exp_int_mu": []}
         for k in range(4):
             lam = lam0 / 2 ** k
-            sol = es.build_entire_solution(prof, lam, 60.0 / lam, dr=0.05,
-                                           lam0=lam0)
+            sol = es.build_entire_solution(prof, lam, 60.0 / lam, dr=0.05)
             env = es.verify_envelopes(sol)
             mu = es.mu_diagnostic(sol)
             vals["c_low"].append(env.c_low)
@@ -94,7 +93,7 @@ def test_criterion_3_ode_exponent(capsys):
     res = ol.kato_blowup_time(prob, tolerance=1e-12)
     exact_err = abs(res.t_blowup - 1.0)
     deltas = np.geomspace(10 ** -3.0, 10 ** -1.5, 6)
-    _, slope, _ = ol.kato_delta_sweep(1.0, 0.0, 2.0, deltas)
+    _, slope, _ = ol.kato_delta_sweep(ol.KatoProblem(1.0, 0.0, 2.0), deltas)
     slope_err = abs(slope - (-1.0 / 3.0)) / (1.0 / 3.0)
     ok = exact_err < 1e-3 and slope_err < 0.10
     announce(capsys, f"[criterion 3] {'PASS' if ok else 'FAIL'} - "
@@ -149,18 +148,17 @@ def test_criterion_4_change_of_variable(capsys):
 # -- criteria 5 and 6 share the sweeps --------------------------------------------
 
 def _swept_records(profile, data, p, eps_grid, dr, tmax_for):
-    n = profile.n
     rmax_all = max((tmax_for(e) + 1.5) / 0.98 + 1.0 for e in eps_grid)
     phi = es.build_entire_solution(profile, LAM1, rmax_all + 2.0, dr=dr)
     records = []
     for eps in eps_grid:
         cfg = ws.SolverConfig(dr=dr, tmax=tmax_for(eps), rmax=rmax_all)
         traj = ws.evolve_transformed(profile, None, data, float(eps), cfg,
-                                     p=p, phi_sol=phi, lam1=LAM1)
+                                     p=p, phi_sol=phi)
         crossings = ls._crossing_times(traj, float(eps))
         assert len(crossings) == 3, f"no blow-up at eps={eps}"
         t_det = ls._aitken(*crossings)
-        rep = ws.check_inequalities(traj, n=n)
+        rep = ws.check_inequalities(traj)
         records.append((float(eps), float(t_det), rep))
     return records
 
@@ -223,7 +221,7 @@ def test_criterion_7_critical_ingredients(capsys):
     flat3 = mt.flat_profile(3)
     zero = dp.zero_damping()
     p = ls.critical_exponent(3)
-    q = tc.critical_q(3, p)
+    q = tc.critical_q(3)
     t_max, eps, dr = 40.0, 0.4, 0.02
     cfg = ws.SolverConfig(dr=dr, tmax=t_max)
     snaps = list(np.arange(0.0, t_max + 1e-9, 0.5))

@@ -47,6 +47,15 @@ def test_eigen_csv_matches_closed_form(tmp_path):
     assert phi == pytest.approx(exact, rel=1e-6)
 
 
+def test_eigen_tabulated_metric(capsys):
+    # a table of K = 1 is the flat metric: Phi(0) = 1/sinh(1) at n = 3
+    assert run_cli(["eigen", "--set", "metric.kind=tabulated",
+                    "--set", "metric.table=[[0,1],[1,1],[2,1],[3,1]]",
+                    "--set", "metric.n=3", "--set", "run.lam=0.1"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["phi0"] == pytest.approx(1.0 / math.sinh(1.0), rel=1e-12)
+
+
 def test_ode_kato_report(capsys):
     assert run_cli(["ode", "--set", "run.beta=2.0", "--set", "run.k=6.0",
                     "--set", "run.f0=1.0", "--set", "run.f0p=2.0",
@@ -286,7 +295,11 @@ def test_unknown_solve_mode_exit_2(kind, capsys):
     ("validate", ["damping.kind=bogus"]),
     # a present null was reported as a missing key
     ("solve", ["run.eps=0.3", "run.p=2", "data.r0=null"]),
-    ("ode", ["run.beta=null"])])
+    ("ode", ["run.beta=null"]),
+    # snapshot times that are not a list, or lie before t = 0
+    ("solve", ["run.eps=0.3", "run.p=2", "solver.tmax=1", "run.snapshots=3"]),
+    ("solve", ["run.eps=0.3", "run.p=2", "solver.tmax=1",
+               "run.snapshots=[-1]"])])
 def test_bad_config_value_exit_2(kind, overrides, capsys):
     args = [kind]
     for item in overrides:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from aeblow import _kernels, damping, lifespan, metric
 from aeblow import ode_lab as ol
 from aeblow.damping import eta_of_s
-from aeblow.errors import DomainError
+from aeblow.errors import DomainError, IntegrationError
 
 
 def test_kato_exact_blowup_time():
@@ -30,11 +30,29 @@ def test_kato_no_blowup_within_budget():
     assert res.t_blowup is None
 
 
+def test_kato_step_failure_is_an_error():
+    # F'' = F^5 from F = 1 outruns RK45 before F reaches the last threshold;
+    # a stalled solve is not "no blow-up"
+    with pytest.raises(IntegrationError, match=r"t=1\.21"):
+        ol.kato_blowup_time(ol.KatoProblem(a=1.0, alpha=0.0, beta=5.0))
+
+
+def test_delta_sweep_seeds_the_problem():
+    # k, alpha and a come from the problem; only the seed follows delta
+    prob = ol.KatoProblem(a=1.0, alpha=0.5, beta=2.0, k=3.0, f0=7.0)
+    deltas = np.array([1e-2, 2e-2])
+    times, _, _ = ol.kato_delta_sweep(prob, deltas)
+    for d, t in zip(deltas, times):
+        seeded = ol.KatoProblem(a=1.0, alpha=0.5, beta=2.0, k=3.0, f0=d, f0p=d)
+        assert t == ol.kato_blowup_time(seeded).t_blowup
+
+
 def test_delta_sweep_special_slope():
     # a=1, alpha=1, beta=2: exponent -(beta-1)/((beta-1)a - alpha + 2) = -1/2
     deltas = np.geomspace(1e-3, 1e-2, 5)
-    _, slope, _ = ol.kato_delta_sweep(1.0, 1.0, 2.0, deltas)
-    theory = ol.KatoProblem(a=1.0, alpha=1.0, beta=2.0).theory_exponent
+    prob = ol.KatoProblem(a=1.0, alpha=1.0, beta=2.0)
+    _, slope, _ = ol.kato_delta_sweep(prob, deltas)
+    theory = prob.theory_exponent
     assert theory == pytest.approx(-0.5, rel=1e-12)
     assert slope == pytest.approx(theory, rel=0.1)
 
@@ -42,8 +60,9 @@ def test_delta_sweep_special_slope():
 def test_delta_sweep_minus_one_third():
     # a=1, alpha=0, beta=2: exponent -(1)/(1 - 0 + 2) = -1/3
     deltas = np.geomspace(1e-4, 1e-3, 5)
-    _, slope, _ = ol.kato_delta_sweep(1.0, 0.0, 2.0, deltas)
-    theory = ol.KatoProblem(a=1.0, alpha=0.0, beta=2.0).theory_exponent
+    prob = ol.KatoProblem(a=1.0, alpha=0.0, beta=2.0)
+    _, slope, _ = ol.kato_delta_sweep(prob, deltas)
+    theory = prob.theory_exponent
     assert theory == pytest.approx(-1.0 / 3.0, rel=1e-12)
     assert slope == pytest.approx(-1.0 / 3.0, rel=0.1)
 

@@ -27,7 +27,7 @@ def test_cubic_weights_integrate_cubics_exactly():
 
 def test_xi_q_against_adaptive_quadrature(flat3, zero_damping):
     # flat n=3 closed form: phi_lam(r) = sinh(lam r)/(lam r)/sinh(1)
-    q = tc.critical_q(3, ls.critical_exponent(3))
+    q = tc.critical_q(3)
     lam0, r1 = 1.0, 1.0
     grid = tc.log_lambda_grid(lam0, count=513, decades=5.0)
     ev = tc.build_evaluator(flat3, zero_damping, q, r_max=60.0, r1=r1,
@@ -50,7 +50,7 @@ def test_xi_q_against_adaptive_quadrature(flat3, zero_damping):
 
 
 def test_xi_q_limit_t_to_T(flat3, zero_damping):
-    q = tc.critical_q(3, ls.critical_exponent(3))
+    q = tc.critical_q(3)
     ev = tc.build_evaluator(flat3, zero_damping, q, r_max=40.0, r1=1.0,
                             dr=0.02)
     at_T = tc.xi_q(ev, 2.0, 10.0, 10.0)
@@ -59,7 +59,7 @@ def test_xi_q_limit_t_to_T(flat3, zero_damping):
 
 
 def test_xi_q_positive_and_decaying_in_T(flat3, zero_damping):
-    q = tc.critical_q(3, ls.critical_exponent(3))
+    q = tc.critical_q(3)
     ev = tc.build_evaluator(flat3, zero_damping, q, r_max=100.0, r1=1.0,
                             dr=0.05)
     vals = [tc.xi_q(ev, 1.0, T, T) for T in (5.0, 10.0, 20.0, 40.0)]
@@ -68,7 +68,7 @@ def test_xi_q_positive_and_decaying_in_T(flat3, zero_damping):
 
 
 def test_xi_q_domain_errors(flat3, zero_damping):
-    q = tc.critical_q(3, ls.critical_exponent(3))
+    q = tc.critical_q(3)
     ev = tc.build_evaluator(flat3, zero_damping, q, r_max=20.0, r1=1.0,
                             dr=0.05)
     with pytest.raises(DomainError):
@@ -104,8 +104,7 @@ def _synthetic_evaluator(dr, cells, zero_damping):
     lams = tc.log_lambda_grid(1.0, 5)
     fam = es.EigenFamily(profile=None, lams=lams, r=r,
                          phi=np.cosh(np.outer(lams, r)))
-    return tc.XiEvaluator(family=fam, damping=zero_damping, q=0.5, lam0=1.0,
-                          r1=1.0)
+    return tc.XiEvaluator(family=fam, damping=zero_damping, q=0.5, r1=1.0)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -129,28 +128,21 @@ def test_phi_at_matches_interp(zero_damping, dr, cells, frac):
 # -- critical q ------------------------------------------------------------------
 
 def test_critical_q_values():
-    p3 = ls.critical_exponent(3)
-    assert tc.critical_q(3, p3) == pytest.approx(2.0 - math.sqrt(2.0),
-                                                 rel=1e-12)
+    assert tc.critical_q(3) == pytest.approx(2.0 - math.sqrt(2.0), rel=1e-12)
     p2 = ls.critical_exponent(2)
-    assert tc.critical_q(2, p2) == pytest.approx(0.5 - 1.0 / p2, rel=1e-12)
-    assert tc.critical_q(2, p2) == pytest.approx(0.21922, abs=5e-6)
+    assert tc.critical_q(2) == pytest.approx(0.5 - 1.0 / p2, rel=1e-12)
+    assert tc.critical_q(2) == pytest.approx(0.21922, abs=5e-6)
 
 
 def test_critical_q_identity_enforced():
-    p3 = ls.critical_exponent(3)
     with pytest.raises(DomainError):
-        tc.critical_q(3, p3 + 1e-6)
-    with pytest.raises(DomainError):
-        tc.critical_q(3, 2.0)
-    with pytest.raises(DomainError):
-        tc.critical_q(1, 2.0)
+        tc.critical_q(1)
 
 
 def test_critical_q_identity_value():
     for n in (2, 3, 4, 5):
         p = ls.critical_exponent(n)
-        q = tc.critical_q(n, p)
+        q = tc.critical_q(n)
         assert (n - 1) * (1.0 - p / 2.0) - q == pytest.approx(-1.0,
                                                               abs=1e-12)
         assert q > max(0.0, (n - 3) / 2.0)
@@ -159,7 +151,7 @@ def test_critical_q_identity_value():
 # -- envelope bounds ---------------------------------------------------------------
 
 def test_xi_bounds_check_flat(flat3, zero_damping):
-    q = tc.critical_q(3, ls.critical_exponent(3))
+    q = tc.critical_q(3)
     ev = tc.build_evaluator(flat3, zero_damping, q, r_max=120.0, r1=1.0,
                             dr=0.05)
     samples = [(r, T, t)
@@ -174,7 +166,7 @@ def test_xi_bounds_check_flat(flat3, zero_damping):
 
 
 def test_xi_bounds_skips_outside_support(flat3, zero_damping):
-    q = tc.critical_q(3, ls.critical_exponent(3))
+    q = tc.critical_q(3)
     ev = tc.build_evaluator(flat3, zero_damping, q, r_max=200.0, r1=1.0,
                             dr=0.05)
     # r = 80 lies past eta_T + r1 = 6 for T = 5 and must be skipped
@@ -187,7 +179,7 @@ def test_xi_bounds_skips_outside_support(flat3, zero_damping):
 
 def test_critical_F_inequality(flat3, zero_damping, bump_data):
     p = ls.critical_exponent(3)
-    q = tc.critical_q(3, p)
+    q = tc.critical_q(3)
     tmax = 12.0
     snaps = list(np.arange(0.0, tmax + 1e-9, 0.5))
     cfg = ws.SolverConfig(dr=0.05, tmax=tmax)
@@ -241,7 +233,7 @@ def test_critical_F_matches_pairwise_loop(flat3, bump_data, damp):
     traj = ws.evolve_transformed(
         flat3, damp, bump_data, 0.4, ws.SolverConfig(dr=0.1, tmax=8.0), p=p,
         snapshot_times=list(np.arange(0.0, 8.0 + 1e-9, 0.5)))
-    ev = tc.build_evaluator(flat3, damp, tc.critical_q(3, p),
+    ev = tc.build_evaluator(flat3, damp, tc.critical_q(3),
                             r_max=float(traj.r[-1]), r1=traj.r1,
                             lam_grid=tc.log_lambda_grid(1.0, 9), dr=traj.dr)
     rep = tc.critical_F(traj, ev)

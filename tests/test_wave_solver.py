@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -81,9 +82,21 @@ def test_second_difference_identity_discrete_exact(flat3, zero_damping,
     # telescoping (and with it the discrete identity) would pick up flux
     traj = ws.evolve_transformed(flat3, zero_damping, bump_data, 0.5,
                                  ws.SolverConfig(dr=0.05, tmax=6.0, rmax=12.0))
-    rep = ws.check_inequalities(traj, n=3)
+    rep = ws.check_inequalities(traj)
     assert rep.fpp_identity_err < 1e-9
     assert rep.fpp_min >= 0.0
+
+
+def test_inequalities_use_the_run_dimension(flat2, zero_damping, bump_data):
+    # F'' against |F|^p (1+t)^(-n(p-1)) with n = 2, the metric's own
+    traj = ws.evolve_transformed(flat2, zero_damping, bump_data, 0.3,
+                                 ws.SolverConfig(dr=0.05, tmax=4.0), p=2.5)
+    assert traj.n == 2
+    w = traj.t >= 1.0
+    want = np.min(traj.fpp[w] / (np.abs(traj.F[w]) ** 2.5
+                                 * (1.0 + traj.t[w]) ** (-2 * 1.5)))
+    assert ws.check_inequalities(traj).ratio_ff == pytest.approx(want,
+                                                                 rel=1e-14)
 
 
 def test_snapshot_matches_step_landing(flat3, zero_damping, bump_data):
@@ -131,25 +144,39 @@ def test_direct_equals_transformed_without_damping(flat3, zero_damping,
 
 
 def test_pairing_fold_identity(flat3, zero_damping, bump_data):
-    lam1 = 0.2
-    phi = es.build_entire_solution(flat3, lam1, 40.0, dr=0.05)
+    phi = es.build_entire_solution(flat3, 0.2, 40.0, dr=0.05)
     cfg = ws.SolverConfig(dr=0.05, tmax=5.0, rmax=40.0)
     traj = ws.evolve_transformed(flat3, zero_damping, bump_data, 0.3, cfg,
-                                 phi_sol=phi, lam1=lam1)
-    # t=0 record equals the functional evaluated on the initial state
+                                 phi_sol=phi, snapshot_times=[5.0])
+    # the first and last records equal the functional on the same states,
+    # folded with the eigenfunction's own lambda
     state = ws.init(flat3, zero_damping, bump_data, 0.3, cfg)
-    assert traj.H[0] == pytest.approx(ws.functional_H(state, phi, lam1),
-                                      rel=1e-12)
+    assert traj.H[0] == pytest.approx(ws.functional_H(state, phi), rel=1e-12)
     assert traj.H[0] > 0
+    end = replace(state, t=5.0, u=traj.snap_u[-1])
+    assert traj.H[-1] == pytest.approx(ws.functional_H(end, phi), rel=1e-12)
+    # eta(5) = 5 without damping: exp(-0.2 * 5) scales the pairing
+    unscaled = float(traj.snap_u[-1] @ (np.interp(traj.r, phi.r, phi.phi)
+                                        * traj.V))
+    assert traj.H[-1] == pytest.approx(math.exp(-1.0) * unscaled, rel=1e-12)
+    assert traj.H[-1] == pytest.approx(0.372, abs=5e-4)
+
+
+def test_eigenfunction_grid_must_cover_solver_grid(flat3, zero_damping,
+                                                   bump_data):
+    phi = es.build_entire_solution(flat3, 0.2, 10.0, dr=0.05)
+    cfg = ws.SolverConfig(dr=0.05, tmax=5.0, rmax=40.0)
+    with pytest.raises(DomainError, match="does not cover"):
+        ws.evolve_transformed(flat3, zero_damping, bump_data, 0.3, cfg,
+                              phi_sol=phi)
 
 
 def test_pairing_plateau_linear_run(flat3, zero_damping, bump_data):
     # for the linear equation H(t) is bounded below by a positive constant
-    lam1 = 0.2
-    phi = es.build_entire_solution(flat3, lam1, 60.0, dr=0.05)
+    phi = es.build_entire_solution(flat3, 0.2, 60.0, dr=0.05)
     cfg = linear_cfg(0.05, 20.0, rmax=60.0)
     traj = ws.evolve_transformed(flat3, zero_damping, bump_data, 0.3, cfg,
-                                 phi_sol=phi, lam1=lam1)
+                                 phi_sol=phi)
     floor = 0.5 * (traj.H[0] + 0.0)    # cosh lower bound with G'(0) >= 0
     assert np.min(traj.H) > 0.9 * floor
 
@@ -212,4 +239,4 @@ def test_inequality_report_requires_transformed(flat3, scat_damping,
     traj = ws.evolve_damped_direct(flat3, scat_damping, bump_data, 0.3,
                                    ws.SolverConfig(dr=0.05, tmax=3.0))
     with pytest.raises(ConfigurationError):
-        ws.check_inequalities(traj, n=3)
+        ws.check_inequalities(traj)
