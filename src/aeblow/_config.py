@@ -1,8 +1,8 @@
 """The one reader of config values, and the keys each kind of block takes.
 
-Every number, number list and [x, y] row table of a config block is read
-here: true/false is no number, and null is taken only where the default is
-None.  A default of MISSING marks a required key.
+Every number, number list, [x, y] row table and string of a config block
+is read here: true/false is no number, and null is taken only where the
+default is None.  A default of MISSING marks a required key.
 """
 
 from __future__ import annotations
@@ -51,6 +51,16 @@ def number(block: dict, bname: str, key: str, default=MISSING,
     if not _given(block, bname, key, default):
         return default
     return _as_number(block[key], f"{bname}.{key}", integer, positive)
+
+
+def text(block: dict, bname: str, key: str, default=MISSING) -> str:
+    """block[key] as a non-empty string, or default."""
+    if not _given(block, bname, key, default):
+        return default
+    if not (isinstance(block[key], str) and block[key]):
+        raise ConfigurationError(
+            f"config key {bname}.{key} must be a non-empty string")
+    return block[key]
 
 
 def numbers(block: dict, bname: str, key: str,

@@ -216,6 +216,10 @@ def _run_solve(cfg: ExperimentConfig):
     p = number(run, "run", "p")
     evolve = lifespan_mod._evolver(run.get("solve_mode", "transformed"))
     snaps = numbers(run, "run", "snapshots")
+    snap_file = _config.text(run, "run", "snapshot_file", None)
+    if snap_file is not None and not snaps:
+        raise ConfigurationError(
+            "config key run.snapshot_file needs run.snapshots")
     stride = number(run, "run", "stride", 1, integer=True, positive=True)
     traj = evolve(profile, dprof, data, eps, scfg, p=p, snapshot_times=snaps)
     sup_rep = solver_mod.check_support_trajectory(traj)
@@ -227,8 +231,8 @@ def _run_solve(cfg: ExperimentConfig):
         "support_tol": sup_rep.tol,
         "support_within_tol": bool(sup_rep.passed),
     }
-    if run.get("snapshot_file") and len(traj.snap_t):
-        with open(run["snapshot_file"], "wb") as f:
+    if snap_file is not None and len(traj.snap_t):
+        with open(snap_file, "wb") as f:
             np.save(f, np.stack([traj.snap_u, traj.snap_v], axis=1))
         report["snapshot_times"] = [float(t) for t in traj.snap_t]
     fpp, edge_r = traj.fpp, traj.edge_r

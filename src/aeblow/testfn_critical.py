@@ -34,20 +34,19 @@ def _cubic_weights(x: np.ndarray) -> np.ndarray:
     """Integration weights for samples on an increasing grid: each panel
     [x_j, x_{j+1}] integrates the Lagrange cubic through the four nearest
     points (clamped to the ends), giving a 4th-order composite rule on
-    smooth integrands regardless of spacing."""
+    smooth integrands regardless of spacing.  Two-point Gauss-Legendre
+    integrates each panel's cubic exactly, all panels at once."""
     m = len(x)
-    w = np.zeros(m)
-    for j in range(m - 1):
-        i0 = min(max(j - 1, 0), m - 4)
-        idx = np.arange(i0, i0 + 4)
-        a, b = x[j], x[j + 1]
-        for k in idx:
-            others = [i for i in idx if i != k]
-            # integrate prod (t - x_i)/(x_k - x_i) over [a, b] exactly
-            c = np.poly(x[others]) / np.prod(x[k] - x[others])
-            ci = np.polyint(c)
-            w[k] += np.polyval(ci, b) - np.polyval(ci, a)
-    return w
+    idx = np.clip(np.arange(m - 1) - 1, 0, m - 4)[:, None] + np.arange(4)
+    nodes, half = x[idx], 0.5 * np.diff(x)          # nodes: (panel, 4)
+    gauss = (x[:-1] + half)[:, None] + np.outer(half, [-1.0, 1.0]) / math.sqrt(3)
+    off = ~np.eye(4, dtype=bool)                    # [k, i]: i != k
+    # basis k at each Gauss point t: prod_{i != k} (t - x_i) / (x_k - x_i)
+    num = np.where(off, gauss[:, :, None, None] - nodes[:, None, None, :],
+                   1.0).prod(axis=-1)
+    den = np.where(off, nodes[:, :, None] - nodes[:, None, :], 1.0).prod(axis=-1)
+    return np.bincount(idx.ravel(), weights=(half[:, None] * num.sum(axis=1)
+                                             / den).ravel(), minlength=m)
 
 
 @dataclass(frozen=True)
@@ -58,21 +57,24 @@ class XiEvaluator:
     over the family grid, with the lowest subinterval [0, lam_min] closed by
     exact integration of a local c*lambda^q model (the integrand has
     unbounded slope there for q < 1, so an ordinary end rule would bias the
-    quadrature).
+    quadrature).  refined, which build_evaluator sets, is the evaluator on
+    this grid with its geometric midpoints inserted; its family's even rows
+    are this one's rows, so xi_bounds_check re-measures without a new shoot.
     """
 
     family: EigenFamily
     damping: DampingProfile
     q: float
     r1: float
+    refined: XiEvaluator | None = field(repr=False, default=None)
     w: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
         lam = self.family.lams
         if self.q <= -1.0:
             raise ConfigurationError("lambda weight needs q > -1")
-        if lam[0] <= 0.0:
-            raise ConfigurationError("lambda grid must be positive")
+        if len(lam) < 4 or lam[0] <= 0.0:
+            raise ConfigurationError("lambda grid needs at least 4 positive points")
         w = _cubic_weights(lam)
         # integral of (f(lam_min)/lam_min^q) * s^q over [0, lam_min]
         w[0] += lam[0] / (self.q + 1.0)
@@ -82,24 +84,18 @@ class XiEvaluator:
 def build_evaluator(profile: MetricProfile, damping: DampingProfile, q: float,
                     r_max: float, r1: float, lam_grid=None,
                     dr: float = 0.05) -> XiEvaluator:
+    """The evaluator on lam_grid and the refined one it owns, from one
+    family shot over lam_grid with its geometric midpoints inserted."""
     if lam_grid is None:
         lam_grid = log_lambda_grid(lambda_max(profile))
-    fam = build_family(profile, lam_grid, r_max, dr=dr)
-    return XiEvaluator(family=fam, damping=damping, q=q, r1=r1)
-
-
-def refine_lambda_grid(ev: XiEvaluator) -> XiEvaluator:
-    """Same evaluator with geometric midpoints inserted into the lambda grid;
-    only the midpoints are shot, the base rows are reused."""
-    fam = ev.family
-    mids = build_family(fam.profile, np.sqrt(fam.lams[:-1] * fam.lams[1:]),
-                        fam.r[-1], dr=float(fam.r[1] - fam.r[0]))
-    lams = np.empty(2 * len(fam.lams) - 1)
-    phi = np.empty((len(lams), len(fam.r)))
-    lams[0::2], lams[1::2] = fam.lams, mids.lams
-    phi[0::2], phi[1::2] = fam.phi, mids.phi
-    return XiEvaluator(family=replace(fam, lams=lams, phi=phi),
-                       damping=ev.damping, q=ev.q, r1=ev.r1)
+    lam = np.sort(np.asarray(lam_grid, dtype=float))
+    fine = np.empty(2 * len(lam) - 1)
+    fine[0::2], fine[1::2] = lam, np.sqrt(lam[:-1] * lam[1:])
+    fam = build_family(profile, fine, r_max, dr=dr)
+    refined = XiEvaluator(family=fam, damping=damping, q=q, r1=r1)
+    return XiEvaluator(family=replace(fam, lams=fam.lams[0::2],
+                                      phi=fam.phi[0::2]),
+                       damping=damping, q=q, r1=r1, refined=refined)
 
 
 def _time_weight(ev: XiEvaluator, T: float, eta_T: float, t, eta_t):
@@ -178,12 +174,14 @@ def _measure(ev: XiEvaluator, samples):
 
 def xi_bounds_check(ev: XiEvaluator, samples) -> BoundReport:
     """Measure A1 (lower envelope) and A2 (upper envelope at t = T) over the
-    sample set, then re-measure on a refined lambda grid and on doubled T
-    values; all three must agree within 2x and satisfy A1 > 0, A2 < inf."""
+    sample set, then re-measure on the evaluator's refined lambda grid (no
+    new shoot) and on doubled T values; all three must agree within 2x and
+    satisfy A1 > 0, A2 < inf."""
+    if ev.refined is None:
+        raise ConfigurationError("evaluator has no refined grid; use build_evaluator")
     samples = [(float(r), float(T), float(t)) for (r, T, t) in samples]
     a1, a2, skipped = _measure(ev, samples)
-    ev2 = refine_lambda_grid(ev)
-    a1r, a2r, _ = _measure(ev2, samples)
+    a1r, a2r, _ = _measure(ev.refined, samples)
     doubled = [(r, 2.0 * T, 2.0 * t if t < T else 2.0 * T)
                for (r, T, t) in samples]
     a1t, a2t, skip_t = _measure(ev, doubled)

@@ -299,7 +299,13 @@ def test_unknown_solve_mode_exit_2(kind, capsys):
     # snapshot times that are not a list, or lie before t = 0
     ("solve", ["run.eps=0.3", "run.p=2", "solver.tmax=1", "run.snapshots=3"]),
     ("solve", ["run.eps=0.3", "run.p=2", "solver.tmax=1",
-               "run.snapshots=[-1]"])])
+               "run.snapshots=[-1]"]),
+    # a number was taken as a file descriptor (OSError, exit 1); without
+    # snapshots no file was written and the run exited 0
+    ("solve", ["run.eps=0.3", "run.p=2", "solver.tmax=1",
+               "run.snapshots=[0.5]", "run.snapshot_file=7"]),
+    ("solve", ["run.eps=0.3", "run.p=2", "solver.tmax=1",
+               "run.snapshot_file=x.npy"])])
 def test_bad_config_value_exit_2(kind, overrides, capsys):
     args = [kind]
     for item in overrides:

@@ -25,6 +25,46 @@ def test_cubic_weights_integrate_cubics_exactly():
         assert float(x ** k @ w) == pytest.approx(exact, rel=1e-12)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(decades=st.floats(1.0, 6.0),
+       gaps=st.lists(st.floats(0.01, 1.0), min_size=3, max_size=39))
+def test_cubic_weights_integrate_cubics_on_random_grids(decades, gaps):
+    # increasing grids of 4-40 points over [10^-decades, 1], neighbouring
+    # log-gaps up to 100x apart
+    u = np.concatenate(([0.0], np.cumsum(gaps))) / sum(gaps)
+    x = 10.0 ** (decades * (u - 1.0))
+    w = tc._cubic_weights(x)
+    for k in range(4):
+        exact = (x[-1] ** (k + 1) - x[0] ** (k + 1)) / (k + 1)
+        # rel 1e-12 of the rule's absolute mass, which is the integral
+        # itself wherever the weights are positive
+        assert abs(x ** k @ w - exact) <= 1e-12 * (np.abs(w) @ x ** k)
+
+
+def _cubic_weights_loop(x):
+    """Reference: each panel's four Lagrange cubics integrated exactly
+    through their polynomial antiderivatives, one panel at a time."""
+    m = len(x)
+    w = np.zeros(m)
+    for j in range(m - 1):
+        i0 = min(max(j - 1, 0), m - 4)
+        idx = np.arange(i0, i0 + 4)
+        for k in idx:
+            others = [i for i in idx if i != k]
+            ci = np.polyint(np.poly(x[others]) / np.prod(x[k] - x[others]))
+            w[k] += np.polyval(ci, x[j + 1]) - np.polyval(ci, x[j])
+    return w
+
+
+@pytest.mark.parametrize("m", [4, 9, 17, 33])
+@pytest.mark.parametrize("decades", [1.0, 3.0, 5.0])
+def test_cubic_weights_match_the_polyint_loop(m, decades):
+    # the loop's own rounding reaches 3e-12 of max |w| (33 points, 1 decade)
+    x = np.geomspace(10.0 ** -decades, 1.0, m)
+    ref = _cubic_weights_loop(x)
+    assert np.max(np.abs(tc._cubic_weights(x) - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+
 def test_xi_q_against_adaptive_quadrature(flat3, zero_damping):
     # flat n=3 closed form: phi_lam(r) = sinh(lam r)/(lam r)/sinh(1)
     q = tc.critical_q(3)
@@ -77,25 +117,38 @@ def test_xi_q_domain_errors(flat3, zero_damping):
         tc.xi_q(ev, 1.0, 5.0, 6.0)         # t > T
 
 
-def test_refine_lambda_grid_shoots_only_midpoints(flat3, zero_damping,
-                                                   monkeypatch):
+def test_evaluator_shoots_its_family_once(flat3, zero_damping, monkeypatch):
     L = 5
-    ev = tc.build_evaluator(flat3, zero_damping, 0.5, r_max=20.0, r1=1.0,
-                            lam_grid=tc.log_lambda_grid(1.0, L), dr=0.05)
     shot = []
     real = tc.build_family
 
     def counting(profile, lams, *args, **kwargs):
-        shot.extend(lams)
+        shot.append(np.asarray(lams))
         return real(profile, lams, *args, **kwargs)
 
     monkeypatch.setattr(tc, "build_family", counting)
-    ref = tc.refine_lambda_grid(ev)
-    assert len(shot) == L - 1
-    assert np.array_equal(ref.family.lams[0::2], ev.family.lams)
-    assert np.array_equal(ref.family.phi[0::2], ev.family.phi)
-    assert np.array_equal(ref.family.lams[1::2], shot)
-    assert np.all(np.diff(ref.family.lams) > 0)
+    ev = tc.build_evaluator(flat3, zero_damping, 0.5, r_max=20.0, r1=1.0,
+                            lam_grid=tc.log_lambda_grid(1.0, L), dr=0.05)
+    tc.xi_bounds_check(ev, [(1.0, 5.0, 5.0), (1.0, 5.0, 2.0)])
+    assert [len(lams) for lams in shot] == [2 * L - 1]
+    fine = ev.refined.family
+    assert np.array_equal(ev.family.lams, fine.lams[0::2])
+    assert np.array_equal(ev.family.phi, fine.phi[0::2])
+    assert np.all(np.diff(fine.lams) > 0)
+
+
+@pytest.mark.parametrize("lams", [[0.1, 0.3, 1.0], [0.0, 0.1, 0.3, 1.0]])
+def test_evaluator_needs_four_positive_lambdas(zero_damping, lams):
+    fam = es.EigenFamily(profile=None, lams=np.array(lams), r=np.zeros(1),
+                         phi=np.ones((len(lams), 1)))
+    with pytest.raises(ConfigurationError):
+        tc.XiEvaluator(family=fam, damping=zero_damping, q=0.5, r1=1.0)
+
+
+def test_xi_bounds_check_needs_a_refined_grid(zero_damping):
+    with pytest.raises(ConfigurationError):
+        tc.xi_bounds_check(_synthetic_evaluator(0.05, 40, zero_damping),
+                           [(1.0, 5.0, 5.0)])
 
 
 def _synthetic_evaluator(dr, cells, zero_damping):
