@@ -3,6 +3,9 @@
 With m(t) = exp(int_0^t b), s = h(t) = int_0^t 1/m, and eta the inverse of h,
 the damped operator d_t^2 + b d_t - Lap becomes d_s^2 - mt(s)^2 Lap with
 mt(s) = m(eta(s)) pinned inside [delta1, 1/delta1], delta1 = exp(-||b||_L1).
+h, eta and (for kinds without a closed form) m come from two dense DOP853
+solutions, each stepped on demand only as far as the queries reach; a value
+read does not depend on which times were read before (_DenseODE).
 
 A float time (Python float or np.float64, what solve_ivp hands a right-hand
 side) takes a float path through b, m, h, eta and mt: the same formulas in
@@ -42,45 +45,52 @@ _ODE_ATOL = 1e-14
 
 
 class _DenseODE:
-    """Dense DOP853 solution of y' = f(t, y), y(0) = y0, grown on demand.
+    """Dense DOP853 solution of y' = f(t, y), y(0) = y0, stepped on demand.
 
-    A scalar query evaluates scipy's interpolant in floats, in scipy's own
-    order: the segment rule of OdeSolution._call_single (bisect_left on the
-    breakpoints, lower segment at a breakpoint) and the Horner-like loop of
-    Dop853DenseOutput._call_impl.  It reads the fields F, t_old, h and y_old
-    of the segment in place; test_float_path_is_bit_identical guards them.
+    A DOP853 stepper with no end time advances until it passes the latest
+    query and keeps each step's dense output; its steps are the same whatever
+    the queries.  An array query goes through scipy's OdeSolution over the
+    steps so far.  A scalar query evaluates scipy's interpolant in floats, in
+    scipy's own order: the segment rule of OdeSolution._call_single
+    (bisect_left on the breakpoints, lower segment at a breakpoint) and the
+    Horner-like loop of Dop853DenseOutput._call_impl.  It reads the fields F,
+    t_old, h and y_old of the segment in place;
+    test_float_path_is_bit_identical guards them.
     """
 
     def __init__(self, f: Callable, y0: list[float], what: str):
         self._f = f
         self._y0 = y0
         self._what = what
-        self.tmax = 0.0
-        self._sol = None
-        self._ts = None
+        self.tmax = -math.inf           # no step taken yet
+        self._stepper = None
+        self._ts = [0.0]
+        self._pieces = []
 
     def _ensure(self, t: float):
-        t = max(float(t), 1.0)
-        if self._sol is not None and t <= self.tmax:
-            return
-        from scipy.integrate import solve_ivp
-        target = max(2.0 * t, 100.0)
-        res = solve_ivp(self._f, (0.0, target), self._y0, method="DOP853",
-                        rtol=_ODE_RTOL, atol=_ODE_ATOL, dense_output=True)
-        if not res.success:
-            raise IntegrationError(f"{self._what} integration failed: {res.message}")
-        self._sol = res.sol
-        self._ts = res.sol.ts.tolist()
-        self.tmax = target
+        if self._stepper is None:
+            from scipy.integrate import DOP853
+            self._stepper = DOP853(self._f, 0.0, self._y0, math.inf,
+                                   rtol=_ODE_RTOL, atol=_ODE_ATOL)
+            # OdeSolver.fun closes over the solver: clear it with this cache
+            weakref.finalize(self, self._stepper.__dict__.clear)
+        while self.tmax < t:
+            message = self._stepper.step()
+            if self._stepper.status != "running":
+                raise IntegrationError(f"{self._what} integration failed: {message}")
+            self.tmax = float(self._stepper.t)
+            self._ts.append(self.tmax)
+            self._pieces.append(self._stepper.dense_output())
 
     def __call__(self, t, row: int = 0):
         """Component `row` of y at t (scalar or array)."""
         if not isinstance(t, float) and np.ndim(t):
             self._ensure(np.max(t))
-            return self._sol(t)[row]
+            from scipy.integrate import OdeSolution
+            return OdeSolution(self._ts, self._pieces)(t)[row]
         t = float(t)
         self._ensure(t)
-        pieces = self._sol.interpolants
+        pieces = self._pieces
         seg = min(max(bisect_left(self._ts, t) - 1, 0), len(pieces) - 1)
         piece = pieces[seg]
         F = piece.F
@@ -94,14 +104,14 @@ class _DenseODE:
 
 def _times(t):
     """t as a float when it is one (np.float64 included), else as an array;
-    t >= 0 is checked, so NaN is rejected too."""
+    0 <= t < inf is checked, so NaN and inf are rejected too."""
     if isinstance(t, float):
-        if not t >= 0:
-            raise DomainError("time must be nonnegative")
+        if not 0 <= t < math.inf:
+            raise DomainError("time must be finite and nonnegative")
         return float(t)
     t = np.asarray(t, dtype=float)
-    if not np.all(t >= 0):
-        raise DomainError("time must be nonnegative")
+    if not np.all((t >= 0) & (t < math.inf)):
+        raise DomainError("time must be finite and nonnegative")
     return t
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import weakref
@@ -6,9 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
+from scipy.integrate import OdeSolution, quad
 
-from aeblow import damping
+from aeblow import damping, ode_lab
 from aeblow.errors import ConfigurationError, DomainError
 
 
@@ -73,33 +74,6 @@ def test_m_tilde_range_and_limit(scat_damping):
     assert damping.m_tilde(scat_damping, 0.0) == 1.0
 
 
-@pytest.mark.parametrize("make", [
-    lambda: damping.signed_oscillatory_damping(0.4, 1.5),
-    lambda: damping.tabulated_damping(
-        np.linspace(0.0, 8.0, 9),
-        [0.3, 0.25, 0.2, 0.1, 0.15, 0.05, 0.1, 0.02, 0.0]),
-], ids=["signed-oscillatory", "tabulated"])
-def test_dense_caches_agree_across_regrowth(make):
-    # a query at 10 solves eta up to s = 100 (and int b, h up to past
-    # eta(100)); one at 500 re-solves both further out.  A fresh profile
-    # asked at 500 first never had the short solves, so both must give the
-    # same maps within round-off.
-    grown, fresh = make(), make()
-    early = (damping.h_of_t(grown, 10.0), damping.eta_of_s(grown, 10.0))
-    horizon = grown._cache.tmax
-    assert grown._eta_cache.tmax == 100.0
-    late = (damping.h_of_t(grown, 500.0), damping.eta_of_s(grown, 500.0))
-    assert grown._eta_cache.tmax == 1000.0 and grown._cache.tmax > horizon
-    ref_late = (damping.h_of_t(fresh, 500.0), damping.eta_of_s(fresh, 500.0))
-    ref_early = (damping.h_of_t(fresh, 10.0), damping.eta_of_s(fresh, 10.0))
-    assert early == pytest.approx(ref_early, rel=1e-10)
-    assert late == pytest.approx(ref_late, rel=1e-10)
-    # inverse pair on both sides of the first horizon (100)
-    t = np.array([5.0, 60.0, 99.0, 101.0, 250.0, 480.0])
-    back = damping.eta_of_s(grown, damping.h_of_t(grown, t))
-    assert np.max(np.abs(back - t) / t) < 1e-8
-
-
 def _table(t_end, values, signed):
     b = np.asarray(values) * (np.resize([1.0, -1.0], len(values)) if signed
                               else 1.0)
@@ -115,6 +89,47 @@ _DAMPINGS = {
                                     _MU, _BETA),
     "tabulated-positive": st.builds(_table, *_TABLES, st.just(False)),
     "tabulated-signed": st.builds(_table, *_TABLES, st.just(True))}
+
+
+@pytest.mark.parametrize("kind", _DAMPINGS)
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data(),
+       times=st.lists(st.floats(0.0, 300.0), min_size=1, max_size=6))
+def test_dense_caches_agree_across_regrowth(kind, data, times):
+    # the caches step on demand, so one profile asked at increasing times
+    # and its twin asked at the largest time first must read the same bits
+    grown = data.draw(_DAMPINGS[kind])
+    twin = damping._finish(dataclasses.replace(grown))   # fresh caches
+    maps = (damping.m_tilde, damping.eta_of_s, damping.h_of_t, damping.m_of_t)
+    read = lambda prof, t: [f(prof, t) for f in maps]
+    early = {t: read(grown, t) for t in sorted(times)}
+    late = {t: read(twin, t) for t in sorted(times, reverse=True)}
+    assert early == late
+    assert [list(f(grown, np.array(times))) for f in maps] == \
+        [list(f(twin, np.array(times))) for f in maps]
+    # inverse pair at the times the eta cache read
+    t = np.array([eta for _, eta, _, _ in early.values()])
+    back = damping.eta_of_s(grown, damping.h_of_t(grown, t))
+    assert np.all(np.abs(back - t) <= 1e-8 * np.maximum(t, 1.0))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: damping.signed_oscillatory_damping(0.4, 1.5),
+    lambda: damping.tabulated_damping(
+        np.linspace(0.0, 8.0, 9),
+        [0.3, 0.25, 0.2, 0.1, 0.15, 0.05, 0.1, 0.02, 0.0]),
+], ids=["signed-oscillatory", "tabulated"])
+def test_comparison_solves_step_caches_only_as_far_as_read(make):
+    # a comparison solve on [0, T] reads eta on [0, T] and m on [0, eta(T)];
+    # each cache stops at its first step past the furthest time read
+    prof, T = make(), 20.0
+    ode_lab.forward_comparison(prof, 0.2, T)
+    ode_lab.backward_comparison(prof, 0.2, T)
+    last_step = lambda cache: cache.tmax - cache._ts[-2]
+    eta = prof._eta_cache
+    assert T <= eta.tmax < T + last_step(eta)
+    assert prof._cache.tmax <= (damping.eta_of_s(prof, eta.tmax)
+                                + last_step(prof._cache))
 
 
 @pytest.mark.parametrize("kind", _DAMPINGS)
@@ -141,11 +156,11 @@ def test_float_path_is_bit_identical(kind, data, times, negative):
     # the maps above grew both caches; rows are checked at the query times
     # and at breakpoints, where OdeSolution picks the lower of two segments
     for cache, rows in ((prof._cache, (0, 1)), (prof._eta_cache, (0,))):
-        ts = cache._sol.ts
-        for t in [*times, *ts[::50], ts[-1]]:
+        sol = OdeSolution(cache._ts, cache._pieces)
+        for t in [*times, *sol.ts[::50], sol.ts[-1]]:
             for row in rows:
                 got = cache(t, row)
-                assert type(got) is float and got == cache._sol(t)[row]
+                assert type(got) is float and got == sol(t)[row]
     for f in (prof.b, *(lambda t, f=f: f(prof, t)
                         for f in (damping.m_of_t, *maps))):
         for t in (negative, np.float64(negative), np.array([negative])):
@@ -199,24 +214,28 @@ def test_negative_time_rejected(scat_damping):
         damping.h_of_t(scat_damping, -1.0)
     with pytest.raises(DomainError):
         damping.eta_of_s(scat_damping, -0.5)
-    # a NaN time reached the dense cache, whose solve_ivp horizon max(2t,
-    # 100) is then NaN, and the call did not return
+    # the dense caches step until they pass the time asked, so an infinite
+    # time would never return, and a NaN one would read no segment
     prof = damping.signed_oscillatory_damping(0.4, 2.0)
-    with pytest.raises(DomainError):
-        damping.m_tilde(prof, float("nan"))
-    with pytest.raises(DomainError):
-        damping.m_of_t(prof, np.array([1.0, np.nan]))
+    for bad in (float("nan"), math.inf):
+        with pytest.raises(DomainError):
+            damping.m_tilde(prof, bad)
+        with pytest.raises(DomainError):
+            damping.m_of_t(prof, np.array([1.0, bad]))
 
 
 def test_used_profile_freed_without_cycle_collector():
     prof = damping.signed_oscillatory_damping(0.4, 2.0)
-    damping.m_tilde(prof, 3.0)          # grows both dense caches
-    refs = [weakref.ref(x) for x in
-            (prof, prof._cache._sol, prof._eta_cache._sol)]
+    damping.m_tilde(prof, 3.0)          # steps both dense caches
+    caches = (prof._cache, prof._eta_cache)
+    refs = [weakref.ref(x) for x in (prof, *caches,
+                                     *(c._stepper for c in caches),
+                                     *(c._pieces[-1] for c in caches))]
+    del caches
     gc.disable()
     try:
         del prof
-        assert [r() for r in refs] == [None, None, None]
+        assert [r() for r in refs] == [None] * len(refs)
     finally:
         gc.enable()
 
