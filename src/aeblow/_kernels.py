@@ -18,12 +18,20 @@ which is plain Stoermer-Verlet when b = 0.  Each step updates only cells
 0..min(edge + _EDGE_PAD, N - 1), edge being the last cell with |u| above
 _EDGE_REL sup|u| after the previous step (NaN cells count as live), so the
 window follows the light cone and cells beyond it keep their values.  On the
-window the step also sums the per-step scalars (sup|u|, integral of u, of
-|u|^p, of u*phi*esc with the caller-supplied per-step scale esc) and finds
-the new edge.
+window the step records sup|u| and the new edge, and, for each record array
+the caller passes instead of None, the integral of u (rec_F), of |u|^p
+(rec_Ip) and of u*phi*esc with the caller-supplied per-step scale esc
+(rec_G; phiV and esc are read only then).  A skipped record costs nothing and
+changes no other value.
+
+Every window array op writes into buffers allocated once per call (out=),
+in the order of the formulas above, so the results are bit-for-bit those of
+the plain expressions.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -33,10 +41,16 @@ _EDGE_REL = 1e-12   # "numerically zero" support threshold, relative to sup|u|
 _EDGE_PAD = 8       # extra active cells beyond the measured support edge
 
 
-def _stencil(u, A, B, C, n, out):
-    """out[i] = (L u)_i on cells 0..n-1, reading u[0..n]; returns out."""
+def _stencil(u, A, B, C, n, out, tmp):
+    """out[i] = (L u)_i on cells 0..n-1, reading u[0..n], summed as
+    (A u[i+1] + B u[i]) + C u[i-1]; tmp is scratch as long; returns out."""
     out[0] = A[0] * (u[1] - u[0])
-    out[1:n] = A[1:n] * u[2:n + 1] + B[1:n] * u[1:n] + C[1:n] * u[:n - 1]
+    w, t = out[1:n], tmp[1:n]
+    np.multiply(A[1:n], u[2:n + 1], out=w)
+    np.multiply(B[1:n], u[1:n], out=t)
+    w += t
+    np.multiply(C[1:n], u[:n - 1], out=t)
+    w += t
     return out
 
 
@@ -45,35 +59,55 @@ def advance_segment(u, v, a, A, B, C, V, phiV, esc, msq, bh, dt, p, nonlin,
                     rec_edge, edge):
     """Advance nsteps; record scalars at global indices m0+1..
 
-    Returns (last step index, status, edge); status 0 completed, 1 sup cap
-    exceeded (blow-up), 2 non-finite values.
+    rec_F, rec_Ip and rec_G may each be None (not recorded).  Returns (last
+    step index, status, edge); status 0 completed, 1 sup cap exceeded
+    (blow-up), 2 non-finite values.
     """
     N = u.shape[0] - 1
     half = 0.5 * dt
-    lap = np.empty_like(u)
+    need_pow = nonlin or rec_Ip is not None
+    vh_b, t_b, f_b, absu_b, upow_b = np.empty((5, N + 1))
+    live_b = np.empty(N + 1, dtype=bool)
     for step in range(nsteps):
         m = m0 + step + 1
         n = min(edge + _EDGE_PAD, N - 1) + 1          # active cells 0..n-1
-        uw, vw, aw, lw = u[:n], v[:n], a[:n], lap[:n]
+        uw, vw, aw = u[:n], v[:n], a[:n]
+        vh, t, f, absu = vh_b[:n], t_b[:n], f_b[:n], absu_b[:n]
         c1 = msq[m]
         b1 = bh[m]
-        vh = vw + half * aw
-        uw += dt * vh
-        _stencil(u, A, B, C, n, lap)
-        absu = np.abs(uw)
-        upow = absu ** p
-        f = c1 * (lw + upow) if nonlin else c1 * lw
-        vw[:] = (vh + half * f) / (1.0 + b1)
-        aw[:] = f - (2.0 * b1 / dt) * vw
-        sup = float(np.max(absu))
-        nz = np.flatnonzero(~(absu <= _EDGE_REL * sup))   # "not <=": NaN is live
+        np.multiply(aw, half, out=vh)                 # vh = v + dt/2 a
+        vh += vw
+        np.multiply(vh, dt, out=t)                    # u += dt vh
+        uw += t
+        _stencil(u, A, B, C, n, f_b, t_b)             # f = msq (L u + |u|^p)
+        np.abs(uw, out=absu)
+        if need_pow:
+            upow = upow_b[:n]
+            np.power(absu, p, out=upow)
+            if nonlin:
+                f += upow
+        f *= c1
+        np.multiply(f, half, out=t)                   # v = (vh+dt/2 f)/(1+bh)
+        t += vh
+        np.divide(t, 1.0 + b1, out=vw)
+        np.multiply(vw, 2.0 * b1 / dt, out=t)         # a = f - (2 bh/dt) v
+        np.subtract(f, t, out=aw)
+        sup = absu.max()
+        live = live_b[:n]                             # "not <=": NaN is live
+        np.less_equal(absu, _EDGE_REL * sup, out=live)
+        np.logical_not(live, out=live)
+        nz = live.nonzero()[0]
         edge = int(nz[-1]) if len(nz) else 0
         rec_sup[m] = sup
-        rec_F[m] = float(uw @ V[:n])
-        rec_Ip[m] = float(upow @ V[:n])
-        rec_G[m] = float(uw @ (phiV[:n] * esc[m]))
+        if rec_F is not None:
+            rec_F[m] = uw @ V[:n]
+        if rec_Ip is not None:
+            rec_Ip[m] = upow @ V[:n]
+        if rec_G is not None:
+            np.multiply(phiV[:n], esc[m], out=t)
+            rec_G[m] = uw @ t
         rec_edge[m] = edge
-        if not np.isfinite(sup):
+        if not math.isfinite(sup):
             return m, 2, edge
         if sup > sup_cap:
             return m, 1, edge

@@ -221,7 +221,9 @@ def _run_solve(cfg: ExperimentConfig):
         raise ConfigurationError(
             "config key run.snapshot_file needs run.snapshots")
     stride = number(run, "run", "stride", 1, integer=True, positive=True)
-    traj = evolve(profile, dprof, data, eps, scfg, p=p, snapshot_times=snaps)
+    # F and Fpp go only to the CSV table
+    traj = evolve(profile, dprof, data, eps, scfg, p=p, snapshot_times=snaps,
+                  functionals=cfg.csv is not None)
     sup_rep = solver_mod.check_support_trajectory(traj)
     report = {
         "status": traj.status, "t_end": float(traj.t[-1]), "dt": traj.dt,
@@ -235,6 +237,8 @@ def _run_solve(cfg: ExperimentConfig):
         with open(snap_file, "wb") as f:
             np.save(f, np.stack([traj.snap_u, traj.snap_v], axis=1))
         report["snapshot_times"] = [float(t) for t in traj.snap_t]
+    if traj.F is None:
+        return True, report, None
     fpp, edge_r = traj.fpp, traj.edge_r
     rows = ((traj.t[i], traj.F[i], fpp[i], traj.sup[i], edge_r[i])
             for i in range(0, len(traj.t), stride))
@@ -277,7 +281,8 @@ def _run_critical(cfg: ExperimentConfig):
     step = number(run, "run", "snapshot_step", 0.5, positive=True)
     snaps = list(np.arange(0.0, t_max + 1e-9, step))
     traj = solver_mod.evolve_transformed(profile, dprof, data, eps, scfg,
-                                         p=p, snapshot_times=snaps)
+                                         p=p, snapshot_times=snaps,
+                                         functionals=False)
     # the family spans the solver grid, which Discretization already sized
     ev = critical_mod.build_evaluator(
         profile, dprof, q=q, r_max=float(traj.r[-1]), r1=traj.r1,

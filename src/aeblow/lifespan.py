@@ -115,7 +115,8 @@ def detect_blowup(metric: MetricProfile, damping: DampingProfile | None,
     evolve = _evolver(mode)
     # the cap must sit above the largest detection threshold
     cap = max(config.sup_cap, 1e11 * eps)
-    traj = evolve(metric, damping, data, eps, replace(config, sup_cap=cap), p=p)
+    traj = evolve(metric, damping, data, eps, replace(config, sup_cap=cap),
+                  p=p, functionals=False)
     crossings = _crossing_times(traj, eps) if eps > 0 else []
     blew = len(crossings) == len(THRESHOLD_FACTORS)
     t_det = _aitken(*crossings) if blew else float("nan")

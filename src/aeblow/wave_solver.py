@@ -178,7 +178,7 @@ class Discretization:
 
     def lap(self, u: np.ndarray) -> np.ndarray:
         out = _kernels._stencil(u, self.A, self.B, self.C, self.N,
-                                np.empty_like(u))
+                                np.empty_like(u), np.empty_like(u))
         out[self.N] = 0.0
         return out
 
@@ -228,10 +228,9 @@ def step(state: RadialWaveState, dt: float) -> RadialWaveState:
     msq, bh, _ = disc.schedule(np.full(2, t1), dt)
     u, v, a = state.u.copy(), state.v.copy(), state.a.copy()
     _, status, _ = _kernels.advance_segment(
-        u, v, a, disc.A, disc.B, disc.C, disc.V, np.zeros_like(u), np.ones(2),
-        msq, bh, dt, disc.p,
-        1 if disc.config.nonlinear else 0, 0, 1, math.inf,
-        *(np.zeros(2) for _ in range(4)), np.zeros(2, dtype=np.int64),
+        u, v, a, disc.A, disc.B, disc.C, disc.V, None, None, msq, bh, dt,
+        disc.p, 1 if disc.config.nonlinear else 0, 0, 1, math.inf,
+        np.empty(2), None, None, None, np.empty(2, dtype=np.int64),
         _support_edge(u, v))
     if status == 2:
         raise IntegrationError("non-finite values: blow-up reached inside step")
@@ -252,6 +251,10 @@ class Trajectory:
     long runs and the O(eps) part would drown in float cancellation noise.
     eta holds eta(s) for the transformed mode and t itself for the direct
     mode, so eta + r1 is always the support budget in int-K units.
+
+    An evolution run with functionals=False records neither F nor int_up:
+    both are None, and so is fpp, so a reader that needs them fails at once
+    instead of reading zeros.
     """
 
     mode: str
@@ -263,8 +266,8 @@ class Trajectory:
     r: np.ndarray
     t: np.ndarray
     sup: np.ndarray
-    F: np.ndarray
-    int_up: np.ndarray
+    F: np.ndarray | None
+    int_up: np.ndarray | None
     H: np.ndarray
     edge: np.ndarray
     msq: np.ndarray
@@ -283,39 +286,40 @@ class Trajectory:
         return self.edge * self.dr
 
     @property
-    def fpp(self) -> np.ndarray:
+    def fpp(self) -> np.ndarray | None:
         """F'' through the integrated equation, not by differencing."""
-        return self.msq * self.int_up
+        return None if self.int_up is None else self.msq * self.int_up
 
 
-def _evolve(state: RadialWaveState, snapshot_times=None,
-            phi_sol=None) -> Trajectory:
+def _evolve(state: RadialWaveState, snapshot_times=None, phi_sol=None,
+            functionals: bool = True) -> Trajectory:
     disc = state.disc
     cfg = disc.config
-    phiV = np.zeros_like(disc.V) if phi_sol is None \
-        else _phi_on_grid(disc, phi_sol) * disc.V
     tmax = cfg.tmax
     nsteps = int(math.ceil(tmax / disc.dt_max - 1e-12))
     dt = tmax / nsteps
     tgrid = np.arange(nsteps + 1) * dt
     msq_arr, bh_arr, eta_full = disc.schedule(tgrid, dt)
-    esc = np.ones(nsteps + 1) if phi_sol is None \
-        else np.exp(-phi_sol.lam * eta_full)
 
     u = state.u.copy()
     v = state.v.copy()
     a = state.a.copy()
     rec_sup = np.zeros(nsteps + 1)
-    rec_F = np.zeros(nsteps + 1)
-    rec_Ip = np.zeros(nsteps + 1)
-    rec_G = np.zeros(nsteps + 1)
     rec_edge = np.zeros(nsteps + 1, dtype=np.int64)
     absu = np.abs(u)
     rec_sup[0] = float(absu.max())
-    rec_F[0] = float(u @ disc.V)
-    rec_Ip[0] = float(absu ** disc.p @ disc.V)
-    rec_G[0] = float(u @ phiV) * esc[0]
     edge = rec_edge[0] = _support_edge(u, v)
+    rec_F = rec_Ip = rec_G = phiV = esc = None
+    if functionals:
+        rec_F = np.zeros(nsteps + 1)
+        rec_Ip = np.zeros(nsteps + 1)
+        rec_F[0] = float(u @ disc.V)
+        rec_Ip[0] = float(absu ** disc.p @ disc.V)
+    if phi_sol is not None:
+        phiV = _phi_on_grid(disc, phi_sol) * disc.V
+        esc = np.exp(-phi_sol.lam * eta_full)
+        rec_G = np.zeros(nsteps + 1)
+        rec_G[0] = float(u @ phiV) * esc[0]
 
     nonlin = 1 if cfg.nonlinear else 0
     snaps_req = sorted(float(ts) for ts in (snapshot_times or []))
@@ -344,8 +348,11 @@ def _evolve(state: RadialWaveState, snapshot_times=None,
     last = m_cur + 1
     return Trajectory(
         mode=disc.mode, n=disc.n, eps=disc.eps, p=disc.p, dr=disc.dr, dt=dt,
-        r=disc.r, t=tgrid[:last], sup=rec_sup[:last], F=rec_F[:last],
-        int_up=rec_Ip[:last], H=rec_G[:last], edge=rec_edge[:last],
+        r=disc.r, t=tgrid[:last], sup=rec_sup[:last],
+        F=None if rec_F is None else rec_F[:last],
+        int_up=None if rec_Ip is None else rec_Ip[:last],
+        H=np.zeros(last) if rec_G is None else rec_G[:last],
+        edge=rec_edge[:last],
         msq=msq_arr[:last], eta=eta_full[:last].copy(), kint=disc.kint,
         V=disc.V, r1=disc.r1, delta0=disc.delta0,
         status={0: "completed", 1: "blowup", 2: "nonfinite"}[status],
@@ -362,19 +369,25 @@ def _phi_on_grid(disc: Discretization, phi_sol) -> np.ndarray:
 def evolve_transformed(metric: MetricProfile, damping: DampingProfile | None,
                        data: DataProfile, eps: float, config: SolverConfig,
                        p: float = 2.0, snapshot_times=None,
-                       phi_sol=None) -> Trajectory:
-    """Evolve d_s^2 u = mt(s)^2 (Lap_g u + |u|^p) in the slow time s."""
+                       phi_sol=None, functionals: bool = True) -> Trajectory:
+    """Evolve d_s^2 u = mt(s)^2 (Lap_g u + |u|^p) in the slow time s.
+
+    functionals=False leaves F and int_up unrecorded (None) for callers that
+    read only sup, the edges and the snapshots."""
     state = init(metric, damping, data, eps, config, p=p, mode="transformed")
-    return _evolve(state, snapshot_times, phi_sol)
+    return _evolve(state, snapshot_times, phi_sol, functionals)
 
 
 def evolve_damped_direct(metric: MetricProfile, damping: DampingProfile | None,
                          data: DataProfile, eps: float, config: SolverConfig,
                          p: float = 2.0, snapshot_times=None,
-                         phi_sol=None) -> Trajectory:
-    """Evolve d_t^2 u + b(t) d_t u = Lap_g u + |u|^p in the original time."""
+                         phi_sol=None, functionals: bool = True) -> Trajectory:
+    """Evolve d_t^2 u + b(t) d_t u = Lap_g u + |u|^p in the original time.
+
+    functionals=False leaves F and int_up unrecorded (None) for callers that
+    read only sup, the edges and the snapshots."""
     state = init(metric, damping, data, eps, config, p=p, mode="direct")
-    return _evolve(state, snapshot_times, phi_sol)
+    return _evolve(state, snapshot_times, phi_sol, functionals)
 
 
 # -- functionals ---------------------------------------------------------------
@@ -438,6 +451,10 @@ def check_inequalities(traj: Trajectory) -> InequalityReport:
     if traj.mode != "transformed":
         raise ConfigurationError(
             "inequality report needs the transformed formulation")
+    if traj.F is None:
+        raise ConfigurationError(
+            "inequality report needs the F and int|u|^p records: evolve "
+            "with functionals=True")
     t = traj.t
     n, p, eps = traj.n, traj.p, traj.eps
     # Drop the runaway tail: once sup|u| passes the first detection threshold

@@ -1,5 +1,7 @@
+import math
+
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from aeblow import _kernels, metric, wave_solver as ws
 
@@ -52,27 +54,6 @@ def test_nan_cell_stops_with_nonfinite_status():
     *_, rec, _, m, status, _ = _run(_kernels.advance_segment, *args)
     assert (m, status) == (1, 2)
     assert np.isnan(rec[0][1])
-
-
-def test_segmented_run_equals_single_run():
-    args = _setup()
-    state, disc, dt, nsteps, msq, bh, phiV, esc = args
-    u1, v1, a1, rec1, e1, *_ = _run(_kernels.advance_segment, *args)
-    # same evolution split into two kernel calls
-    u = state.u.copy()
-    v = state.v.copy()
-    a = state.a.copy()
-    rec = [np.zeros(nsteps + 1) for _ in range(4)]
-    rec_edge = np.zeros(nsteps + 1, dtype=np.int64)
-    kern = _kernels.advance_segment
-    common = (disc.A, disc.B, disc.C, disc.V, phiV, esc, msq, bh, dt, disc.p, 1)
-    m, status, edge = kern(u, v, a, *common, 0, 120, 1e12, *rec, rec_edge,
-                           ws._support_edge(state.u, state.v))
-    m, status, edge = kern(u, v, a, *common, m, nsteps - m, 1e12, *rec,
-                           rec_edge, edge)
-    assert np.array_equal(u, u1)
-    for r, r1 in zip(rec, rec1):
-        assert np.array_equal(r, r1)
 
 
 def _full_grid(u, v, a, A, B, C, V, phiV, esc, msq, bh, dt, p, nonlin,
@@ -130,3 +111,103 @@ def test_windowed_equals_full_grid(u0_amp, u1_amp, b, nonlinear, p,
             m, status, edge = _kernels.advance_segment(
                 u, v, a, *common, m, stop - m, 1e12, *rec, rec_edge, edge)
     _assert_same_run((u, v, a, rec, rec_edge, m, status, edge), want)
+
+
+def _plain_kernel(u, v, a, A, B, C, V, phiV, esc, msq, bh, dt, p, nonlin,
+                  m0, nsteps, sup_cap, rec_sup, rec_F, rec_Ip, rec_G,
+                  rec_edge, edge):
+    """The windowed kernel written as one plain numpy expression per formula,
+    every record taken: advance_segment must match it bit for bit."""
+    N = u.shape[0] - 1
+    half = 0.5 * dt
+    lap = np.empty_like(u)
+    for step in range(nsteps):
+        m = m0 + step + 1
+        n = min(edge + _kernels._EDGE_PAD, N - 1) + 1
+        uw, vw, aw, lw = u[:n], v[:n], a[:n], lap[:n]
+        c1 = msq[m]
+        b1 = bh[m]
+        vh = vw + half * aw
+        uw += dt * vh
+        lap[0] = A[0] * (u[1] - u[0])
+        lap[1:n] = A[1:n] * u[2:n + 1] + B[1:n] * u[1:n] + C[1:n] * u[:n - 1]
+        absu = np.abs(uw)
+        upow = absu ** p
+        f = c1 * (lw + upow) if nonlin else c1 * lw
+        vw[:] = (vh + half * f) / (1.0 + b1)
+        aw[:] = f - (2.0 * b1 / dt) * vw
+        sup = float(np.max(absu))
+        nz = np.flatnonzero(~(absu <= _kernels._EDGE_REL * sup))
+        edge = int(nz[-1]) if len(nz) else 0
+        rec_sup[m] = sup
+        rec_F[m] = float(uw @ V[:n])
+        rec_Ip[m] = float(upow @ V[:n])
+        rec_G[m] = float(uw @ (phiV[:n] * esc[m]))
+        rec_edge[m] = edge
+        if not np.isfinite(sup):
+            return m, 2, edge
+        if sup > sup_cap:
+            return m, 1, edge
+    return m0 + nsteps, 0, edge
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@example(n=3, p=3.0, nonlinear=True, b=0.0, eps=10.0, u0_amp=1.0, u1_amp=1.0,
+         nsteps=250, cap=1e12, splits=[0.02], records=(True, True, True))
+@example(n=3, p=2.0, nonlinear=True, b=1.0, eps=20.0, u0_amp=1.0, u1_amp=1.0,
+         nsteps=250, cap=math.inf, splits=[0.02], records=(False, True, False))
+@given(n=st.sampled_from([2, 3, 4]),
+       p=st.one_of(st.just(2.0), st.just(3.0), st.floats(1.1, 3.5)),
+       nonlinear=st.booleans(), b=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+       eps=st.floats(0.1, 30.0), u0_amp=st.floats(0.0, 1.0),
+       u1_amp=st.floats(0.0, 1.0), nsteps=st.integers(1, 250),
+       cap=st.sampled_from([1e12, math.inf]),
+       splits=st.lists(st.floats(0.0, 1.0), max_size=3),
+       records=st.tuples(st.booleans(), st.booleans(), st.booleans()))
+def test_kernel_bit_exact_against_plain_expressions(n, p, nonlinear, b, eps,
+                                                    u0_amp, u1_amp, nsteps,
+                                                    cap, splits, records):
+    """Any p (the p == 2 square included), damping, segment splits and
+    records on or off: fields, records, edges and status equal the plain
+    expressions bit for bit, through blow-up (cap) and overflow (no cap)."""
+    cfg = ws.SolverConfig(dr=0.05, tmax=3.0, nonlinear=nonlinear)
+    state = ws.init(metric.flat_profile(n), None,
+                    ws.DataProfile(1.0, u0_amp, u1_amp), eps, cfg, p=p,
+                    mode="direct")
+    disc = state.disc
+    dt = disc.dt_max
+    tgrid = np.arange(nsteps + 1) * dt
+    msq = 1.0 + 0.5 * np.sin(tgrid)
+    bh = 0.5 * dt * b / (1.0 + tgrid)
+    phiV = np.exp(-disc.r) * disc.V
+    esc = np.exp(-0.2 * tgrid)
+    common = (disc.A, disc.B, disc.C, disc.V, phiV, esc, msq, bh, dt, p,
+              int(nonlinear))
+    edge0 = ws._support_edge(state.u, state.v)
+
+    u, v, a = state.u.copy(), state.v.copy(), state.a.copy()
+    want = [np.zeros(nsteps + 1) for _ in range(4)]
+    want_edge = np.zeros(nsteps + 1, dtype=np.int64)
+    with np.errstate(all="ignore"):   # overflow past an infinite cap
+        want_end = _plain_kernel(u, v, a, *common, 0, nsteps, cap, *want,
+                                 want_edge, edge0)
+    want_fields = (u, v, a)
+
+    # the same run in segments split at the drawn steps, records as drawn
+    u, v, a = state.u.copy(), state.v.copy(), state.a.copy()
+    got = [np.zeros(nsteps + 1)] + [np.zeros(nsteps + 1) if on else None
+                                    for on in records]
+    got_edge = np.zeros(nsteps + 1, dtype=np.int64)
+    m, status, edge = 0, 0, edge0
+    for stop in sorted(int(x * nsteps) for x in splits) + [nsteps]:
+        if status == 0 and stop > m:
+            with np.errstate(all="ignore"):
+                m, status, edge = _kernels.advance_segment(
+                    u, v, a, *common, m, stop - m, cap, *got, got_edge, edge)
+    assert (m, status, edge) == want_end
+    for g, w in zip((u, v, a), want_fields):
+        assert np.array_equal(g, w, equal_nan=True)
+    assert np.array_equal(got_edge, want_edge)
+    for g, w in zip(got, want):
+        if g is not None:
+            assert np.array_equal(g, w, equal_nan=True)

@@ -1,19 +1,20 @@
-"""Print the sha256 of every JSON report one benchmark pass writes.
+"""Print the sha256 of every report and CSV table one benchmark pass writes.
 
-Runs each job of ``bench/workloads.py`` for one workload and seed
-in-process, through ``aeblow.cli.main`` with the job's ``--set`` overrides,
-and prints one line per job: index, kind, exit status and the sha256 of the
-report (``-`` when the job wrote none).  Two checkouts that print the same
-lines wrote byte-identical reports.
+Runs each job of ``bench/workloads.py`` for one workload and each given seed
+in-process, through ``aeblow.cli.main`` with the job's ``--set`` overrides
+and a ``--csv`` path, and prints one line per job: seed, index, kind, exit
+status, the sha256 of the JSON report and that of the CSV table (``-`` when
+the job wrote none).  Two checkouts that print the same lines wrote
+byte-identical reports and tables.
 
-    python3 tools/report_digests.py --workload critical-n3 --seed 0
+    python3 tools/report_digests.py --workload critical-n3 --seed 0 1009
     python3 tools/report_digests.py --workload critical-n3 --seed 0 \\
         --checkout ../parent --keep /tmp/parent-reports
 
 ``--checkout`` imports aeblow and the job lists from another checkout, so a
 parent commit without this script can be measured too.  Reports go to a
-temporary directory, or to ``--keep DIR``; nothing is written under
-``bench/``.
+temporary directory, or to ``--keep DIR`` (one ``seed-N`` folder a seed);
+nothing is written under ``bench/``.
 """
 
 from __future__ import annotations
@@ -28,11 +29,16 @@ from pathlib import Path
 def _args(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", required=True)
-    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--seed", type=int, nargs="+", required=True)
     ap.add_argument("--checkout", default=str(Path(__file__).resolve().parents[1]),
                     help="checkout whose src and bench to use (default: this one)")
     ap.add_argument("--keep", help="directory that keeps the reports")
     return ap.parse_args(argv)
+
+
+def _digest(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() \
+        else "-"
 
 
 def main(argv=None) -> int:
@@ -48,17 +54,20 @@ def main(argv=None) -> int:
               f"from {root / 'src'}", file=sys.stderr)
         return 2
     with tempfile.TemporaryDirectory() as tmp:
-        outdir = Path(args.keep or tmp)
-        outdir.mkdir(parents=True, exist_ok=True)
-        for i, (kind, overrides) in enumerate(W.jobs_for(args.workload,
-                                                         args.seed)):
-            out = outdir / f"job-{i:03d}.json"
-            out.unlink(missing_ok=True)
-            sets = [arg for item in overrides for arg in ("--set", item)]
-            status = cli.main([kind, *sets, "--out", str(out)])
-            digest = (hashlib.sha256(out.read_bytes()).hexdigest()
-                      if out.exists() else "-")
-            print(f"{i:3d} {kind:8s} {status} {digest}", flush=True)
+        for seed in args.seed:
+            outdir = Path(args.keep or tmp) / f"seed-{seed}"
+            outdir.mkdir(parents=True, exist_ok=True)
+            for i, (kind, overrides) in enumerate(W.jobs_for(args.workload,
+                                                             seed)):
+                out = outdir / f"job-{i:03d}.json"
+                table = out.with_suffix(".csv")
+                out.unlink(missing_ok=True)
+                table.unlink(missing_ok=True)
+                sets = [arg for item in overrides for arg in ("--set", item)]
+                status = cli.main([kind, *sets, "--out", str(out),
+                                   "--csv", str(table)])
+                print(f"{seed} {i:3d} {kind:8s} {status} {_digest(out)} "
+                      f"{_digest(table)}", flush=True)
     return 0
 
 
