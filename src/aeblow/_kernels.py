@@ -3,8 +3,7 @@
 advance_segment runs one velocity-Verlet segment as numpy slices;
 wave_solver.step and the full evolutions both go through it.  _stencil is the
 radial divergence-form stencil L, shared with wave_solver.Discretization.lap,
-and _EDGE_REL the support-edge threshold, shared with
-wave_solver._support_edge.
+and _last_live the support-edge rule, shared with wave_solver._support_edge.
 
 State per node: u, v = du/dt, a = d2u/dt2.  One step m -> m+1:
 
@@ -26,7 +25,14 @@ changes no other value.
 
 Every window array op writes into buffers allocated once per call (out=),
 in the order of the formulas above, so the results are bit-for-bit those of
-the plain expressions.
+the plain expressions.  A step skips the passes whose result its own scalars
+already fix: the product by msq when msq[m+1] == 1.0 (zero damping, direct
+mode); the divide by 1 + bh and the term (2 bh/dt) v when bh[m+1] == 0.0
+(transformed mode, tabulated b past its table), where the stencil writes f
+straight into a and v = dt/2 f + vh; and p == 2.0 takes np.square for
+np.power, which gives the same bits.  A finite run therefore keeps its bits.
+Only an overflowing undamped step differs: a = f keeps an inf where
+f - 0 * v gave NaN, which moves no stop step or status.
 """
 
 from __future__ import annotations
@@ -54,6 +60,17 @@ def _stencil(u, A, B, C, n, out, tmp):
     return out
 
 
+def _last_live(x, sup, out=None):
+    """Last index i with x[i] not <= _EDGE_REL * sup, else 0; sup = max(x).
+
+    A NaN cell is live: it makes sup NaN, and then every cell is.  out is an
+    optional bool buffer as long as x."""
+    if math.isnan(sup):
+        return len(x) - 1
+    nz = np.greater(x, _EDGE_REL * sup, out=out).nonzero()[0]
+    return int(nz[-1]) if len(nz) else 0
+
+
 def advance_segment(u, v, a, A, B, C, V, phiV, esc, msq, bh, dt, p, nonlin,
                     m0, nsteps, sup_cap, rec_sup, rec_F, rec_Ip, rec_G,
                     rec_edge, edge):
@@ -66,38 +83,43 @@ def advance_segment(u, v, a, A, B, C, V, phiV, esc, msq, bh, dt, p, nonlin,
     N = u.shape[0] - 1
     half = 0.5 * dt
     need_pow = nonlin or rec_Ip is not None
+    square = p == 2.0
     vh_b, t_b, f_b, absu_b, upow_b = np.empty((5, N + 1))
     live_b = np.empty(N + 1, dtype=bool)
     for step in range(nsteps):
         m = m0 + step + 1
         n = min(edge + _EDGE_PAD, N - 1) + 1          # active cells 0..n-1
         uw, vw, aw = u[:n], v[:n], a[:n]
-        vh, t, f, absu = vh_b[:n], t_b[:n], f_b[:n], absu_b[:n]
+        vh, t, absu = vh_b[:n], t_b[:n], absu_b[:n]
         c1 = msq[m]
         b1 = bh[m]
         np.multiply(aw, half, out=vh)                 # vh = v + dt/2 a
         vh += vw
         np.multiply(vh, dt, out=t)                    # u += dt vh
         uw += t
-        _stencil(u, A, B, C, n, f_b, t_b)             # f = msq (L u + |u|^p)
+        damped = b1 != 0.0                            # undamped: a = f
+        f = _stencil(u, A, B, C, n, f_b if damped else a, t_b)[:n]
         np.abs(uw, out=absu)
         if need_pow:
             upow = upow_b[:n]
-            np.power(absu, p, out=upow)
+            if square:
+                np.square(absu, out=upow)
+            else:
+                np.power(absu, p, out=upow)
             if nonlin:
                 f += upow
-        f *= c1
+        if c1 != 1.0:
+            f *= c1
         np.multiply(f, half, out=t)                   # v = (vh+dt/2 f)/(1+bh)
-        t += vh
-        np.divide(t, 1.0 + b1, out=vw)
-        np.multiply(vw, 2.0 * b1 / dt, out=t)         # a = f - (2 bh/dt) v
-        np.subtract(f, t, out=aw)
+        if damped:
+            t += vh
+            np.divide(t, 1.0 + b1, out=vw)
+            np.multiply(vw, 2.0 * b1 / dt, out=t)     # a = f - (2 bh/dt) v
+            np.subtract(f, t, out=aw)
+        else:
+            np.add(t, vh, out=vw)
         sup = absu.max()
-        live = live_b[:n]                             # "not <=": NaN is live
-        np.less_equal(absu, _EDGE_REL * sup, out=live)
-        np.logical_not(live, out=live)
-        nz = live.nonzero()[0]
-        edge = int(nz[-1]) if len(nz) else 0
+        edge = _last_live(absu, sup, live_b[:n])
         rec_sup[m] = sup
         if rec_F is not None:
             rec_F[m] = uw @ V[:n]

@@ -214,8 +214,7 @@ def init(metric: MetricProfile, damping: DampingProfile | None,
 def _support_edge(u: np.ndarray, v: np.ndarray) -> int:
     """Last cell where max(|u|, |v|) is live by the kernel's edge rule, else 0."""
     live = np.maximum(np.abs(u), np.abs(v))
-    nz = np.flatnonzero(~(live <= _kernels._EDGE_REL * float(live.max())))
-    return int(nz[-1]) if len(nz) else 0
+    return _kernels._last_live(live, live.max())
 
 
 def step(state: RadialWaveState, dt: float) -> RadialWaveState:

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from aeblow import _kernels, metric, wave_solver as ws
@@ -54,6 +55,19 @@ def test_nan_cell_stops_with_nonfinite_status():
     *_, rec, _, m, status, _ = _run(_kernels.advance_segment, *args)
     assert (m, status) == (1, 2)
     assert np.isnan(rec[0][1])
+
+
+@pytest.mark.parametrize("x", [[0.0, 0.0], [1.0, 1e-13, 0.0],
+                               [0.0, 2.0, 3e-12, 0.0], [1.0, np.nan, 0.0, 0.0],
+                               [np.inf, 1.0, 0.0], [np.inf, 0.0, np.inf, 0.0]])
+def test_one_edge_rule_for_kernel_and_first_window(x):
+    # the last cell not <= 1e-12 sup (so NaN is live), else 0
+    x = np.array(x)
+    nz = np.flatnonzero(~(x <= _kernels._EDGE_REL * np.max(x)))
+    want = int(nz[-1]) if len(nz) else 0
+    assert _kernels._last_live(x, np.max(x)) == want
+    assert ws._support_edge(x, np.zeros_like(x)) == want
+    assert ws._support_edge(np.zeros_like(x), -x) == want
 
 
 def _full_grid(u, v, a, A, B, C, V, phiV, esc, msq, bh, dt, p, nonlin,
@@ -115,9 +129,13 @@ def test_windowed_equals_full_grid(u0_amp, u1_amp, b, nonlinear, p,
 
 def _plain_kernel(u, v, a, A, B, C, V, phiV, esc, msq, bh, dt, p, nonlin,
                   m0, nsteps, sup_cap, rec_sup, rec_F, rec_Ip, rec_G,
-                  rec_edge, edge):
+                  rec_edge, edge, *, undamped_a_is_f=True):
     """The windowed kernel written as one plain numpy expression per formula,
-    every record taken: advance_segment must match it bit for bit."""
+    every record taken: advance_segment must match it bit for bit.
+
+    A step with bh == 0 sets a = f, which is f - (2 bh/dt) v except where v
+    overflowed (0 * inf is NaN); undamped_a_is_f=False takes the damped
+    formula on every step instead."""
     N = u.shape[0] - 1
     half = 0.5 * dt
     lap = np.empty_like(u)
@@ -135,7 +153,10 @@ def _plain_kernel(u, v, a, A, B, C, V, phiV, esc, msq, bh, dt, p, nonlin,
         upow = absu ** p
         f = c1 * (lw + upow) if nonlin else c1 * lw
         vw[:] = (vh + half * f) / (1.0 + b1)
-        aw[:] = f - (2.0 * b1 / dt) * vw
+        if b1 == 0.0 and undamped_a_is_f:
+            aw[:] = f
+        else:
+            aw[:] = f - (2.0 * b1 / dt) * vw
         sup = float(np.max(absu))
         nz = np.flatnonzero(~(absu <= _kernels._EDGE_REL * sup))
         edge = int(nz[-1]) if len(nz) else 0
@@ -151,11 +172,27 @@ def _plain_kernel(u, v, a, A, B, C, V, phiV, esc, msq, bh, dt, p, nonlin,
     return m0 + nsteps, 0, edge
 
 
+def _steps(fracs, nsteps):
+    """The step range [lo, hi) between two drawn fractions of the run."""
+    lo, hi = sorted(int(x * (nsteps + 1)) for x in fracs)
+    return slice(lo, hi)
+
+
+_NO_STEPS = (0.0, 0.0)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @example(n=3, p=3.0, nonlinear=True, b=0.0, eps=10.0, u0_amp=1.0, u1_amp=1.0,
-         nsteps=250, cap=1e12, splits=[0.02], records=(True, True, True))
+         nsteps=250, cap=1e12, splits=[0.02], records=(True, True, True),
+         unit_msq=_NO_STEPS, zero_bh=_NO_STEPS)
 @example(n=3, p=2.0, nonlinear=True, b=1.0, eps=20.0, u0_amp=1.0, u1_amp=1.0,
-         nsteps=250, cap=math.inf, splits=[0.02], records=(False, True, False))
+         nsteps=250, cap=math.inf, splits=[0.02], records=(False, True, False),
+         unit_msq=_NO_STEPS, zero_bh=_NO_STEPS)
+# undamped overflow: f overflows a step before u does, v is inf, and a = f
+# keeps inf where the damped formula's 0 * inf gave NaN
+@example(n=2, p=3.0, nonlinear=True, b=0.0, eps=6.0, u0_amp=1.0, u1_amp=1.0,
+         nsteps=22, cap=math.inf, splits=[], records=(True, True, True),
+         unit_msq=_NO_STEPS, zero_bh=_NO_STEPS)
 @given(n=st.sampled_from([2, 3, 4]),
        p=st.one_of(st.just(2.0), st.just(3.0), st.floats(1.1, 3.5)),
        nonlinear=st.booleans(), b=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
@@ -163,13 +200,18 @@ def _plain_kernel(u, v, a, A, B, C, V, phiV, esc, msq, bh, dt, p, nonlin,
        u1_amp=st.floats(0.0, 1.0), nsteps=st.integers(1, 250),
        cap=st.sampled_from([1e12, math.inf]),
        splits=st.lists(st.floats(0.0, 1.0), max_size=3),
-       records=st.tuples(st.booleans(), st.booleans(), st.booleans()))
+       records=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+       unit_msq=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+       zero_bh=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
 def test_kernel_bit_exact_against_plain_expressions(n, p, nonlinear, b, eps,
                                                     u0_amp, u1_amp, nsteps,
-                                                    cap, splits, records):
+                                                    cap, splits, records,
+                                                    unit_msq, zero_bh):
     """Any p (the p == 2 square included), damping, segment splits and
     records on or off: fields, records, edges and status equal the plain
-    expressions bit for bit, through blow-up (cap) and overflow (no cap)."""
+    expressions bit for bit, through blow-up (cap) and overflow (no cap).
+    msq is exactly 1 and bh exactly 0 on drawn step ranges, so the skipped
+    passes and the switches to and from them run inside one segment."""
     cfg = ws.SolverConfig(dr=0.05, tmax=3.0, nonlinear=nonlinear)
     state = ws.init(metric.flat_profile(n), None,
                     ws.DataProfile(1.0, u0_amp, u1_amp), eps, cfg, p=p,
@@ -179,19 +221,24 @@ def test_kernel_bit_exact_against_plain_expressions(n, p, nonlinear, b, eps,
     tgrid = np.arange(nsteps + 1) * dt
     msq = 1.0 + 0.5 * np.sin(tgrid)
     bh = 0.5 * dt * b / (1.0 + tgrid)
+    msq[_steps(unit_msq, nsteps)] = 1.0
+    bh[_steps(zero_bh, nsteps)] = 0.0
     phiV = np.exp(-disc.r) * disc.V
     esc = np.exp(-0.2 * tgrid)
     common = (disc.A, disc.B, disc.C, disc.V, phiV, esc, msq, bh, dt, p,
               int(nonlinear))
     edge0 = ws._support_edge(state.u, state.v)
 
-    u, v, a = state.u.copy(), state.v.copy(), state.a.copy()
-    want = [np.zeros(nsteps + 1) for _ in range(4)]
-    want_edge = np.zeros(nsteps + 1, dtype=np.int64)
-    with np.errstate(all="ignore"):   # overflow past an infinite cap
-        want_end = _plain_kernel(u, v, a, *common, 0, nsteps, cap, *want,
-                                 want_edge, edge0)
-    want_fields = (u, v, a)
+    def plain(**kw):
+        u, v, a = state.u.copy(), state.v.copy(), state.a.copy()
+        recs = [np.zeros(nsteps + 1) for _ in range(4)]
+        rec_edge = np.zeros(nsteps + 1, dtype=np.int64)
+        with np.errstate(all="ignore"):   # overflow past an infinite cap
+            end = _plain_kernel(u, v, a, *common, 0, nsteps, cap, *recs,
+                                rec_edge, edge0, **kw)
+        return end, (u, v, a), recs, rec_edge
+
+    want_end, want_fields, want, want_edge = plain()
 
     # the same run in segments split at the drawn steps, records as drawn
     u, v, a = state.u.copy(), state.v.copy(), state.a.copy()
@@ -211,3 +258,9 @@ def test_kernel_bit_exact_against_plain_expressions(n, p, nonlinear, b, eps,
     for g, w in zip(got, want):
         if g is not None:
             assert np.array_equal(g, w, equal_nan=True)
+    if status == 2:
+        # a = f on undamped steps moves no stop step, status or finite cell
+        old_end, old_fields, *_ = plain(undamped_a_is_f=False)
+        assert old_end[:2] == (m, status)
+        for g, w in zip((u, v, a), old_fields):
+            assert np.array_equal(np.isfinite(g), np.isfinite(w))

@@ -167,7 +167,9 @@ def test_k_integral_and_table_damping_have_one_rule():
 
 
 def test_verlet_kernel_has_one_implementation():
-    # the step and its stencil, which Discretization.lap also calls
+    # the step, its stencil, which Discretization.lap also calls, and its
+    # edge rule, which wave_solver._support_edge also calls
     defined = {v for v in vars(_kernels).values()
                if inspect.isfunction(v) and v.__module__ == _kernels.__name__}
-    assert defined == {_kernels.advance_segment, _kernels._stencil}
+    assert defined == {_kernels.advance_segment, _kernels._stencil,
+                       _kernels._last_live}
