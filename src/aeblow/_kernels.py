@@ -19,9 +19,8 @@ _EDGE_REL sup|u| after the previous step (NaN cells count as live), so the
 window follows the light cone and cells beyond it keep their values.  On the
 window the step records sup|u| and the new edge, and, for each record array
 the caller passes instead of None, the integral of u (rec_F), of |u|^p
-(rec_Ip) and of u*phi*esc with the caller-supplied per-step scale esc
-(rec_G; phiV and esc are read only then).  A skipped record costs nothing and
-changes no other value.
+(rec_Ip) and of u*phi (rec_G, unscaled; phiV is read only then).  A skipped
+record costs nothing and changes no other value.
 
 Every window array op writes into buffers allocated once per call (out=),
 in the order of the formulas above, so the results are bit-for-bit those of
@@ -71,7 +70,7 @@ def _last_live(x, sup, out=None):
     return int(nz[-1]) if len(nz) else 0
 
 
-def advance_segment(u, v, a, A, B, C, V, phiV, esc, msq, bh, dt, p, nonlin,
+def advance_segment(u, v, a, A, B, C, V, phiV, msq, bh, dt, p, nonlin,
                     m0, nsteps, sup_cap, rec_sup, rec_F, rec_Ip, rec_G,
                     rec_edge, edge):
     """Advance nsteps; record scalars at global indices m0+1..
@@ -126,8 +125,7 @@ def advance_segment(u, v, a, A, B, C, V, phiV, esc, msq, bh, dt, p, nonlin,
         if rec_Ip is not None:
             rec_Ip[m] = upow @ V[:n]
         if rec_G is not None:
-            np.multiply(phiV[:n], esc[m], out=t)
-            rec_G[m] = uw @ t
+            rec_G[m] = uw @ phiV[:n]
         rec_edge[m] = edge
         if not math.isfinite(sup):
             return m, 2, edge

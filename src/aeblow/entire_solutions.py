@@ -128,6 +128,17 @@ def _shoot(profile: MetricProfile, lams: np.ndarray, r_max: float, dr: float):
     return grid, phi, log_phi, w
 
 
+def _rows_at(grid: np.ndarray, phi: np.ndarray, r) -> np.ndarray:
+    """phi (one row, or rows over grid) linearly interpolated at the radii r,
+    shape phi.shape[:-1] + r.shape; exact at grid nodes."""
+    r = np.asarray(r, dtype=float)
+    if np.any(r < grid[0] - 1e-12) or np.any(r > grid[-1] + 1e-12):
+        raise DomainError("radius outside the eigenfunction grid")
+    i = np.clip(np.searchsorted(grid, r), 1, len(grid) - 1)
+    s = (r - grid[i - 1]) / (grid[i] - grid[i - 1])
+    return (1.0 - s) * phi[..., i - 1] + s * phi[..., i]
+
+
 def build_entire_solution(profile: MetricProfile, lam: float, r_max: float,
                           dr: float = 0.05) -> EntireSolution:
     """The family of one, with the derivatives and int_0^r K that only the
@@ -160,7 +171,6 @@ def build_family(profile: MetricProfile, lams: np.ndarray, r_max: float,
 class EnvelopeReport:
     c_low: float
     c_high: float
-    inf_phi: float
 
 
 def verify_envelopes(sol: EntireSolution) -> EnvelopeReport:
@@ -169,9 +179,7 @@ def verify_envelopes(sol: EntireSolution) -> EnvelopeReport:
     log_env = (-(sol.profile.n - 1) / 2.0 * 0.5 * np.log1p((lam * sol.r) ** 2)
                + lam * sol.k_int)
     ratio = np.exp(sol.log_phi - log_env)
-    return EnvelopeReport(c_low=float(ratio.min()),
-                          c_high=float(ratio.max()),
-                          inf_phi=float(sol.phi.min()))
+    return EnvelopeReport(c_low=float(ratio.min()), c_high=float(ratio.max()))
 
 
 def verify_derivative_bounds(sol: EntireSolution) -> float:

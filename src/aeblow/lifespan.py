@@ -20,8 +20,8 @@ from .errors import (ConfigurationError, DomainError, InsufficientDataError,
                      PositivityError)
 from .metric import MetricProfile
 from .ode_lab import _aitken
-from .wave_solver import (DataProfile, SolverConfig, Trajectory,
-                          evolve_damped_direct, evolve_transformed)
+from .wave_solver import (THRESHOLD_FACTORS, DataProfile, SolverConfig,
+                          Trajectory, evolve_damped_direct, evolve_transformed)
 
 __all__ = [
     "critical_exponent",
@@ -33,8 +33,6 @@ __all__ = [
     "sweep_and_fit",
     "geometric_eps_grid",
 ]
-
-THRESHOLD_FACTORS = (1e6, 1e8, 1e10)
 
 
 def critical_exponent(n: int) -> float:
@@ -114,7 +112,7 @@ def detect_blowup(metric: MetricProfile, damping: DampingProfile | None,
     """
     evolve = _evolver(mode)
     # the cap must sit above the largest detection threshold
-    cap = max(config.sup_cap, 1e11 * eps)
+    cap = max(config.sup_cap, 10 * THRESHOLD_FACTORS[-1] * eps)
     traj = evolve(metric, damping, data, eps, replace(config, sup_cap=cap),
                   p=p, functionals=False)
     crossings = _crossing_times(traj, eps) if eps > 0 else []

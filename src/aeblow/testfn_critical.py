@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .damping import DampingProfile, eta_of_s
-from .entire_solutions import EigenFamily, build_family, lambda_max
+from .entire_solutions import EigenFamily, _rows_at, build_family, lambda_max
 from .errors import ConfigurationError, DomainError
 from .lifespan import critical_exponent
 from .metric import MetricProfile, k_integral
@@ -111,25 +111,14 @@ def _time_weight(ev: XiEvaluator, T: float, eta_T: float, t, eta_t):
         return np.where(t < T, (a - b) / (2.0 * lam * (T - t)), a)
 
 
-def _phi_at(ev: XiEvaluator, r) -> np.ndarray:
-    """Every family row linearly interpolated at r (a radius or an array of
-    radii, giving shape (n_lambda,) + r.shape); exact at grid nodes."""
-    fr = ev.family.r
-    r = np.asarray(r, dtype=float)
-    if np.any(r < fr[0] - 1e-12) or np.any(r > fr[-1] + 1e-12):
-        raise DomainError("radius outside the eigen-family grid")
-    i = np.clip(np.searchsorted(fr, r), 1, len(fr) - 1)
-    s = (r - fr[i - 1]) / (fr[i] - fr[i - 1])
-    return (1.0 - s) * ev.family.phi[:, i - 1] + s * ev.family.phi[:, i]
-
-
 def xi_q(ev: XiEvaluator, r: float, T: float, t: float) -> float:
     """Lambda integral of time-weight * phi_lam(r) * lam^q d lam."""
     if not 0.0 <= t <= T:
         raise DomainError("need 0 <= t <= T")
     eta_T, eta_t = eta_of_s(ev.damping, [T, t])
-    f = _time_weight(ev, T, eta_T, t, eta_t) * _phi_at(ev, r) \
-        * ev.family.lams ** ev.q
+    fam = ev.family
+    f = _time_weight(ev, T, eta_T, t, eta_t) * _rows_at(fam.r, fam.phi, r) \
+        * fam.lams ** ev.q
     return float(f @ ev.w)
 
 
@@ -228,7 +217,7 @@ def critical_F(traj, ev: XiEvaluator) -> CriticalReport:
     if len(traj.snap_t) < 3:
         raise ConfigurationError("trajectory carries too few snapshots")
     lam = ev.family.lams
-    phimat = _phi_at(ev, traj.r)       # rows of phi on the solver grid
+    phimat = _rows_at(ev.family.r, ev.family.phi, traj.r)   # on the solver grid
     wq = ev.w * lam ** ev.q
     vol = traj.V
     ts = np.asarray(traj.snap_t, dtype=float)

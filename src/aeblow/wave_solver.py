@@ -30,6 +30,7 @@ import numpy as np
 
 from . import _kernels
 from .damping import DampingProfile, eta_of_s, m_tilde, zero_damping
+from .entire_solutions import _rows_at
 from .errors import ConfigurationError, DomainError, IntegrationError
 from .metric import MetricProfile, eval_k, k_integral, k_integral_grid
 
@@ -44,7 +45,6 @@ __all__ = [
     "step",
     "evolve_transformed",
     "evolve_damped_direct",
-    "functional_H",
     "check_support_trajectory",
     "check_inequalities",
     "energy",
@@ -53,6 +53,8 @@ __all__ = [
 
 DEFAULT_CFL = 0.45
 _SLACK_CELLS = 2.0   # allowed support overshoot, in units of dr/delta0
+# sup|u| / eps levels whose crossings time a blow-up (lifespan.detect_blowup)
+THRESHOLD_FACTORS = (1e6, 1e8, 1e10)
 
 
 @dataclass(frozen=True)
@@ -227,7 +229,7 @@ def step(state: RadialWaveState, dt: float) -> RadialWaveState:
     msq, bh, _ = disc.schedule(np.full(2, t1), dt)
     u, v, a = state.u.copy(), state.v.copy(), state.a.copy()
     _, status, _ = _kernels.advance_segment(
-        u, v, a, disc.A, disc.B, disc.C, disc.V, None, None, msq, bh, dt,
+        u, v, a, disc.A, disc.B, disc.C, disc.V, None, msq, bh, dt,
         disc.p, 1 if disc.config.nonlinear else 0, 0, 1, math.inf,
         np.empty(2), None, None, None, np.empty(2, dtype=np.int64),
         _support_edge(u, v))
@@ -243,17 +245,16 @@ class Trajectory:
     """Per-step scalar records plus optional field snapshots.
 
     Scalars are sampled at every step: sup = sup|u|, F = integral of u dv_g,
-    int_up = integral of |u|^p dv_g, H = integral of u phi dv_g scaled by
-    exp(-lam eta(t)), lam the eigenfunction's own, fold step by step (zero
-    when no test eigenfunction was attached).  The fold happens inside the
-    accumulation because the unscaled pairing reaches exp(lam eta) ~ 1e80+ on
-    long runs and the O(eps) part would drown in float cancellation noise.
-    eta holds eta(s) for the transformed mode and t itself for the direct
-    mode, so eta + r1 is always the support budget in int-K units.
+    int_up = integral of |u|^p dv_g, H = exp(-lam eta(t)) times the integral
+    of u phi dv_g, lam the eigenfunction's own.  The pairing is recorded
+    unscaled, like F, and folded once after the run; a positive factor
+    cancels nothing, so no digit is lost.  eta holds eta(s) for the
+    transformed mode and t itself for the direct mode, so eta + r1 is always
+    the support budget in int-K units.
 
-    An evolution run with functionals=False records neither F nor int_up:
-    both are None, and so is fpp, so a reader that needs them fails at once
-    instead of reading zeros.
+    A record that was not asked for is None, so a reader that needs it fails
+    at once instead of reading zeros: F, int_up and fpp with
+    functionals=False, H without a test eigenfunction (phi_sol).
     """
 
     mode: str
@@ -267,7 +268,7 @@ class Trajectory:
     sup: np.ndarray
     F: np.ndarray | None
     int_up: np.ndarray | None
-    H: np.ndarray
+    H: np.ndarray | None
     edge: np.ndarray
     msq: np.ndarray
     eta: np.ndarray
@@ -308,17 +309,16 @@ def _evolve(state: RadialWaveState, snapshot_times=None, phi_sol=None,
     absu = np.abs(u)
     rec_sup[0] = float(absu.max())
     edge = rec_edge[0] = _support_edge(u, v)
-    rec_F = rec_Ip = rec_G = phiV = esc = None
+    rec_F = rec_Ip = rec_G = phiV = None
     if functionals:
         rec_F = np.zeros(nsteps + 1)
         rec_Ip = np.zeros(nsteps + 1)
         rec_F[0] = float(u @ disc.V)
         rec_Ip[0] = float(absu ** disc.p @ disc.V)
     if phi_sol is not None:
-        phiV = _phi_on_grid(disc, phi_sol) * disc.V
-        esc = np.exp(-phi_sol.lam * eta_full)
+        phiV = _rows_at(phi_sol.r, phi_sol.phi, disc.r) * disc.V
         rec_G = np.zeros(nsteps + 1)
-        rec_G[0] = float(u @ phiV) * esc[0]
+        rec_G[0] = float(u @ phiV)
 
     nonlin = 1 if cfg.nonlinear else 0
     snaps_req = sorted(float(ts) for ts in (snapshot_times or []))
@@ -334,8 +334,8 @@ def _evolve(state: RadialWaveState, snapshot_times=None, phi_sol=None,
             else min(int(math.floor(ts / dt + 1e-9)), nsteps)
         if m_target > m_cur and status == 0:
             m_cur, status, edge = _kernels.advance_segment(
-                u, v, a, disc.A, disc.B, disc.C, disc.V, phiV, esc, msq_arr,
-                bh_arr, dt, disc.p, nonlin, m_cur, m_target - m_cur,
+                u, v, a, disc.A, disc.B, disc.C, disc.V, phiV, msq_arr, bh_arr,
+                dt, disc.p, nonlin, m_cur, m_target - m_cur,
                 cfg.sup_cap, rec_sup, rec_F, rec_Ip, rec_G, rec_edge, edge)
         if ts is None or (status != 0 and m_cur * dt < ts - 1e-9):
             break
@@ -345,24 +345,19 @@ def _evolve(state: RadialWaveState, snapshot_times=None, phi_sol=None,
         snap_v.append(v + d * a)
 
     last = m_cur + 1
+    eta = eta_full[:last].copy()
     return Trajectory(
         mode=disc.mode, n=disc.n, eps=disc.eps, p=disc.p, dr=disc.dr, dt=dt,
         r=disc.r, t=tgrid[:last], sup=rec_sup[:last],
         F=None if rec_F is None else rec_F[:last],
         int_up=None if rec_Ip is None else rec_Ip[:last],
-        H=np.zeros(last) if rec_G is None else rec_G[:last],
+        H=None if rec_G is None else np.exp(-phi_sol.lam * eta) * rec_G[:last],
         edge=rec_edge[:last],
-        msq=msq_arr[:last], eta=eta_full[:last].copy(), kint=disc.kint,
+        msq=msq_arr[:last], eta=eta, kint=disc.kint,
         V=disc.V, r1=disc.r1, delta0=disc.delta0,
         status={0: "completed", 1: "blowup", 2: "nonfinite"}[status],
         snap_t=np.asarray(snap_t), snap_u=np.asarray(snap_u),
         snap_v=np.asarray(snap_v))
-
-
-def _phi_on_grid(disc: Discretization, phi_sol) -> np.ndarray:
-    if phi_sol.r[-1] < disc.r[-1] - 1e-9:
-        raise DomainError("eigenfunction grid does not cover the solver grid")
-    return np.interp(disc.r, phi_sol.r, phi_sol.phi)
 
 
 def evolve_transformed(metric: MetricProfile, damping: DampingProfile | None,
@@ -387,17 +382,6 @@ def evolve_damped_direct(metric: MetricProfile, damping: DampingProfile | None,
     read only sup, the edges and the snapshots."""
     state = init(metric, damping, data, eps, config, p=p, mode="direct")
     return _evolve(state, snapshot_times, phi_sol, functionals)
-
-
-# -- functionals ---------------------------------------------------------------
-
-def functional_H(state: RadialWaveState, phi_sol) -> float:
-    """H = exp(-lam eta) integral of u phi dv_g, lam = phi_sol.lam and eta
-    the physical time."""
-    disc = state.disc
-    tau = float(disc.schedule(state.t, 1.0)[2])
-    phi = _phi_on_grid(disc, phi_sol)
-    return math.exp(-phi_sol.lam * tau) * float(state.u @ (phi * disc.V))
 
 
 # -- support and inequality reports ---------------------------------------------
@@ -441,7 +425,6 @@ class InequalityReport:
     ratio_h: float
     ratio_ft: float
     fpp_identity_err: float
-    fpp_min: float
 
 
 def check_inequalities(traj: Trajectory) -> InequalityReport:
@@ -454,12 +437,16 @@ def check_inequalities(traj: Trajectory) -> InequalityReport:
         raise ConfigurationError(
             "inequality report needs the F and int|u|^p records: evolve "
             "with functionals=True")
+    if traj.H is None:
+        raise ConfigurationError(
+            "inequality report needs the pairing H: evolve with a test "
+            "eigenfunction phi_sol")
     t = traj.t
     n, p, eps = traj.n, traj.p, traj.eps
     # Drop the runaway tail: once sup|u| passes the first detection threshold
     # the focusing time scale falls below dt and the records stop meaning
-    # anything.  1e6*eps matches the coarsest lifespan-detector threshold.
-    hot = np.nonzero(traj.sup > 1e6 * eps)[0]
+    # anything.
+    hot = np.nonzero(traj.sup > THRESHOLD_FACTORS[0] * eps)[0]
     t_hi = t[hot[0]] if len(hot) else np.inf
     mask = (t >= 1.0) & (t < t_hi)
     if not np.any(mask):
@@ -486,8 +473,7 @@ def check_inequalities(traj: Trajectory) -> InequalityReport:
     fpp_identity_err = float(np.max(np.abs(d2 - fpp_in) / denom)) if len(d2) else 0.0
     return InequalityReport(
         ratio_ff=ratio_ff, ratio_fh=ratio_fh, ratio_h=ratio_h,
-        ratio_ft=ratio_ft, fpp_identity_err=fpp_identity_err,
-        fpp_min=float(traj.fpp.min()))
+        ratio_ft=ratio_ft, fpp_identity_err=fpp_identity_err)
 
 
 # -- energies ------------------------------------------------------------------

@@ -93,7 +93,7 @@ def test_envelopes_flat(flat3):
     assert rep.c_low == pytest.approx(
         -math.expm1(-2.0 * x) * math.sqrt(1.0 + x * x)
         / (2.0 * x * math.sinh(1.0)), rel=1e-9)
-    assert rep.inf_phi == pytest.approx(1.0 / math.sinh(1.0), rel=1e-9)
+    assert sol.phi.min() == pytest.approx(1.0 / math.sinh(1.0), rel=1e-9)
 
 
 def test_envelope_lambda_uniformity(powerlaw3):

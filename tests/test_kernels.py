@@ -14,22 +14,20 @@ def _setup():
     disc = state.disc
     dt = disc.dt_max
     nsteps = 200
-    tgrid = np.arange(nsteps + 1) * dt
     msq = np.ones(nsteps + 1)
     bh = np.zeros(nsteps + 1)
     phiV = np.exp(-disc.r) * disc.V
-    esc = np.exp(-0.2 * tgrid)
-    return state, disc, dt, nsteps, msq, bh, phiV, esc
+    return state, disc, dt, nsteps, msq, bh, phiV
 
 
-def _run(kern, state, disc, dt, nsteps, msq, bh, phiV, esc):
+def _run(kern, state, disc, dt, nsteps, msq, bh, phiV):
     u = state.u.copy()
     v = state.v.copy()
     a = state.a.copy()
     rec = [np.zeros(nsteps + 1) for _ in range(4)]
     rec_edge = np.zeros(nsteps + 1, dtype=np.int64)
     m, status, edge = kern(u, v, a, disc.A, disc.B, disc.C, disc.V, phiV,
-                           esc, msq, bh, dt, disc.p, 1 if disc.config.nonlinear
+                           msq, bh, dt, disc.p, 1 if disc.config.nonlinear
                            else 0, 0, nsteps, 1e12, *rec, rec_edge,
                            ws._support_edge(state.u, state.v))
     return u, v, a, rec, rec_edge, m, status, edge
@@ -70,7 +68,7 @@ def test_one_edge_rule_for_kernel_and_first_window(x):
     assert ws._support_edge(np.zeros_like(x), -x) == want
 
 
-def _full_grid(u, v, a, A, B, C, V, phiV, esc, msq, bh, dt, p, nonlin,
+def _full_grid(u, v, a, A, B, C, V, phiV, msq, bh, dt, p, nonlin,
                m0, nsteps, sup_cap, rec_sup, rec_F, rec_Ip, rec_G,
                rec_edge, edge):
     """Reference without a window: every cell but the Dirichlet one, each step."""
@@ -89,7 +87,7 @@ def _full_grid(u, v, a, A, B, C, V, phiV, esc, msq, bh, dt, p, nonlin,
         nz = np.flatnonzero(absu > 1e-12 * sup)
         edge = rec_edge[m] = nz[-1] if len(nz) else 0
         rec_sup[m], rec_F[m] = sup, u @ V
-        rec_Ip[m], rec_G[m] = absu ** p @ V, u @ (phiV * esc[m])
+        rec_Ip[m], rec_G[m] = absu ** p @ V, u @ phiV
         if not np.isfinite(sup) or sup > sup_cap:
             return m, 2 if not np.isfinite(sup) else 1, edge
     return m0 + nsteps, 0, edge
@@ -111,13 +109,12 @@ def test_windowed_equals_full_grid(u0_amp, u1_amp, b, nonlinear, p,
     msq = np.ones(nsteps + 1)
     bh = 0.5 * dt * b / (1.0 + tgrid)
     phiV = np.exp(-disc.r) * disc.V
-    esc = np.exp(-0.2 * tgrid)
-    want = _run(_full_grid, state, disc, dt, nsteps, msq, bh, phiV, esc)
+    want = _run(_full_grid, state, disc, dt, nsteps, msq, bh, phiV)
     # the windowed run is split into two kernel calls at a drawn step
     u, v, a = state.u.copy(), state.v.copy(), state.a.copy()
     rec = [np.zeros(nsteps + 1) for _ in range(4)]
     rec_edge = np.zeros(nsteps + 1, dtype=np.int64)
-    common = (disc.A, disc.B, disc.C, disc.V, phiV, esc, msq, bh, dt, p,
+    common = (disc.A, disc.B, disc.C, disc.V, phiV, msq, bh, dt, p,
               int(nonlinear))
     m, status, edge = 0, 0, ws._support_edge(state.u, state.v)
     for stop in (int(split * nsteps), nsteps):
@@ -127,7 +124,7 @@ def test_windowed_equals_full_grid(u0_amp, u1_amp, b, nonlinear, p,
     _assert_same_run((u, v, a, rec, rec_edge, m, status, edge), want)
 
 
-def _plain_kernel(u, v, a, A, B, C, V, phiV, esc, msq, bh, dt, p, nonlin,
+def _plain_kernel(u, v, a, A, B, C, V, phiV, msq, bh, dt, p, nonlin,
                   m0, nsteps, sup_cap, rec_sup, rec_F, rec_Ip, rec_G,
                   rec_edge, edge, *, undamped_a_is_f=True):
     """The windowed kernel written as one plain numpy expression per formula,
@@ -163,7 +160,7 @@ def _plain_kernel(u, v, a, A, B, C, V, phiV, esc, msq, bh, dt, p, nonlin,
         rec_sup[m] = sup
         rec_F[m] = float(uw @ V[:n])
         rec_Ip[m] = float(upow @ V[:n])
-        rec_G[m] = float(uw @ (phiV[:n] * esc[m]))
+        rec_G[m] = float(uw @ phiV[:n])
         rec_edge[m] = edge
         if not np.isfinite(sup):
             return m, 2, edge
@@ -224,8 +221,7 @@ def test_kernel_bit_exact_against_plain_expressions(n, p, nonlinear, b, eps,
     msq[_steps(unit_msq, nsteps)] = 1.0
     bh[_steps(zero_bh, nsteps)] = 0.0
     phiV = np.exp(-disc.r) * disc.V
-    esc = np.exp(-0.2 * tgrid)
-    common = (disc.A, disc.B, disc.C, disc.V, phiV, esc, msq, bh, dt, p,
+    common = (disc.A, disc.B, disc.C, disc.V, phiV, msq, bh, dt, p,
               int(nonlinear))
     edge0 = ws._support_edge(state.u, state.v)
 

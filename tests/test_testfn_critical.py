@@ -164,18 +164,25 @@ def _synthetic_evaluator(dr, cells, zero_damping):
 @given(dr=st.sampled_from([0.01, 0.05, 0.1, 0.3]),
        cells=st.integers(2, 400),
        frac=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
-def test_phi_at_matches_interp(zero_damping, dr, cells, frac):
+def test_rows_at_matches_interp(zero_damping, dr, cells, frac):
     ev = _synthetic_evaluator(dr, cells, zero_damping)
     fam = ev.family
     radii = np.array(frac) * fam.r[-1]
-    got = tc._phi_at(ev, radii)
+    got = es._rows_at(fam.r, fam.phi, radii)
     want = np.vstack([np.interp(radii, fam.r, row) for row in fam.phi])
     np.testing.assert_allclose(got, want, rtol=4 * np.finfo(float).eps,
                                atol=0.0)
-    assert np.array_equal(tc._phi_at(ev, fam.r), fam.phi)
+    assert np.array_equal(es._rows_at(fam.r, fam.phi, fam.r), fam.phi)
+    # a single row, as the solver samples one eigenfunction
+    row = fam.phi[-1]
+    np.testing.assert_allclose(es._rows_at(fam.r, row, radii), want[-1],
+                               rtol=4 * np.finfo(float).eps, atol=0.0)
+    assert np.array_equal(es._rows_at(fam.r, row, fam.r), row)
     for r_off in (-1e-9, fam.r[-1] + 1e-9):
-        with pytest.raises(DomainError):
-            tc._phi_at(ev, np.append(radii, r_off))
+        for phi in (fam.phi, row):
+            with pytest.raises(DomainError,
+                               match="outside the eigenfunction grid"):
+                es._rows_at(fam.r, phi, np.append(radii, r_off))
 
 
 # -- critical q ------------------------------------------------------------------
@@ -253,7 +260,7 @@ def _critical_F_pairwise(traj, ev):
     time weight and eta re-derived for each pair."""
     lam = ev.family.lams
     wq = ev.w * lam ** ev.q
-    phimat = tc._phi_at(ev, traj.r)
+    phimat = es._rows_at(ev.family.r, ev.family.phi, traj.r)
     ts = np.asarray(traj.snap_t, dtype=float)
     GU = (traj.snap_u * traj.V) @ phimat.T
     GP = (np.abs(traj.snap_u) ** traj.p * traj.V) @ phimat.T

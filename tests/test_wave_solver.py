@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -121,8 +120,10 @@ def test_second_difference_identity_discrete_exact(n, p, c, rho, u0_amp,
 
 def test_inequalities_use_the_run_dimension(flat2, zero_damping, bump_data):
     # F'' against |F|^p (1+t)^(-n(p-1)) with n = 2, the metric's own
+    phi = es.build_entire_solution(flat2, 0.2, 10.0, dr=0.05)
     traj = ws.evolve_transformed(flat2, zero_damping, bump_data, 0.3,
-                                 ws.SolverConfig(dr=0.05, tmax=4.0), p=2.5)
+                                 ws.SolverConfig(dr=0.05, tmax=4.0), p=2.5,
+                                 phi_sol=phi)
     assert traj.n == 2
     w = traj.t >= 1.0
     want = np.min(traj.fpp[w] / (np.abs(traj.F[w]) ** 2.5
@@ -180,25 +181,56 @@ def test_pairing_fold_identity(flat3, zero_damping, bump_data):
     cfg = ws.SolverConfig(dr=0.05, tmax=5.0, rmax=40.0)
     traj = ws.evolve_transformed(flat3, zero_damping, bump_data, 0.3, cfg,
                                  phi_sol=phi, snapshot_times=[5.0])
-    # the first and last records equal the functional on the same states,
-    # folded with the eigenfunction's own lambda
+    # the first and last records equal <u, phi>_V on the same states, folded
+    # with the eigenfunction's own lambda and eta(t) = t without damping
+    phiV = np.interp(traj.r, phi.r, phi.phi) * traj.V
     state = ws.init(flat3, zero_damping, bump_data, 0.3, cfg)
-    assert traj.H[0] == pytest.approx(ws.functional_H(state, phi), rel=1e-12)
+    assert traj.H[0] == pytest.approx(float(state.u @ phiV), rel=1e-12)
     assert traj.H[0] > 0
-    end = replace(state, t=5.0, u=traj.snap_u[-1])
-    assert traj.H[-1] == pytest.approx(ws.functional_H(end, phi), rel=1e-12)
-    # eta(5) = 5 without damping: exp(-0.2 * 5) scales the pairing
-    unscaled = float(traj.snap_u[-1] @ (np.interp(traj.r, phi.r, phi.phi)
-                                        * traj.V))
+    # exp(-0.2 * 5) scales the pairing at t = 5
+    unscaled = float(traj.snap_u[-1] @ phiV)
     assert traj.H[-1] == pytest.approx(math.exp(-1.0) * unscaled, rel=1e-12)
     assert traj.H[-1] == pytest.approx(0.372, abs=5e-4)
+
+
+@settings(max_examples=16, deadline=None, derandomize=True)
+@given(power_law=st.booleans(),
+       make_damping=st.sampled_from([
+           damping_mod.scattering_power_damping,
+           damping_mod.signed_oscillatory_damping]),
+       mode=st.sampled_from(["transformed", "direct"]),
+       mu=st.floats(0.2, 1.0), beta=st.floats(1.5, 2.5),
+       lam=st.floats(0.1, 0.6), eps=st.floats(0.05, 0.5),
+       tmax=st.floats(1.0, 4.0))
+def test_pairing_fold_identity_under_damping(flat3, powerlaw3, power_law,
+                                             make_damping, mode, mu, beta,
+                                             lam, eps, tmax):
+    """H = exp(-lam eta) <u, phi>_V at the first and the last step, with eta
+    the run's own physical time, whatever the damping does to it."""
+    prof = powerlaw3 if power_law else flat3
+    damping = make_damping(mu, beta)
+    data = ws.DataProfile(1.0, 1.0, 1.0)
+    cfg = ws.SolverConfig(dr=0.05, tmax=tmax)
+    state = ws.init(prof, damping, data, eps, cfg, mode=mode)
+    phi = es.build_entire_solution(prof, lam, float(state.disc.r[-1]) + 1.0,
+                                   dr=0.05)
+    evolve = (ws.evolve_transformed if mode == "transformed"
+              else ws.evolve_damped_direct)
+    traj = evolve(prof, damping, data, eps, cfg, phi_sol=phi,
+                  snapshot_times=[tmax])
+    assert traj.status == "completed"
+    phiV = np.interp(traj.r, phi.r, phi.phi) * traj.V
+    for H, eta, u in ((traj.H[0], traj.eta[0], state.u),
+                      (traj.H[-1], traj.eta[-1], traj.snap_u[-1])):
+        assert H == pytest.approx(math.exp(-lam * eta) * float(u @ phiV),
+                                  rel=1e-12)
 
 
 def test_eigenfunction_grid_must_cover_solver_grid(flat3, zero_damping,
                                                    bump_data):
     phi = es.build_entire_solution(flat3, 0.2, 10.0, dr=0.05)
     cfg = ws.SolverConfig(dr=0.05, tmax=5.0, rmax=40.0)
-    with pytest.raises(DomainError, match="does not cover"):
+    with pytest.raises(DomainError, match="outside the eigenfunction grid"):
         ws.evolve_transformed(flat3, zero_damping, bump_data, 0.3, cfg,
                               phi_sol=phi)
 
@@ -303,10 +335,13 @@ def test_records_off_contract(flat3, zero_damping, bump_data, monkeypatch,
 
 def test_pairing_exactly_zero_without_test_function(flat3, zero_damping,
                                                     bump_data):
+    # no eigenfunction, no pairing: H is None, and the report that reads it
+    # says so instead of measuring zeros
     traj = ws.evolve_transformed(flat3, zero_damping, bump_data, 0.3,
                                  ws.SolverConfig(dr=0.1, tmax=2.0))
-    assert traj.H.shape == traj.t.shape
-    assert not np.any(traj.H)
+    assert traj.H is None
+    with pytest.raises(ConfigurationError, match="phi_sol"):
+        ws.check_inequalities(traj)
 
 
 def test_inequality_report_requires_transformed(flat3, scat_damping,

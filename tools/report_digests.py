@@ -1,20 +1,20 @@
 """Print the sha256 of every report and CSV table one benchmark pass writes.
 
-Runs each job of ``bench/workloads.py`` for one workload and each given seed
+Runs each job of ``bench/workloads.py`` for each given workload and seed
 in-process, through ``aeblow.cli.main`` with the job's ``--set`` overrides
-and a ``--csv`` path, and prints one line per job: seed, index, kind, exit
-status, the sha256 of the JSON report and that of the CSV table (``-`` when
-the job wrote none).  Two checkouts that print the same lines wrote
-byte-identical reports and tables.
+and a ``--csv`` path, and prints one line per job: workload, seed, index,
+kind, exit status, the sha256 of the JSON report and that of the CSV table
+(``-`` when the job wrote none).  Two checkouts that print the same lines
+wrote byte-identical reports and tables.
 
     python3 tools/report_digests.py --workload critical-n3 --seed 0 1009
-    python3 tools/report_digests.py --workload critical-n3 --seed 0 \\
-        --checkout ../parent --keep /tmp/parent-reports
+    python3 tools/report_digests.py --workload sweep-n3 critical-n3 \\
+        damped-jobs --seed 0 --checkout ../parent --keep /tmp/parent-reports
 
 ``--checkout`` imports aeblow and the job lists from another checkout, so a
 parent commit without this script can be measured too.  Reports go to a
-temporary directory, or to ``--keep DIR`` (one ``seed-N`` folder a seed);
-nothing is written under ``bench/``.
+temporary directory, or to ``--keep DIR`` (one ``WORKLOAD/seed-N`` folder a
+workload and seed); nothing is written under ``bench/``.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from pathlib import Path
 
 def _args(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", nargs="+", required=True)
     ap.add_argument("--seed", type=int, nargs="+", required=True)
     ap.add_argument("--checkout", default=str(Path(__file__).resolve().parents[1]),
                     help="checkout whose src and bench to use (default: this one)")
@@ -54,20 +54,22 @@ def main(argv=None) -> int:
               f"from {root / 'src'}", file=sys.stderr)
         return 2
     with tempfile.TemporaryDirectory() as tmp:
-        for seed in args.seed:
-            outdir = Path(args.keep or tmp) / f"seed-{seed}"
-            outdir.mkdir(parents=True, exist_ok=True)
-            for i, (kind, overrides) in enumerate(W.jobs_for(args.workload,
-                                                             seed)):
-                out = outdir / f"job-{i:03d}.json"
-                table = out.with_suffix(".csv")
-                out.unlink(missing_ok=True)
-                table.unlink(missing_ok=True)
-                sets = [arg for item in overrides for arg in ("--set", item)]
-                status = cli.main([kind, *sets, "--out", str(out),
-                                   "--csv", str(table)])
-                print(f"{seed} {i:3d} {kind:8s} {status} {_digest(out)} "
-                      f"{_digest(table)}", flush=True)
+        for workload in args.workload:
+            for seed in args.seed:
+                outdir = Path(args.keep or tmp) / workload / f"seed-{seed}"
+                outdir.mkdir(parents=True, exist_ok=True)
+                for i, (kind, overrides) in enumerate(W.jobs_for(workload,
+                                                                 seed)):
+                    out = outdir / f"job-{i:03d}.json"
+                    table = out.with_suffix(".csv")
+                    out.unlink(missing_ok=True)
+                    table.unlink(missing_ok=True)
+                    sets = [arg for item in overrides
+                            for arg in ("--set", item)]
+                    status = cli.main([kind, *sets, "--out", str(out),
+                                       "--csv", str(table)])
+                    print(f"{workload} {seed} {i:3d} {kind:8s} {status} "
+                          f"{_digest(out)} {_digest(table)}", flush=True)
     return 0
 
 
