@@ -26,7 +26,7 @@ from . import ode_lab
 from . import testfn_critical as critical_mod
 from . import wave_solver as solver_mod
 from . import _config
-from ._config import from_block, number, numbers
+from ._config import from_block, number, numbers, text
 from .errors import AeblowError, ConfigurationError
 
 # a data or solver key left out takes its DataProfile or SolverConfig default
@@ -107,13 +107,13 @@ def _fnum(x):
 
 
 def _write_json(report: dict, path: str | None) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2,
+    body = json.dumps(report, sort_keys=True, indent=2,
                       allow_nan=True, default=float) + "\n"
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.write(body)
     else:
         with open(path, "w", newline="") as f:
-            f.write(text)
+            f.write(body)
 
 
 def _write_csv(header, rows, path: str | None) -> None:
@@ -214,9 +214,9 @@ def _run_solve(cfg: ExperimentConfig):
     run = cfg.run
     eps = number(run, "run", "eps")
     p = number(run, "run", "p")
-    evolve = lifespan_mod._evolver(run.get("solve_mode", "transformed"))
+    evolve = lifespan_mod._evolver(text(run, "run", "solve_mode", "transformed"))
     snaps = numbers(run, "run", "snapshots")
-    snap_file = _config.text(run, "run", "snapshot_file", None)
+    snap_file = text(run, "run", "snapshot_file", None)
     if snap_file is not None and not snaps:
         raise ConfigurationError(
             "config key run.snapshot_file needs run.snapshots")
@@ -262,7 +262,7 @@ def _run_sweep(cfg: ExperimentConfig):
         expo = number(run, "run", "tmax_exponent", 2.0)
         tmax_for = lambda e: min(scfg.tmax, budget / e ** expo)
     fit = lifespan_mod.sweep_and_fit(profile, dprof, data, grid, p, scfg,
-                                     mode=run.get("solve_mode", "transformed"),
+                                     mode=text(run, "run", "solve_mode", "transformed"),
                                      tmax_for=tmax_for)
     return True, fit.as_dict(), (["eps", "t_blowup"], zip(fit.eps, fit.t))
 

@@ -125,20 +125,56 @@ class DampingProfile:
     """Immutable integrable damping coefficient.
 
     kinds: "zero", "scattering-power" (b = mu (1+t)^-beta), "signed-oscillatory"
-    (b = mu cos(t) (1+t)^-beta), "tabulated".  l1_norm is a certified bound on
-    ||b||_L1 (analytic tail for the power kinds, declared tail tail_l1 for
-    tables).
+    (b = mu cos(t) (1+t)^-beta), both beta > 1, and "tabulated" (b interpolated
+    in table_t, table_b, zero beyond).  l1_norm, a certified bound on ||b||_L1
+    (analytic tail for the power kinds, declared tail tail_l1 for tables), and
+    the maps' dense caches are worked out here, never passed in.
     """
 
     kind: str
     mu: float = 0.0
     beta: float = 2.0
-    l1_norm: float = 0.0
+    l1_norm: float = field(init=False)
     table_t: np.ndarray | None = field(default=None, repr=False)
     table_b: np.ndarray | None = field(default=None, repr=False)
     tail_l1: float = 0.0
-    _cache: object | None = field(default=None, repr=False, compare=False)
-    _eta_cache: object | None = field(default=None, repr=False, compare=False)
+    _cache: object = field(init=False, repr=False, compare=False)
+    _eta_cache: object = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.kind not in _config.KIND_KEYS["damping"]:
+            raise ConfigurationError(f"unknown damping kind {self.kind!r}")
+        mu, beta = self.mu, self.beta
+        if self.kind == "tabulated":
+            t = np.asarray(self.table_t, dtype=float)
+            b = np.asarray(self.table_b, dtype=float)
+            if t.ndim != 1 or t.shape != b.shape or len(t) < 2 or t[0] != 0.0:
+                raise ConfigurationError("damping table must start at t=0, length >= 2")
+            if np.any(np.diff(t) <= 0):
+                raise ConfigurationError("damping table times must increase")
+            vars(self).update(table_t=t, table_b=b, tail_l1=float(self.tail_l1))
+            l1 = float(np.trapezoid(np.abs(b), t)) + self.tail_l1
+        elif self.kind != "zero" and beta <= 1:
+            what = "scattering" if self.kind == "scattering-power" else "oscillatory"
+            raise DomainError(f"{what} damping needs beta > 1")
+        elif self.kind == "signed-oscillatory":
+            from scipy.integrate import quad
+            # |b| <= |mu|(1+t)^-beta bounds the tail; integrate |cos| piecewise
+            # over its half-periods so quad never fights the oscillation
+            edges = np.arange(0.0, 200.0 + math.pi, math.pi / 2.0)
+            head = sum(quad(lambda t: abs(mu * math.cos(t)) * (1.0 + t) ** (-beta),
+                            a, b, epsabs=1e-13, epsrel=1e-11)[0]
+                       for a, b in zip(edges[:-1], edges[1:]))
+            l1 = head + abs(mu) * (1.0 + 200.0) ** (1.0 - beta) / (beta - 1.0)
+        else:
+            l1 = 0.0 if self.kind == "zero" else abs(mu) / (beta - 1.0)
+        # _cache solves c' = b (c = int b), h' = exp(-c); _eta_cache eta' = m(eta).
+        # Their right-hand sides see the profile through a weak proxy, so no
+        # reference cycle keeps a dropped profile and its dense solutions alive.
+        ref = weakref.proxy(self)
+        vars(self).update(l1_norm=l1, _cache=_DenseODE(
+            lambda t, y: [ref.b(t), np.exp(-y[0])], [0.0, 0.0], "damping cache"),
+            _eta_cache=_DenseODE(lambda s, y: [m_of_t(ref, y[0])], [0.0], "eta"))
 
     @property
     def delta1(self) -> float:
@@ -159,47 +195,17 @@ class DampingProfile:
 
 
 def zero_damping() -> DampingProfile:
-    return DampingProfile(kind="zero", l1_norm=0.0)
-
-
-def _finish(profile: DampingProfile) -> DampingProfile:
-    # caches are mutable helpers living on a frozen dataclass; they hold
-    # derived state only, so sharing the profile across workers stays safe
-    # _cache solves c' = b (c = int b) and h' = exp(-c); _eta_cache solves
-    # eta'(s) = m(eta(s)), eta(0) = 0.  The right-hand sides reach the
-    # profile through a weak proxy, so no reference cycle keeps a dropped
-    # profile and its dense solutions alive until the cyclic collector runs.
-    ref = weakref.proxy(profile)
-    object.__setattr__(profile, "_cache", _DenseODE(
-        lambda t, y: [ref.b(t), np.exp(-y[0])], [0.0, 0.0], "damping cache"))
-    object.__setattr__(profile, "_eta_cache", _DenseODE(
-        lambda s, y: [m_of_t(ref, y[0])], [0.0], "eta"))
-    return profile
+    return DampingProfile(kind="zero")
 
 
 def scattering_power_damping(mu: float, beta: float) -> DampingProfile:
     """b(t) = mu (1+t)^-beta with beta > 1; ||b||_L1 = |mu|/(beta-1)."""
-    if beta <= 1:
-        raise DomainError("scattering damping needs beta > 1")
-    return _finish(DampingProfile(kind="scattering-power", mu=mu, beta=beta,
-                                  l1_norm=abs(mu) / (beta - 1.0)))
+    return DampingProfile(kind="scattering-power", mu=mu, beta=beta)
 
 
 def signed_oscillatory_damping(mu: float, beta: float) -> DampingProfile:
     """b(t) = mu cos(t) (1+t)^-beta, beta > 1 -- sign-changing, integrable."""
-    if beta <= 1:
-        raise DomainError("oscillatory damping needs beta > 1")
-    from scipy.integrate import quad
-    # |b| <= |mu|(1+t)^-beta, so the power-kind tail bound certifies L1
-    # integrate |cos| piecewise over its half-periods so quad never fights
-    # the oscillation
-    edges = np.arange(0.0, 200.0 + math.pi, math.pi / 2.0)
-    head = sum(quad(lambda t: abs(mu * math.cos(t)) * (1.0 + t) ** (-beta),
-                    a, b, epsabs=1e-13, epsrel=1e-11)[0]
-               for a, b in zip(edges[:-1], edges[1:]))
-    tail = abs(mu) * (1.0 + 200.0) ** (1.0 - beta) / (beta - 1.0)
-    return _finish(DampingProfile(kind="signed-oscillatory", mu=mu, beta=beta,
-                                  l1_norm=head + tail))
+    return DampingProfile(kind="signed-oscillatory", mu=mu, beta=beta)
 
 
 def tabulated_damping(t, b, tail_l1: float = 0.0) -> DampingProfile:
@@ -207,16 +213,7 @@ def tabulated_damping(t, b, tail_l1: float = 0.0) -> DampingProfile:
 
     tail_l1 is a user-declared bound on the L1 mass beyond the table end.
     """
-    t = np.asarray(t, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if t.ndim != 1 or t.shape != b.shape or len(t) < 2 or t[0] != 0.0:
-        raise ConfigurationError("damping table must start at t=0, length >= 2")
-    if np.any(np.diff(t) <= 0):
-        raise ConfigurationError("damping table times must increase")
-    l1 = float(np.trapezoid(np.abs(b), t)) + float(tail_l1)
-    prof = DampingProfile(kind="tabulated", l1_norm=l1, table_t=t, table_b=b,
-                          tail_l1=float(tail_l1))
-    return _finish(prof)
+    return DampingProfile(kind="tabulated", table_t=t, table_b=b, tail_l1=tail_l1)
 
 
 # -- change-of-variable maps --------------------------------------------------

@@ -49,68 +49,70 @@ class MetricProfile:
     """Immutable spherically symmetric metric profile.
 
     kind is one of "flat", "power-law", "tabulated".  For the power-law family
-    K(r) = 1 + c <r>^(-rho).  Tabulated profiles are evaluated through a
-    clamped cubic spline of the user table.
+    K(r) = 1 + c <r>^(-rho) with c in [-1/2, 1/2] and rho > 0.  A tabulated
+    profile is evaluated through a clamped cubic spline of its samples
+    table_r, table_k.  name, delta0 (K lies in (delta0, 1/delta0)) and the
+    spline are worked out here from the other fields, never passed in.
     """
 
-    name: str
+    name: str = field(init=False)
     n: int
     kind: str
-    delta0: float
+    delta0: float = field(init=False)
     rho: float = 1.0
     c: float = 0.0
     table_r: np.ndarray | None = field(default=None, repr=False)
     table_k: np.ndarray | None = field(default=None, repr=False)
-    _spline: object | None = field(default=None, repr=False, compare=False)
+    _spline: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.kind not in _config.KIND_KEYS["metric"]:
+            raise ConfigurationError(f"unknown metric kind {self.kind!r}")
+        # derived fields go straight into the instance dict: it is frozen
+        if self.kind == "flat":
+            vars(self).update(name=f"flat-n{self.n}", delta0=0.99)
+        elif self.kind == "power-law":
+            c, rho = self.c, self.rho
+            if not -0.5 <= c <= 0.5:
+                raise DomainError(f"c must lie in [-1/2, 1/2], got {c}")
+            if rho <= 0:
+                raise DomainError(f"rho must be positive, got {rho}")
+            # K ranges over (1, 1+c] for c > 0 and [1+c, 1) for c < 0; delta0
+            # must bound K on both sides, so the tight choice is sign-dependent.
+            vars(self).update(name=f"power-n{self.n}-c{c}-rho{rho}",
+                              delta0=(1.0 / (1.0 + c) if c >= 0.0 else 1.0 + c) * 0.99)
+        else:
+            r = np.asarray(self.table_r, dtype=float)
+            k = np.asarray(self.table_k, dtype=float)
+            if r.ndim != 1 or r.shape != k.shape or len(r) < 4:
+                raise ConfigurationError(
+                    "table must be two equal 1-d arrays, length >= 4")
+            if np.any(np.diff(r) <= 0) or r[0] != 0.0:
+                raise ConfigurationError("table radii must start at 0 and increase")
+            if np.any(k <= 0):
+                raise ConfigurationError("tabulated K must be positive")
+            from scipy.interpolate import CubicSpline
+            delta0 = max(min(float(k.min()), 1.0 / float(k.max())), 1e-6) * 0.99
+            vars(self).update(name="tabulated", delta0=delta0, table_r=r, table_k=k,
+                              _spline=CubicSpline(r, k, bc_type="clamped"))
         if self.n < 2:
             raise DomainError(f"spatial dimension must be >= 2, got {self.n}")
-        if not 0.0 < self.delta0 < 1.0:
-            raise DomainError(f"delta0 must lie in (0,1), got {self.delta0}")
-        if self.kind not in ("flat", "power-law", "tabulated"):
-            raise ConfigurationError(f"unknown metric kind {self.kind!r}")
 
 
 def flat_profile(n: int) -> MetricProfile:
     """Euclidean metric, K identically 1."""
-    return MetricProfile(name=f"flat-n{n}", n=n, kind="flat", delta0=0.99)
+    return MetricProfile(n=n, kind="flat")
 
 
 def power_law_profile(n: int, c: float, rho: float) -> MetricProfile:
-    """K(r) = 1 + c <r>^(-rho) with c in (-1/2, 1/2), rho > 0."""
-    if not -0.5 <= c <= 0.5:
-        raise DomainError(f"c must lie in [-1/2, 1/2], got {c}")
-    if rho <= 0:
-        raise DomainError(f"rho must be positive, got {rho}")
-    # K ranges over (1, 1+c] for c > 0 and [1+c, 1) for c < 0; delta0 must
-    # bound K on both sides, so the tight choice is sign-dependent.
-    delta0 = (1.0 / (1.0 + c) if c >= 0.0 else 1.0 + c) * 0.99
-    return MetricProfile(
-        name=f"power-n{n}-c{c}-rho{rho}", n=n, kind="power-law",
-        delta0=delta0, rho=rho, c=c,
-    )
+    """K(r) = 1 + c <r>^(-rho) with c in [-1/2, 1/2], rho > 0."""
+    return MetricProfile(n=n, kind="power-law", rho=rho, c=c)
 
 
 def tabulated_profile(n: int, r: Sequence[float], k: Sequence[float],
                       rho: float = 1.0) -> MetricProfile:
     """Profile built from samples [[r, K]]; clamped cubic spline in between."""
-    r = np.asarray(r, dtype=float)
-    k = np.asarray(k, dtype=float)
-    if r.ndim != 1 or r.shape != k.shape or len(r) < 4:
-        raise ConfigurationError("table must be two equal 1-d arrays, length >= 4")
-    if np.any(np.diff(r) <= 0) or r[0] != 0.0:
-        raise ConfigurationError("table radii must start at 0 and increase")
-    if np.any(k <= 0):
-        raise ConfigurationError("tabulated K must be positive")
-    from scipy.interpolate import CubicSpline
-    spline = CubicSpline(r, k, bc_type="clamped")
-    kmin, kmax = float(k.min()), float(k.max())
-    delta0 = max(min(kmin, 1.0 / kmax), 1e-6) * 0.99
-    return MetricProfile(
-        name="tabulated", n=n, kind="tabulated", delta0=delta0, rho=rho,
-        table_r=r, table_k=k, _spline=spline,
-    )
+    return MetricProfile(n=n, kind="tabulated", rho=rho, table_r=r, table_k=k)
 
 
 def eval_k(profile: MetricProfile, r):

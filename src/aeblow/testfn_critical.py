@@ -53,13 +53,14 @@ def _cubic_weights(x: np.ndarray) -> np.ndarray:
 class XiEvaluator:
     """Frozen ingredients for xi_q: eigen family, weight exponent, geometry.
 
-    w holds the composite Lagrange-cubic weights (_cubic_weights) in lambda
-    over the family grid, with the lowest subinterval [0, lam_min] closed by
-    exact integration of a local c*lambda^q model (the integrand has
-    unbounded slope there for q < 1, so an ordinary end rule would bias the
-    quadrature).  refined, which build_evaluator sets, is the evaluator on
-    this grid with its geometric midpoints inserted; its family's even rows
-    are this one's rows, so xi_bounds_check re-measures without a new shoot.
+    w, worked out here and never passed in, holds the composite
+    Lagrange-cubic weights (_cubic_weights) in lambda over the family grid,
+    with the lowest subinterval [0, lam_min] closed by exact integration of
+    a local c*lambda^q model (the integrand has unbounded slope there for
+    q < 1, so an ordinary end rule would bias the quadrature).  refined,
+    which build_evaluator sets, is the evaluator on this grid with its
+    geometric midpoints inserted; its family's even rows are this one's rows,
+    so xi_bounds_check re-measures without a new shoot.
     """
 
     family: EigenFamily
@@ -67,7 +68,7 @@ class XiEvaluator:
     q: float
     r1: float
     refined: XiEvaluator | None = field(repr=False, default=None)
-    w: np.ndarray = field(repr=False, default=None)
+    w: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         lam = self.family.lams

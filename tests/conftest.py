@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -39,3 +41,16 @@ def scat_damping():
 @pytest.fixture(scope="session")
 def bump_data():
     return solver_mod.DataProfile(r0=1.0, u0_amp=1.0, u1_amp=1.0)
+
+
+@pytest.fixture(scope="session")
+def same_fields():
+    """Assert two dataclasses agree on every compared field, arrays
+    element by element (== on an array field would raise)."""
+    def check(a, b):
+        for f in dataclasses.fields(a):
+            if f.compare:
+                x, y = getattr(a, f.name), getattr(b, f.name)
+                assert (np.array_equal(x, y) if isinstance(x, np.ndarray)
+                        else type(x) is type(y) and x == y), f.name
+    return check

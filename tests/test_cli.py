@@ -396,3 +396,24 @@ def test_entry_point_registered():
     names = {e.name: e.value for e in dist.entry_points
              if e.group == "console_scripts"}
     assert names.get("aeblow") == scripts["aeblow"]
+
+
+def test_readme_digest_jobs_are_the_readme_examples():
+    # tools/report_digests.py --workload readme digests the README's CLI
+    # examples from its own list; the two must not drift apart
+    import importlib.util
+    import shlex
+    root = pathlib.Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "report_digests", root / "tools" / "report_digests.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    block = (root / "README.md").read_text().split("## CLI", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    jobs = []
+    for line in block.replace("\\\n", " ").splitlines():
+        words = shlex.split(line)
+        assert words[0] == "aeblow"
+        jobs.append((words[1], [w for prev, w in zip(words, words[1:])
+                                if prev == "--set"]))
+    assert jobs == tool.README_JOBS

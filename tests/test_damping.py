@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import re
 import weakref
 
 import numpy as np
@@ -99,7 +100,7 @@ def test_dense_caches_agree_across_regrowth(kind, data, times):
     # the caches step on demand, so one profile asked at increasing times
     # and its twin asked at the largest time first must read the same bits
     grown = data.draw(_DAMPINGS[kind])
-    twin = damping._finish(dataclasses.replace(grown))   # fresh caches
+    twin = dataclasses.replace(grown)   # fresh caches
     maps = (damping.m_tilde, damping.eta_of_s, damping.h_of_t, damping.m_of_t)
     read = lambda prof, t: [f(prof, t) for f in maps]
     early = {t: read(grown, t) for t in sorted(times)}
@@ -250,3 +251,66 @@ def test_config_errors_name_keys():
 def test_nonintegrable_beta_rejected():
     with pytest.raises((ConfigurationError, DomainError)):
         damping.scattering_power_damping(1.0, 1.0)
+
+
+_TABLE = dict(table_t=[0.0, 1.0, 3.0, 6.0], table_b=[0.3, -0.2, 0.4, 0.0])
+
+
+@pytest.mark.parametrize("made,direct", [
+    (damping.zero_damping, dict(kind="zero")),
+    (lambda: damping.scattering_power_damping(-0.5, 1.5),
+     dict(kind="scattering-power", mu=-0.5, beta=1.5)),
+    (lambda: damping.signed_oscillatory_damping(0.4, 2.0),
+     dict(kind="signed-oscillatory", mu=0.4, beta=2.0)),
+    (lambda: damping.tabulated_damping(_TABLE["table_t"], _TABLE["table_b"],
+                                       tail_l1=0.05),
+     dict(kind="tabulated", tail_l1=0.05, **_TABLE)),
+])
+def test_direct_profile_equals_maker(same_fields, made, direct):
+    # l1_norm and the dense caches are derived, so a profile built directly
+    # is the maker's: same fields, same delta1, same bits from every map
+    a, b = made(), damping.DampingProfile(**direct)
+    same_fields(a, b)
+    assert a.delta1 == b.delta1
+    t = np.array([0.0, 0.4, 2.5, 7.0])
+    for f in (damping.m_of_t, damping.h_of_t, damping.eta_of_s):
+        for x in (*t, t):
+            assert np.array_equal(f(a, x), f(b, x))
+    with pytest.raises(TypeError):
+        damping.DampingProfile(l1_norm=0.0, **direct)
+
+
+def test_direct_oscillatory_profile_certifies_its_l1_norm():
+    # it once built with l1_norm 0 (delta1 1) and no caches
+    prof = damping.DampingProfile(kind="signed-oscillatory", mu=0.4, beta=2.0)
+    assert prof.delta1 == damping.signed_oscillatory_damping(0.4, 2.0).delta1
+    assert prof.delta1 < 1.0
+    assert damping.m_of_t(prof, 2.0) == pytest.approx(
+        math.exp(quad(prof.b, 0.0, 2.0, epsabs=1e-13)[0]), rel=1e-9)
+
+
+@pytest.mark.parametrize("made,direct,exc,message", [
+    (lambda: damping.damping_from_config({"kind": "bogus"}),
+     dict(kind="bogus"), ConfigurationError, "unknown damping kind 'bogus'"),
+    (lambda: damping.scattering_power_damping(0.5, 1.0),
+     dict(kind="scattering-power", mu=0.5, beta=1.0), DomainError,
+     "scattering damping needs beta > 1"),
+    (lambda: damping.signed_oscillatory_damping(0.5, 0.5),
+     dict(kind="signed-oscillatory", mu=0.5, beta=0.5), DomainError,
+     "oscillatory damping needs beta > 1"),
+    (lambda: damping.tabulated_damping([0.5, 1.0], [0.1, 0.1]),
+     dict(kind="tabulated", table_t=[0.5, 1.0], table_b=[0.1, 0.1]),
+     ConfigurationError, "damping table must start at t=0, length >= 2"),
+    (lambda: damping.tabulated_damping([0.0, 1.0], [0.1]),
+     dict(kind="tabulated", table_t=[0.0, 1.0], table_b=[0.1]),
+     ConfigurationError, "damping table must start at t=0, length >= 2"),
+    (lambda: damping.tabulated_damping(None, None), dict(kind="tabulated"),
+     ConfigurationError, "damping table must start at t=0, length >= 2"),
+    (lambda: damping.tabulated_damping([0.0, 2.0, 1.0], [0.1] * 3),
+     dict(kind="tabulated", table_t=[0.0, 2.0, 1.0], table_b=[0.1] * 3),
+     ConfigurationError, "damping table times must increase"),
+])
+def test_bad_profile_raises_at_construction(made, direct, exc, message):
+    for build in (made, lambda: damping.DampingProfile(**direct)):
+        with pytest.raises(exc, match=re.escape(message)):
+            build()

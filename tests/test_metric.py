@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -220,3 +221,66 @@ def test_config_round_trip(powerlaw3, flat2):
 def test_config_missing_key_named():
     with pytest.raises(ConfigurationError, match="'n'"):
         metric.profile_from_config({"kind": "flat"})
+
+
+_TABLE = dict(table_r=[0.0, 1.0, 2.0, 3.0, 5.0],
+              table_k=[1.2, 1.1, 0.95, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("made,direct,delta0", [
+    (lambda: metric.flat_profile(2), dict(n=2, kind="flat"), 0.99),
+    (lambda: metric.power_law_profile(3, -0.3, 1.5),
+     dict(n=3, kind="power-law", c=-0.3, rho=1.5), 0.7 * 0.99),
+    (lambda: metric.tabulated_profile(4, _TABLE["table_r"], _TABLE["table_k"],
+                                      rho=2.0),
+     dict(n=4, kind="tabulated", rho=2.0, **_TABLE), 0.99 / 1.2),
+])
+def test_direct_profile_equals_maker(same_fields, made, direct, delta0):
+    # name, delta0 and the spline are derived, so a profile built directly
+    # is the maker's, down to the bits K and its derivatives take
+    a, b = made(), metric.MetricProfile(**direct)
+    same_fields(a, b)
+    assert b.delta0 == pytest.approx(delta0, rel=1e-15)
+    r = np.array([0.0, 0.7, 2.5, 9.0])
+    for x in (*r, r):
+        for u, v in zip(metric.eval_k(a, x), metric.eval_k(b, x)):
+            assert np.array_equal(u, v)
+    with pytest.raises(TypeError):
+        metric.MetricProfile(delta0=0.5, **direct)
+
+
+@pytest.mark.parametrize("made,direct,exc,message", [
+    (lambda: metric.profile_from_config({"kind": "bogus", "n": 3}),
+     dict(n=3, kind="bogus"), ConfigurationError, "unknown metric kind 'bogus'"),
+    (lambda: metric.power_law_profile(3, 0.6, 1.0),
+     dict(n=3, kind="power-law", c=0.6), DomainError,
+     "c must lie in [-1/2, 1/2], got 0.6"),
+    (lambda: metric.power_law_profile(3, -0.51, 1.0),
+     dict(n=3, kind="power-law", c=-0.51), DomainError,
+     "c must lie in [-1/2, 1/2], got -0.51"),
+    (lambda: metric.power_law_profile(3, 0.2, 0.0),
+     dict(n=3, kind="power-law", c=0.2, rho=0.0), DomainError,
+     "rho must be positive, got 0.0"),
+    (lambda: metric.tabulated_profile(3, [0.0, 1.0, 2.0], [1.0, 1.0, 1.0]),
+     dict(n=3, kind="tabulated", table_r=[0.0, 1.0, 2.0],
+          table_k=[1.0, 1.0, 1.0]),
+     ConfigurationError, "table must be two equal 1-d arrays, length >= 4"),
+    (lambda: metric.tabulated_profile(3, [0.0, 2.0, 1.0, 3.0], [1.0] * 4),
+     dict(n=3, kind="tabulated", table_r=[0.0, 2.0, 1.0, 3.0],
+          table_k=[1.0] * 4),
+     ConfigurationError, "table radii must start at 0 and increase"),
+    (lambda: metric.tabulated_profile(3, [0.0, 1.0, 2.0, 3.0],
+                                      [1.0, 0.0, 1.0, 1.0]),
+     dict(n=3, kind="tabulated", table_r=[0.0, 1.0, 2.0, 3.0],
+          table_k=[1.0, 0.0, 1.0, 1.0]),
+     ConfigurationError, "tabulated K must be positive"),
+    (lambda: metric.tabulated_profile(3, None, None),
+     dict(n=3, kind="tabulated"),
+     ConfigurationError, "table must be two equal 1-d arrays, length >= 4"),
+    (lambda: metric.flat_profile(1), dict(n=1, kind="flat"), DomainError,
+     "spatial dimension must be >= 2, got 1"),
+])
+def test_bad_profile_raises_at_construction(made, direct, exc, message):
+    for build in (made, lambda: metric.MetricProfile(**direct)):
+        with pytest.raises(exc, match=re.escape(message)):
+            build()

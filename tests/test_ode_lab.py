@@ -17,7 +17,8 @@ def test_kato_exact_blowup_time():
     prob = ol.KatoProblem(a=1.0, alpha=0.0, beta=2.0, k=6.0, f0=1.0, f0p=2.0)
     res = ol.kato_blowup_time(prob, tolerance=1e-12)
     assert res.blew_up
-    assert res.t_blowup == pytest.approx(1.0, abs=1e-3)
+    # measured error: 0.0 here, 3.0e-11 at the default tolerance 1e-10
+    assert res.t_blowup == pytest.approx(1.0, abs=1e-9)
     assert len(res.crossings) == 3
     assert res.crossings[0] < res.crossings[1] < res.crossings[2]
 

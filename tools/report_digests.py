@@ -9,7 +9,11 @@ wrote byte-identical reports and tables.
 
     python3 tools/report_digests.py --workload critical-n3 --seed 0 1009
     python3 tools/report_digests.py --workload sweep-n3 critical-n3 \\
-        damped-jobs --seed 0 --checkout ../parent --keep /tmp/parent-reports
+        damped-jobs readme --seed 0 --checkout ../parent --keep /tmp/parent-reports
+
+The workload ``readme`` is the six example commands of the README's CLI
+section (``README_JOBS``, the same for every seed); it covers ``validate``,
+``eigen`` and ``ode``, which no benchmark workload runs.
 
 ``--checkout`` imports aeblow and the job lists from another checkout, so a
 parent commit without this script can be measured too.  Reports go to a
@@ -24,6 +28,18 @@ import hashlib
 import sys
 import tempfile
 from pathlib import Path
+
+# the README's CLI examples as (subcommand, --set items); every job also
+# gets --out and --csv
+README_JOBS = [
+    ("validate", ["metric.kind=power-law", "metric.c=0.5", "metric.rho=1.0"]),
+    ("eigen", ["run.lam=0.1"]),
+    ("ode", ["run.beta=2.0", "run.k=6.0", "run.f0p=2.0"]),
+    ("solve", ["run.eps=0.3", "run.p=2.0"]),
+    ("sweep", ["run.p=2.0", "run.eps_max=7.0", "run.ratio=1.3",
+               "solver.tmax=400", "run.tmax_budget=2100"]),
+    ("critical", ["run.t_max=16", "solver.dr=0.1"]),
+]
 
 
 def _args(argv=None):
@@ -58,8 +74,9 @@ def main(argv=None) -> int:
             for seed in args.seed:
                 outdir = Path(args.keep or tmp) / workload / f"seed-{seed}"
                 outdir.mkdir(parents=True, exist_ok=True)
-                for i, (kind, overrides) in enumerate(W.jobs_for(workload,
-                                                                 seed)):
+                jobs = (README_JOBS if workload == "readme"
+                        else W.jobs_for(workload, seed))
+                for i, (kind, overrides) in enumerate(jobs):
                     out = outdir / f"job-{i:03d}.json"
                     table = out.with_suffix(".csv")
                     out.unlink(missing_ok=True)
