@@ -13,14 +13,15 @@ State per node: u, v = du/dt, a = d2u/dt2.  One step m -> m+1:
     v  = (vh + dt/2 f) / (1 + bh[m+1])      bh = b(t) dt / 2 (semi-implicit)
     a  = f - (2 bh[m+1]/dt) v
 
-which is plain Stoermer-Verlet when b = 0.  Each step updates only cells
-0..min(edge + _EDGE_PAD, N - 1), edge being the last cell with |u| above
-_EDGE_REL sup|u| after the previous step (NaN cells count as live), so the
-window follows the light cone and cells beyond it keep their values.  On the
-window the step records sup|u| and the new edge, and, for each record array
-the caller passes instead of None, the integral of u (rec_F), of |u|^p
-(rec_Ip) and of u*phi (rec_G, unscaled; phiV is read only then).  A skipped
-record costs nothing and changes no other value.
+which is plain Stoermer-Verlet when b = 0.  A step updates only cells
+0..min(E + _EDGE_PAD, N - 1), E being the largest edge of the run so far, an
+edge being the last cell with |u| above _EDGE_REL sup|u| (NaN cells count as
+live).  The window follows the light cone and never shrinks, so every cell
+beyond it still holds its initial zero and the window's sums are grid sums.
+The step records sup|u| and its own edge, and, for each record array the
+caller passes instead of None, the integral of u (rec_F), of |u|^p (rec_Ip)
+and of u*phi (rec_G, unscaled; phiV is read only then).  A skipped record
+costs nothing and changes no other value.
 
 Every window array op writes into buffers allocated once per call (out=),
 in the order of the formulas above, so the results are bit-for-bit those of
@@ -73,11 +74,11 @@ def _last_live(x, sup, out=None):
 def advance_segment(u, v, a, A, B, C, V, phiV, msq, bh, dt, p, nonlin,
                     m0, nsteps, sup_cap, rec_sup, rec_F, rec_Ip, rec_G,
                     rec_edge, edge):
-    """Advance nsteps; record scalars at global indices m0+1..
-
-    rec_F, rec_Ip and rec_G may each be None (not recorded).  Returns (last
-    step index, status, edge); status 0 completed, 1 sup cap exceeded
-    (blow-up), 2 non-finite values.
+    """Advance nsteps from the window seed edge; record scalars at global
+    indices m0+1.. (rec_edge[m] is step m's own edge; rec_F, rec_Ip and rec_G
+    may each be None, not recorded).  Returns (last step index, status,
+    largest edge so far); status 0 completed, 1 sup cap exceeded (blow-up),
+    2 non-finite values.
     """
     N = u.shape[0] - 1
     half = 0.5 * dt
@@ -118,7 +119,8 @@ def advance_segment(u, v, a, A, B, C, V, phiV, msq, bh, dt, p, nonlin,
         else:
             np.add(t, vh, out=vw)
         sup = absu.max()
-        edge = _last_live(absu, sup, live_b[:n])
+        reach = rec_edge[m] = _last_live(absu, sup, live_b[:n])
+        edge = max(edge, reach)
         rec_sup[m] = sup
         if rec_F is not None:
             rec_F[m] = uw @ V[:n]
@@ -126,7 +128,6 @@ def advance_segment(u, v, a, A, B, C, V, phiV, msq, bh, dt, p, nonlin,
             rec_Ip[m] = upow @ V[:n]
         if rec_G is not None:
             rec_G[m] = uw @ phiV[:n]
-        rec_edge[m] = edge
         if not math.isfinite(sup):
             return m, 2, edge
         if sup > sup_cap:

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, IntegrationError, PositivityError
-from .metric import MetricProfile, eval_k, k_integral_grid, validate_long_range
+from .metric import (MetricProfile, eval_k, k_integral, k_integral_grid,
+                     validate_long_range)
 
 __all__ = [
     "EntireSolution",
@@ -229,7 +230,7 @@ def mu_diagnostic(sol: EntireSolution) -> MuReport:
     r_ball = 1.0 / lam
     kb = eval_k(sol.profile, r_ball)[0]
     log_y_ball = (n - 1) / 2.0 * np.log(r_ball) - 0.5 * np.log(kb)  # log Phi = 0 there
-    kint_ball = np.interp(r_ball, sol.r, sol.k_int)
+    kint_ball = k_integral(sol.profile, r_ball)
     int_mu = log_y - log_y_ball - lam * (sol.k_int[mask] - kint_ball)
 
     d0 = sol.profile.delta0

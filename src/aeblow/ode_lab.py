@@ -35,50 +35,47 @@ class ComparisonSolution:
     c_low: float              # inf of min(lam*y/sinh(lam*eta_arg), |y'|/cosh(...))
 
 
-def _mt2_rhs(damping: DampingProfile, lam: float):
-    return lambda t, z: [z[1], lam * lam * m_tilde(damping, t) ** 2 * z[0]]
-
-
-def _solve_and_sample(damping: DampingProfile, lam: float, T: float, y0,
-                      backward: bool = False):
-    """Integrate y'' = lam^2 mt^2 y from 0 to T (T to 0 if backward);
-    sample y, y', eta at 400 points on [0, T]."""
+def _comparison(damping: DampingProfile, lam: float, T: float,
+                backward: bool) -> ComparisonSolution:
+    """Solve y'' = lam^2 mt^2 y from y = 0, y' = 1 at t = 0, or backwards from
+    y = 0, y' = -1 at t = T; sample it at 400 points on [0, T] and measure its
+    sinh envelope in eta from the start, skipping the start (both sides 0).
+    eta(T) comes from the float path, which rounds unlike eta[-1]."""
     from scipy.integrate import solve_ivp
-    span = (T, 0.0) if backward else (0.0, T)
-    res = solve_ivp(_mt2_rhs(damping, lam), span, y0,
+    if lam <= 0 or T <= 0:
+        raise DomainError("lambda and the time span must be positive")
+    sign = -1.0 if backward else 1.0
+
+    def rhs(t, z):
+        return [z[1], lam * lam * m_tilde(damping, t) ** 2 * z[0]]
+
+    res = solve_ivp(rhs, (T, 0.0) if backward else (0.0, T), [0.0, sign],
                     method="DOP853", rtol=1e-11, atol=1e-13, dense_output=True)
     if not res.success:
         raise IntegrationError(res.message)
     ts = np.linspace(0.0, T, 400)
     y, yp = res.sol(ts)
-    return ts, y, yp, np.asarray(eta_of_s(damping, ts))
+    eta = np.asarray(eta_of_s(damping, ts))
+    if backward:
+        keep, dist = slice(None, -1), float(eta_of_s(damping, T)) - eta
+    else:
+        keep, dist = slice(1, None), eta
+    arg = lam * dist[keep]
+    c_low = float(np.min(np.minimum(lam * y[keep] / np.sinh(arg),
+                                    sign * yp[keep] / np.cosh(arg))))
+    return ComparisonSolution(t=ts, y=y, yp=yp, c_low=c_low)
 
 
 def forward_comparison(damping: DampingProfile, lam: float,
                        t_max: float) -> ComparisonSolution:
     """Solve y'' = lam^2 mt^2 y, y(0)=0, y'(0)=1 and measure its sinh envelope."""
-    if lam <= 0 or t_max <= 0:
-        raise DomainError("lambda and t_max must be positive")
-    ts, y, yp, eta = _solve_and_sample(damping, lam, t_max, [0.0, 1.0])
-    # skip t=0 where both sides vanish; the ratio limit there is mt(0)=1
-    arg = lam * eta[1:]
-    c_low = float(np.min(np.minimum(lam * y[1:] / np.sinh(arg),
-                                    yp[1:] / np.cosh(arg))))
-    return ComparisonSolution(t=ts, y=y, yp=yp, c_low=c_low)
+    return _comparison(damping, lam, t_max, backward=False)
 
 
 def backward_comparison(damping: DampingProfile, lam: float,
                         T: float) -> ComparisonSolution:
     """Solve y'' = lam^2 mt^2 y backwards from y(T)=0, y'(T)=-1."""
-    if lam <= 0 or T <= 0:
-        raise DomainError("lambda and T must be positive")
-    ts, y, yp, eta = _solve_and_sample(damping, lam, T, [0.0, -1.0],
-                                       backward=True)
-    eta_T = float(eta_of_s(damping, T))
-    arg = lam * (eta_T - eta[:-1])   # skip t=T where both sides vanish
-    c_low = float(np.min(np.minimum(lam * y[:-1] / np.sinh(arg),
-                                    -yp[:-1] / np.cosh(arg))))
-    return ComparisonSolution(t=ts, y=y, yp=yp, c_low=c_low)
+    return _comparison(damping, lam, T, backward=True)
 
 
 # -- blow-up ODE ---------------------------------------------------------------

@@ -192,12 +192,14 @@ class Discretization:
 
 @dataclass(frozen=True)
 class RadialWaveState:
-    """Solution snapshot: u, v = time derivative, a = second derivative."""
+    """Solution snapshot: u, v = du/dt, a = d2u/dt2, and edge = the kernel's
+    window, the largest edge reached (init seeds it, step only grows it)."""
 
     t: float
     u: np.ndarray
     v: np.ndarray
     a: np.ndarray
+    edge: int
     disc: Discretization = field(repr=False)
 
 
@@ -210,7 +212,8 @@ def init(metric: MetricProfile, damping: DampingProfile | None,
     u = eps * data.u0(disc.r)
     v = eps * data.u1(disc.r)
     a = disc.accel(0.0, u, v)
-    return RadialWaveState(t=0.0, u=u, v=v, a=a, disc=disc)
+    return RadialWaveState(t=0.0, u=u, v=v, a=a, edge=_support_edge(u, v),
+                           disc=disc)
 
 
 def _support_edge(u: np.ndarray, v: np.ndarray) -> int:
@@ -220,7 +223,7 @@ def _support_edge(u: np.ndarray, v: np.ndarray) -> int:
 
 
 def step(state: RadialWaveState, dt: float) -> RadialWaveState:
-    """One Stoermer-Verlet step of the windowed kernel; damping semi-implicit."""
+    """One Stoermer-Verlet step on the state's window; damping semi-implicit."""
     disc = state.disc
     if dt > disc.dt_max * (1.0 + 1e-12):
         raise ConfigurationError(
@@ -228,14 +231,14 @@ def step(state: RadialWaveState, dt: float) -> RadialWaveState:
     t1 = state.t + dt
     msq, bh, _ = disc.schedule(np.full(2, t1), dt)
     u, v, a = state.u.copy(), state.v.copy(), state.a.copy()
-    _, status, _ = _kernels.advance_segment(
+    _, status, edge = _kernels.advance_segment(
         u, v, a, disc.A, disc.B, disc.C, disc.V, None, msq, bh, dt,
         disc.p, 1 if disc.config.nonlinear else 0, 0, 1, math.inf,
         np.empty(2), None, None, None, np.empty(2, dtype=np.int64),
-        _support_edge(u, v))
+        state.edge)
     if status == 2:
         raise IntegrationError("non-finite values: blow-up reached inside step")
-    return replace(state, t=t1, u=u, v=v, a=a)
+    return replace(state, t=t1, u=u, v=v, a=a, edge=edge)
 
 
 # -- full evolutions -----------------------------------------------------------
@@ -301,14 +304,12 @@ def _evolve(state: RadialWaveState, snapshot_times=None, phi_sol=None,
     tgrid = np.arange(nsteps + 1) * dt
     msq_arr, bh_arr, eta_full = disc.schedule(tgrid, dt)
 
-    u = state.u.copy()
-    v = state.v.copy()
-    a = state.a.copy()
+    u, v, a = state.u.copy(), state.v.copy(), state.a.copy()
     rec_sup = np.zeros(nsteps + 1)
     rec_edge = np.zeros(nsteps + 1, dtype=np.int64)
     absu = np.abs(u)
     rec_sup[0] = float(absu.max())
-    edge = rec_edge[0] = _support_edge(u, v)
+    edge = rec_edge[0] = state.edge
     rec_F = rec_Ip = rec_G = phiV = None
     if functionals:
         rec_F = np.zeros(nsteps + 1)

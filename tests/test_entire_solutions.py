@@ -127,6 +127,25 @@ def test_mu_diagnostic_flat_n2(flat2):
     assert rep.sup_int_mu <= rep.bound_int
 
 
+@pytest.mark.parametrize("c, rho, lam", [(0.5, 1.0, 0.3), (-0.4, 0.7, 0.37)])
+def test_mu_diagnostic_takes_int_k_by_the_one_rule(c, rho, lam):
+    """int mu = log y(r) - log y(1/lam) - lam int_1/lam^r K, with the integral
+    up to the ball radius from metric.k_integral, not read off the grid."""
+    prof = metric.power_law_profile(3, c, rho)
+    sol = es.build_entire_solution(prof, lam, 30.0 / lam, dr=0.05)
+    rep = es.mu_diagnostic(sol)
+    mask = sol.r >= 1.0 / lam
+    r = sol.r[mask]
+    r_ball = 1.0 / lam
+    # log y = (n-1)/2 log r - log K / 2 + log Phi, n = 3; Phi(1/lam) = 1
+    log_y = np.log(r) - 0.5 * np.log(metric.eval_k(prof, r)[0]) \
+        + sol.log_phi[mask]
+    log_y_ball = np.log(r_ball) - 0.5 * np.log(metric.eval_k(prof, r_ball)[0])
+    int_k = sol.k_int[mask] - metric.k_integral(prof, r_ball)
+    want = float(np.max(np.abs(log_y - log_y_ball - lam * int_k)))
+    assert rep.sup_int_mu == pytest.approx(want, rel=1e-12)
+
+
 _PROFILES = st.one_of(
     st.builds(metric.flat_profile, st.integers(2, 4)),
     st.builds(metric.power_law_profile, st.integers(2, 4),

@@ -71,7 +71,8 @@ def test_one_edge_rule_for_kernel_and_first_window(x):
 def _full_grid(u, v, a, A, B, C, V, phiV, msq, bh, dt, p, nonlin,
                m0, nsteps, sup_cap, rec_sup, rec_F, rec_Ip, rec_G,
                rec_edge, edge):
-    """Reference without a window: every cell but the Dirichlet one, each step."""
+    """Reference without a window: every cell but the Dirichlet one, each step;
+    returns the largest edge reached, like the kernel."""
     N = len(u) - 1
     lap = np.zeros_like(u)
     for m in range(m0 + 1, m0 + nsteps + 1):
@@ -85,7 +86,8 @@ def _full_grid(u, v, a, A, B, C, V, phiV, msq, bh, dt, p, nonlin,
         a[:N] = (f - (2.0 * bh[m] / dt) * v)[:N]
         sup = absu.max()
         nz = np.flatnonzero(absu > 1e-12 * sup)
-        edge = rec_edge[m] = nz[-1] if len(nz) else 0
+        rec_edge[m] = nz[-1] if len(nz) else 0
+        edge = max(edge, rec_edge[m])
         rec_sup[m], rec_F[m] = sup, u @ V
         rec_Ip[m], rec_G[m] = absu ** p @ V, u @ phiV
         if not np.isfinite(sup) or sup > sup_cap:
@@ -128,7 +130,8 @@ def _plain_kernel(u, v, a, A, B, C, V, phiV, msq, bh, dt, p, nonlin,
                   m0, nsteps, sup_cap, rec_sup, rec_F, rec_Ip, rec_G,
                   rec_edge, edge, *, undamped_a_is_f=True):
     """The windowed kernel written as one plain numpy expression per formula,
-    every record taken: advance_segment must match it bit for bit.
+    every record taken: advance_segment must match it bit for bit.  The
+    window covers the largest edge reached so far, so it never shrinks.
 
     A step with bh == 0 sets a = f, which is f - (2 bh/dt) v except where v
     overflowed (0 * inf is NaN); undamped_a_is_f=False takes the damped
@@ -156,12 +159,12 @@ def _plain_kernel(u, v, a, A, B, C, V, phiV, msq, bh, dt, p, nonlin,
             aw[:] = f - (2.0 * b1 / dt) * vw
         sup = float(np.max(absu))
         nz = np.flatnonzero(~(absu <= _kernels._EDGE_REL * sup))
-        edge = int(nz[-1]) if len(nz) else 0
+        rec_edge[m] = int(nz[-1]) if len(nz) else 0
+        edge = max(edge, int(rec_edge[m]))
         rec_sup[m] = sup
         rec_F[m] = float(uw @ V[:n])
         rec_Ip[m] = float(upow @ V[:n])
         rec_G[m] = float(uw @ phiV[:n])
-        rec_edge[m] = edge
         if not np.isfinite(sup):
             return m, 2, edge
         if sup > sup_cap:
