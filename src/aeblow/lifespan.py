@@ -6,11 +6,18 @@ steps followed by Aitken extrapolation of the crossing times.  Sweeping eps
 over a geometric grid and fitting log T against log eps recovers the scaling
 exponent 2p(p-1)/((n-1)p^2-(n+1)p-2) in the subcritical range, and
 -(p-1)/(3-p) for n=2, p<2 with velocity-only data.
+
+The points of a sweep share nothing, so ``sweep_and_fit`` detects them in
+forked worker processes, one per core the process may run on, smallest eps
+(longest lifespan) first.  Each point is the same computation as in a plain
+loop, and the records are merged in eps order before the fit, so the fit is
+bit for bit that of the plain loop, which is what runs on a single core.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -177,6 +184,35 @@ def fit_records(records, n: int, p: float, data: DataProfile) -> FitReport:
         monotone=bool(np.all(np.diff(t) >= -1e-9)))
 
 
+def _detect_point(job, eps: float) -> LifespanRecord:
+    metric, damping, data, p, config, mode, tmax_for = job
+    cfg = config if tmax_for is None \
+        else replace(config, tmax=float(tmax_for(eps)))
+    return detect_blowup(metric, damping, data, eps, p, cfg, mode=mode)
+
+
+# the shared inputs of a sweep in a pool worker; the fork start method hands
+# them over by inheritance, since a damping's caches and a lambda tmax_for
+# cannot be pickled
+_worker_job = None
+
+
+def _set_worker_job(job):
+    global _worker_job
+    _worker_job = job
+
+
+def _detect_in_worker(eps: float) -> LifespanRecord:
+    return _detect_point(_worker_job, eps)
+
+
+def _cores() -> int:
+    """Cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def sweep_and_fit(metric: MetricProfile, damping: DampingProfile | None,
                   data: DataProfile, eps_grid, p: float,
                   config: SolverConfig, mode: str = "transformed",
@@ -184,21 +220,36 @@ def sweep_and_fit(metric: MetricProfile, damping: DampingProfile | None,
     """Detect blow-up across an eps grid and fit the lifespan exponent.
 
     tmax_for(eps) may supply a per-point time budget; with the default the
-    shared config.tmax is used for every point.  Points are run in eps order
-    so the merged records are deterministic.
+    shared config.tmax is used for every point.  The points run in forked
+    worker processes, one per core in the process's CPU affinity, smallest
+    eps first; with one core, or without the fork start method, they run
+    one after another.  Either way the records are merged in eps order,
+    whatever order the points finish in, so the fit is deterministic, and
+    the error of the first failing point in that order is raised.  Every
+    worker is joined before this returns or raises.
     """
     pc = critical_exponent(metric.n)
     if abs(p - pc) < 1e-9:
         raise ConfigurationError(
             "p equals the critical exponent: a direct sweep would need "
             "exponential time budgets; use the critical-case checks instead")
-    eps_grid = np.asarray(sorted(eps_grid, reverse=True), dtype=float)
+    eps_grid = [float(e) for e in sorted(eps_grid, reverse=True)]
     if len(eps_grid) < 5:
         raise ConfigurationError("sweep needs at least 5 eps values")
-    records = []
-    for eps in eps_grid:
-        cfg = config if tmax_for is None \
-            else replace(config, tmax=float(tmax_for(eps)))
-        records.append(detect_blowup(metric, damping, data, float(eps), p,
-                                     cfg, mode=mode))
+    job = (metric, damping, data, p, config, mode, tmax_for)
+    workers = min(_cores(), len(eps_grid))
+    import multiprocessing
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        records = [_detect_point(job, eps) for eps in eps_grid]
+    else:
+        from concurrent.futures.process import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                                   initializer=_set_worker_job, initargs=(job,))
+        try:
+            # longest lifespans first, so the last point to finish is short
+            futures = [pool.submit(_detect_in_worker, eps)
+                       for eps in reversed(eps_grid)]
+            records = [f.result() for f in reversed(futures)]
+        finally:
+            pool.shutdown(cancel_futures=True)
     return fit_records(records, metric.n, p, data)

@@ -379,6 +379,34 @@ def test_scipy_imported_only_where_used(tmp_path):
     assert json.loads((tmp_path / "rep.json").read_text())["status"] == "completed"
 
 
+# multiprocessing and its process pool (about 20 ms to import together) are
+# loaded by a sweep alone: import and solve times stay free of them
+_MULTIPROCESSING_PROBE = """
+import sys
+from aeblow import cli
+
+def run(kind, *sets):
+    cfg = cli.ExperimentConfig.build(kind, None, list(sets), out=sys.argv[1])
+    assert cli.run(cfg) == 0
+
+assert "multiprocessing" not in sys.modules
+run("solve", "run.eps=0.3", "run.p=2.0", "solver.tmax=2")
+assert "multiprocessing" not in sys.modules
+run("sweep", "run.p=2.0", "run.eps_max=7", "run.ratio=1.3", "run.count=5",
+    "solver.dr=0.1", "solver.tmax=100")
+assert "multiprocessing" in sys.modules
+"""
+
+
+def test_multiprocessing_imported_only_by_sweep(tmp_path):
+    proc = subprocess.run([sys.executable, "-c", _MULTIPROCESSING_PROBE,
+                           str(tmp_path / "rep.json")],
+                          env=_child_env(), capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((tmp_path / "rep.json").read_text())["monotone"] is True
+
+
 def test_entry_point_registered():
     import importlib.metadata as md
     if sys.version_info >= (3, 11):

@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -147,3 +150,109 @@ def test_negative_eps_rejected(flat3, zero_damping, bump_data):
     with pytest.raises(DomainError):
         ls.detect_blowup(flat3, zero_damping, bump_data, -1.0, 2.0,
                          ws.SolverConfig(dr=0.1, tmax=2.0))
+
+
+# -- the pooled sweep ------------------------------------------------------------
+
+def _loop_sweep(metric, damping, data, grid, p, cfg, mode="transformed",
+                tmax_for=None):
+    """The sweep as one plain loop: the reference of the pooled one."""
+    records = []
+    for eps in sorted(grid, reverse=True):
+        c = cfg if tmax_for is None \
+            else dataclasses.replace(cfg, tmax=float(tmax_for(eps)))
+        records.append(ls.detect_blowup(metric, damping, data, float(eps), p,
+                                        c, mode=mode))
+    return records, ls.fit_records(records, metric.n, p, data)
+
+
+def _use_cores(monkeypatch, cores):
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cores)), raising=False)
+
+
+SWEEPS = {
+    # a lambda budget, which no pickle can carry to a worker
+    "transformed-zero-tmax_for": dict(
+        grid=ls.geometric_eps_grid(7.0, 5, ratio=1.3), tmax=400.0,
+        mode="transformed", damped=False,
+        tmax_for=lambda e: min(400.0, 3.5 * 600.0 / e ** 2)),
+    "direct-scattering": dict(
+        grid=ls.geometric_eps_grid(7.0, 5, ratio=1.3), tmax=200.0,
+        mode="direct", damped=True, tmax_for=None),
+    # eps 1.885 does not blow up by t = 100
+    "smallest-eps-no-blowup": dict(
+        grid=ls.geometric_eps_grid(7.0, 6, ratio=1.3), tmax=100.0,
+        mode="transformed", damped=False, tmax_for=None),
+}
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+@pytest.mark.parametrize("case", SWEEPS)
+def test_sweep_equals_the_plain_loop(case, cores, monkeypatch, flat3,
+                                     zero_damping, scat_damping, bump_data,
+                                     same_fields):
+    c = SWEEPS[case]
+    damping = scat_damping if c["damped"] else zero_damping
+    cfg = ws.SolverConfig(dr=0.1, tmax=c["tmax"])
+    records, want = _loop_sweep(flat3, damping, bump_data, c["grid"], 2.0,
+                                cfg, c["mode"], c["tmax_for"])
+    if case == "smallest-eps-no-blowup":
+        assert [r.blew_up for r in records] == [True] * 5 + [False]
+    fitted, fit = [], ls.fit_records
+
+    def spy(recs, *args):
+        fitted.append(list(recs))
+        return fit(recs, *args)
+
+    _use_cores(monkeypatch, cores)
+    monkeypatch.setattr(ls, "fit_records", spy)
+    got = ls.sweep_and_fit(flat3, damping, bump_data, c["grid"][::-1], 2.0,
+                           cfg, mode=c["mode"], tmax_for=c["tmax_for"])
+    same_fields(got, want)
+    # merged in eps order, whatever order the workers finished in; repr
+    # shows every float exactly, and a nan time equal to a nan time
+    assert repr(fitted) == repr([records])
+    assert multiprocessing.active_children() == []
+
+
+def test_sweep_points_run_in_worker_processes(monkeypatch, flat3,
+                                              zero_damping, bump_data):
+    parent = os.getpid()
+
+    def budget(eps):
+        if os.getpid() == parent:
+            raise AssertionError("a point ran in the calling process")
+        return 100.0
+
+    _use_cores(monkeypatch, 2)
+    fit = ls.sweep_and_fit(flat3, zero_damping, bump_data,
+                           ls.geometric_eps_grid(7.0, 5, ratio=1.3), 2.0,
+                           ws.SolverConfig(dr=0.1, tmax=100.0),
+                           tmax_for=budget)
+    assert len(fit.eps) == 5
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_sweep_raises_the_first_error_in_eps_order(cores, monkeypatch, flat3,
+                                                   zero_damping, bump_data):
+    # eps 7 fits in rmax 60; every smaller eps, whose larger budget is
+    # submitted first, does not
+    cfg = ws.SolverConfig(dr=0.1, tmax=400.0, rmax=60.0)
+    grid = ls.geometric_eps_grid(7.0, 5, ratio=1.3)
+
+    def budget(e):
+        return min(400.0, 3.5 * 600.0 / e ** 2)
+
+    with pytest.raises(ConfigurationError) as want:
+        _loop_sweep(flat3, zero_damping, bump_data, grid, 2.0, cfg,
+                    tmax_for=budget)
+    assert "rmax=60 too small" in str(want.value)
+    _use_cores(monkeypatch, cores)
+    with pytest.raises(ConfigurationError) as got:
+        ls.sweep_and_fit(flat3, zero_damping, bump_data, grid, 2.0, cfg,
+                         tmax_for=budget)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+    assert multiprocessing.active_children() == []
