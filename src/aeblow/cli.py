@@ -1,8 +1,9 @@
 """Batch front-end: config parsing, experiment orchestration, artifacts.
 
 One JSON config (plus repeatable --set overrides) drives every subcommand.
-Outputs are deterministic: runs are sequential, JSON keys sorted, floats
-rendered with repr, CSV written with CRLF line endings.  Exit codes:
+Outputs are deterministic: ``sweep`` and ``critical`` fork workers and
+merge their results in a fixed order, JSON keys are sorted, floats rendered
+with repr, CSV written with CRLF line endings.  Exit codes:
 0 success, 1 a measured check failed (any other AeblowError), 2 a usage
 error or a ConfigurationError (DomainError included).
 """
@@ -15,6 +16,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -280,18 +282,23 @@ def _run_critical(cfg: ExperimentConfig):
         number(run, "run", "lam_points", 17, integer=True))
     step = number(run, "run", "snapshot_step", 0.5, positive=True)
     snaps = list(np.arange(0.0, t_max + 1e-9, step))
-    traj = solver_mod.evolve_transformed(profile, dprof, data, eps, scfg,
-                                         p=p, snapshot_times=snaps,
-                                         functionals=False)
-    # the family spans the solver grid, which Discretization already sized
-    ev = critical_mod.build_evaluator(
-        profile, dprof, q=q, r_max=float(traj.r[-1]), r1=traj.r1,
-        lam_grid=lam_grid, dr=traj.dr)
-    crep = critical_mod.critical_F(traj, ev)
     samples = [s for T in (t_max / 4, t_max / 2, t_max) for s in
                [(r, T, t) for t in (0.0, T / 4, T / 2) for r in (data.r0, 0.4 * T)]
                + [(r, T, T) for r in (data.r0, 0.25 * T, 0.6 * T, 0.9 * T)]]
-    brep = critical_mod.xi_bounds_check(ev, samples)
+    state = solver_mod.init(profile, dprof, data, eps, scfg, p=p)
+    disc = state.disc
+    # the evolution and the family share only the grid, so a worker evolves
+    # while this process shoots; the trajectory comes back, since the
+    # evaluator's damping caches cannot be pickled
+    with lifespan_mod._forked([partial(solver_mod._evolve, state, snaps,
+                                       None, False)]) as (evolved,):
+        # the family spans the solver grid, which Discretization sized
+        ev = critical_mod.build_evaluator(
+            profile, dprof, q=q, r_max=float(disc.r[-1]), r1=disc.r1,
+            lam_grid=lam_grid, dr=disc.dr)
+        brep = critical_mod.xi_bounds_check(ev, samples)
+        traj = evolved()
+    crep = critical_mod.critical_F(traj, ev)
     consts = critical_mod.SlicingConstants(
         c_int=crep.min_ratio, B=number(run, "run", "B", 0.5), eps=eps, p=p)
     irep = critical_mod.slicing_iteration_check(crep.T, crep.lhs, consts)

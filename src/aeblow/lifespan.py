@@ -12,13 +12,17 @@ forked worker processes, one per core the process may run on, smallest eps
 (longest lifespan) first.  Each point is the same computation as in a plain
 loop, and the records are merged in eps order before the fit, so the fit is
 bit for bit that of the plain loop, which is what runs on a single core.
+``_forked`` is the package's one process pool: the ``critical`` command
+evolves in it while it shoots its eigenfunction family.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -191,26 +195,53 @@ def _detect_point(job, eps: float) -> LifespanRecord:
     return detect_blowup(metric, damping, data, eps, p, cfg, mode=mode)
 
 
-# the shared inputs of a sweep in a pool worker; the fork start method hands
-# them over by inheritance, since a damping's caches and a lambda tmax_for
-# cannot be pickled
-_worker_job = None
-
-
-def _set_worker_job(job):
-    global _worker_job
-    _worker_job = job
-
-
-def _detect_in_worker(eps: float) -> LifespanRecord:
-    return _detect_point(_worker_job, eps)
-
-
 def _cores() -> int:
     """Cores this process may run on."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+# the calls of a _forked pool, set in each worker by its initializer; the
+# fork start method hands them over by inheritance, since a damping's caches
+# and a lambda cannot be pickled
+_worker_calls = None
+
+
+def _set_worker_calls(calls):
+    global _worker_calls
+    _worker_calls = calls
+
+
+def _run_worker_call(i: int):
+    return _worker_calls[i]()
+
+
+@contextmanager
+def _forked(calls):
+    """One getter per zero-argument call, in call order, each returning its
+    call's result or raising its error.
+
+    The calls start at once in forked worker processes, min(cores, calls)
+    of them, in call order; only indices go out and only results come back.
+    With one core, or without the fork start method, each getter runs its
+    call in this process when it is read.  Every worker is joined on exit,
+    and the calls not yet started are dropped.
+    """
+    import multiprocessing
+    cores = _cores()
+    if cores < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        yield list(calls)
+        return
+    from concurrent.futures.process import ProcessPoolExecutor
+    pool = ProcessPoolExecutor(min(cores, len(calls)),
+                               multiprocessing.get_context("fork"),
+                               initializer=_set_worker_calls, initargs=(calls,))
+    try:
+        yield [pool.submit(_run_worker_call, i).result
+               for i in range(len(calls))]
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def sweep_and_fit(metric: MetricProfile, damping: DampingProfile | None,
@@ -237,19 +268,8 @@ def sweep_and_fit(metric: MetricProfile, damping: DampingProfile | None,
     if len(eps_grid) < 5:
         raise ConfigurationError("sweep needs at least 5 eps values")
     job = (metric, damping, data, p, config, mode, tmax_for)
-    workers = min(_cores(), len(eps_grid))
-    import multiprocessing
-    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
-        records = [_detect_point(job, eps) for eps in eps_grid]
-    else:
-        from concurrent.futures.process import ProcessPoolExecutor
-        pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                                   initializer=_set_worker_job, initargs=(job,))
-        try:
-            # longest lifespans first, so the last point to finish is short
-            futures = [pool.submit(_detect_in_worker, eps)
-                       for eps in reversed(eps_grid)]
-            records = [f.result() for f in reversed(futures)]
-        finally:
-            pool.shutdown(cancel_futures=True)
+    # longest lifespans first, so the last point to finish is short
+    with _forked([partial(_detect_point, job, eps)
+                  for eps in reversed(eps_grid)]) as points:
+        records = [point() for point in reversed(points)]
     return fit_records(records, metric.n, p, data)

@@ -141,14 +141,15 @@ def _bracket(x: float) -> float:
     return math.sqrt(1.0 + x * x)
 
 
-def _measure(ev: XiEvaluator, samples):
+def _measure(ev: XiEvaluator, samples, k_int: dict, eta: dict):
+    """(a1, a2, skipped) over the samples; k_int maps each radius to its
+    k_integral, eta each T to eta_of_s(T)."""
     a1 = math.inf
     a2 = 0.0
     n = ev.family.profile.n
     skipped = []
     for (r, T, t) in samples:
-        eta_T = float(eta_of_s(ev.damping, T))
-        kr = k_integral(ev.family.profile, r)
+        eta_T, kr = eta[T], k_int[r]
         if kr > eta_T + ev.r1:
             skipped.append((r, T, t, "outside the support region"))
             continue
@@ -170,11 +171,17 @@ def xi_bounds_check(ev: XiEvaluator, samples) -> BoundReport:
     if ev.refined is None:
         raise ConfigurationError("evaluator has no refined grid; use build_evaluator")
     samples = [(float(r), float(T), float(t)) for (r, T, t) in samples]
-    a1, a2, skipped = _measure(ev, samples)
-    a1r, a2r, _ = _measure(ev.refined, samples)
     doubled = [(r, 2.0 * T, 2.0 * t if t < T else 2.0 * T)
                for (r, T, t) in samples]
-    a1t, a2t, skip_t = _measure(ev, doubled)
+    # the three measurements share the radii, the first two also the T
+    # values, and the refined evaluator shares the profile and damping
+    k_int = {r: k_integral(ev.family.profile, r)
+             for r in dict.fromkeys(r for r, _, _ in samples)}
+    eta = {T: float(eta_of_s(ev.damping, T))
+           for T in dict.fromkeys(T for _, T, _ in samples + doubled)}
+    a1, a2, skipped = _measure(ev, samples, k_int, eta)
+    a1r, a2r, _ = _measure(ev.refined, samples, k_int, eta)
+    a1t, a2t, skip_t = _measure(ev, doubled, k_int, eta)
     vals1 = [v for v in (a1, a1r, a1t) if math.isfinite(v)]
     vals2 = [v for v in (a2, a2r, a2t) if v > 0.0]
     ok = (a1 > 0.0 and math.isfinite(a1) and math.isfinite(a2) and a2 > 0.0)

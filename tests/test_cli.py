@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 import os
 import pathlib
 import subprocess
@@ -9,6 +10,10 @@ import numpy as np
 import pytest
 
 from aeblow import cli, errors
+from aeblow import entire_solutions as eig
+from aeblow import lifespan as ls
+from aeblow import testfn_critical as crit
+from aeblow import wave_solver as ws
 
 
 def run_cli(args):
@@ -178,6 +183,107 @@ def test_critical_family_covers_solver_grid(extra, tmp_path):
         args += ["--set", item]
     assert run_cli(args + ["--out", str(out)]) == 0
     assert json.loads(out.read_text())["bounds_passed"] is True
+
+
+def _serial_critical(sets, path):
+    """The critical command as one evolution followed by the family shoot,
+    in this process: the reference of the forked command.  Writes the report
+    to path and returns the exit status."""
+    cfg = cli.ExperimentConfig.build("critical", None, sets)
+    run = cfg.run
+    t_max, eps = run["t_max"], run["eps"]
+    profile, dprof, data, scfg = cli._profiles(cfg, tmax=t_max)
+    p = ls.critical_exponent(profile.n)
+    q = crit.critical_q(profile.n)
+    lam_grid = crit.log_lambda_grid(eig.lambda_max(profile), run["lam_points"])
+    snaps = list(np.arange(0.0, t_max + 1e-9, run["snapshot_step"]))
+    traj = ws.evolve_transformed(profile, dprof, data, eps, scfg, p=p,
+                                 snapshot_times=snaps, functionals=False)
+    ev = crit.build_evaluator(profile, dprof, q=q, r_max=float(traj.r[-1]),
+                              r1=traj.r1, lam_grid=lam_grid, dr=traj.dr)
+    crep = crit.critical_F(traj, ev)
+    samples = [s for T in (t_max / 4, t_max / 2, t_max) for s in
+               [(r, T, t) for t in (0.0, T / 4, T / 2) for r in (data.r0, 0.4 * T)]
+               + [(r, T, T) for r in (data.r0, 0.25 * T, 0.6 * T, 0.9 * T)]]
+    brep = crit.xi_bounds_check(ev, samples)
+    irep = crit.slicing_iteration_check(
+        crep.T, crep.lhs, crit.SlicingConstants(c_int=crep.min_ratio,
+                                                B=run["B"], eps=eps, p=p))
+    cli._write_json({
+        "n": profile.n, "p": p, "q": q, "eps": eps, "t_max": t_max,
+        "a1": brep.a1, "a2": brep.a2,
+        "a1_drift": brep.drift_a1, "a2_drift": brep.drift_a2,
+        "bounds_passed": brep.passed,
+        "min_ratio": crep.min_ratio, "min_slicing1": crep.min_slicing1,
+        "T": [float(t) for t in crep.T],
+        "F": [float(x) for x in crep.lhs],
+        "interaction": [float(x) for x in crep.rhs],
+        "measured_c": irep.measured_c, "diverges": irep.diverges,
+        "threshold_T": irep.threshold_T,
+        "iteration_rel_err": irep.max_iter_rel_err}, str(path))
+    ok = (brep.passed and crep.min_ratio > 0.0 and crep.min_slicing1 > 0.0
+          and irep.max_iter_rel_err < 1e-2)
+    return 0 if ok else 1
+
+
+def _use_cores(monkeypatch, cores):
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cores)), raising=False)
+
+
+_CRITICAL_RUN = ["run.t_max=8.0", "run.eps=0.4", "run.lam_points=17",
+                 "run.snapshot_step=0.5", "run.B=0.5", "solver.dr=0.1"]
+CRITICALS = {
+    "zero": [],
+    "scattering-power": ["damping.kind=scattering-power", "damping.mu=0.5",
+                         "damping.beta=2.0"],
+    "signed-oscillatory": ["damping.kind=signed-oscillatory",
+                           "damping.mu=0.3", "damping.beta=2.0"],
+    "tabulated": ["damping.kind=tabulated",
+                  "damping.table=[[0,0.4],[2,0.1],[4,0.3],[6,0.05]]"],
+    "power-law": ["metric.kind=power-law", "metric.c=0.5", "metric.rho=1",
+                  "data.r0=3"],
+}
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+@pytest.mark.parametrize("case", CRITICALS)
+def test_critical_equals_the_serial_pipeline(case, cores, monkeypatch,
+                                             tmp_path):
+    sets = _CRITICAL_RUN + CRITICALS[case]
+    want, got = tmp_path / "want.json", tmp_path / "got.json"
+    status = _serial_critical(sets, want)
+    _use_cores(monkeypatch, cores)
+    args = ["critical", "--out", str(got)]
+    for item in sets:
+        args += ["--set", item]
+    assert run_cli(args) == status
+    assert got.read_bytes() == want.read_bytes()
+    assert multiprocessing.active_children() == []
+
+
+def test_critical_evolves_in_a_worker(monkeypatch, tmp_path):
+    parent, evolve, shoot = os.getpid(), ws._evolve, crit.build_evaluator
+    shooters = []
+
+    def evolve_elsewhere(*args):
+        if os.getpid() == parent:
+            raise AssertionError("the evolution ran in the calling process")
+        return evolve(*args)
+
+    def spy(*args, **kw):
+        shooters.append(os.getpid())
+        return shoot(*args, **kw)
+
+    _use_cores(monkeypatch, 2)
+    monkeypatch.setattr(ws, "_evolve", evolve_elsewhere)
+    monkeypatch.setattr(crit, "build_evaluator", spy)
+    args = ["critical", "--out", str(tmp_path / "crit.json")]
+    for item in _CRITICAL_RUN:
+        args += ["--set", item]
+    assert run_cli(args) == 0
+    assert shooters == [parent]
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("override,message", [
@@ -380,7 +486,8 @@ def test_scipy_imported_only_where_used(tmp_path):
 
 
 # multiprocessing and its process pool (about 20 ms to import together) are
-# loaded by a sweep alone: import and solve times stay free of them
+# loaded by the commands that fork, sweep and critical, alone: import and
+# solve times stay free of them
 _MULTIPROCESSING_PROBE = """
 import sys
 from aeblow import cli
@@ -392,19 +499,25 @@ def run(kind, *sets):
 assert "multiprocessing" not in sys.modules
 run("solve", "run.eps=0.3", "run.p=2.0", "solver.tmax=2")
 assert "multiprocessing" not in sys.modules
-run("sweep", "run.p=2.0", "run.eps_max=7", "run.ratio=1.3", "run.count=5",
-    "solver.dr=0.1", "solver.tmax=100")
+if sys.argv[2] == "sweep":
+    run("sweep", "run.p=2.0", "run.eps_max=7", "run.ratio=1.3", "run.count=5",
+        "solver.dr=0.1", "solver.tmax=100")
+else:
+    run("critical", "run.t_max=8", "solver.dr=0.1")
 assert "multiprocessing" in sys.modules
 """
 
 
-def test_multiprocessing_imported_only_by_sweep(tmp_path):
+@pytest.mark.parametrize("kind,key", [("sweep", "monotone"),
+                                      ("critical", "bounds_passed")])
+def test_multiprocessing_imported_only_by_sweep_and_critical(kind, key,
+                                                             tmp_path):
     proc = subprocess.run([sys.executable, "-c", _MULTIPROCESSING_PROBE,
-                           str(tmp_path / "rep.json")],
+                           str(tmp_path / "rep.json"), kind],
                           env=_child_env(), capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads((tmp_path / "rep.json").read_text())["monotone"] is True
+    assert json.loads((tmp_path / "rep.json").read_text())[key] is True
 
 
 def test_entry_point_registered():

@@ -256,3 +256,29 @@ def test_sweep_raises_the_first_error_in_eps_order(cores, monkeypatch, flat3,
     assert type(got.value) is type(want.value)
     assert str(got.value) == str(want.value)
     assert multiprocessing.active_children() == []
+
+
+def _fail():
+    raise DomainError("raised in the call")
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_forked_hands_each_result_and_error_to_the_caller(cores,
+                                                         monkeypatch):
+    _use_cores(monkeypatch, cores)
+    with ls._forked([os.getpid, _fail, lambda: "third"]) as (pid, fail,
+                                                             third):
+        assert third() == "third"
+        with pytest.raises(DomainError) as err:
+            fail()
+        assert str(err.value) == "raised in the call"
+        assert (pid() == os.getpid()) == (cores == 1)
+    assert multiprocessing.active_children() == []
+
+
+def test_forked_joins_its_workers_when_the_caller_raises(monkeypatch):
+    _use_cores(monkeypatch, 2)
+    with pytest.raises(KeyError):
+        with ls._forked([os.getpid, os.getpid]):
+            raise KeyError("the caller's own error")
+    assert multiprocessing.active_children() == []

@@ -10,6 +10,7 @@ from aeblow import damping as damping_mod
 from aeblow import entire_solutions as es
 from aeblow import lifespan
 from aeblow import metric as metric_mod
+from aeblow import testfn_critical
 from aeblow import wave_solver as ws
 from aeblow.errors import ConfigurationError, DomainError, IntegrationError
 
@@ -367,7 +368,14 @@ def test_records_off_contract(flat3, zero_damping, bump_data, monkeypatch,
 
     monkeypatch.setattr(lifespan, "evolve_transformed",
                         spy(ws.evolve_transformed))
-    monkeypatch.setattr(ws, "evolve_transformed", spy(ws.evolve_transformed))
+    # critical evolves in a worker: take the trajectory it sent back
+    critical_F = testfn_critical.critical_F
+
+    def received(traj, ev):
+        seen.append(traj)
+        return critical_F(traj, ev)
+
+    monkeypatch.setattr(testfn_critical, "critical_F", received)
     lifespan.detect_blowup(flat3, zero_damping, bump_data, 3.0, 2.0,
                            ws.SolverConfig(dr=0.1, tmax=3.0))
     assert cli.main(["critical", "--set", "run.t_max=8",
