@@ -258,20 +258,19 @@ def _run_sweep(cfg: ExperimentConfig):
             number(run, "run", "eps_max"),
             number(run, "run", "count", 7, integer=True),
             ratio=number(run, "run", "ratio", math.sqrt(2.0)))
-    tmax_for = None
-    if "tmax_budget" in run:
-        budget = number(run, "run", "tmax_budget")
-        expo = number(run, "run", "tmax_exponent", 2.0)
-        tmax_for = lambda e: min(scfg.tmax, budget / e ** expo)
-    fit = lifespan_mod.sweep_and_fit(profile, dprof, data, grid, p, scfg,
-                                     mode=text(run, "run", "solve_mode", "transformed"),
-                                     tmax_for=tmax_for)
+    fit = lifespan_mod.sweep_and_fit(
+        profile, dprof, data, grid, p, scfg,
+        mode=text(run, "run", "solve_mode", "transformed"),
+        tmax_budget=number(run, "run", "tmax_budget", None, positive=True))
     return True, fit.as_dict(), (["eps", "t_blowup"], zip(fit.eps, fit.t))
 
 
 def _run_critical(cfg: ExperimentConfig):
     run = cfg.run
-    t_max = number(run, "run", "t_max", 40.0)
+    if "tmax" in cfg.solver:
+        raise ConfigurationError("config key solver.tmax is not read by "
+                                 "critical: its horizon is run.t_max")
+    t_max = number(run, "run", "t_max", 40.0, positive=True)
     profile, dprof, data, scfg = _profiles(cfg, tmax=t_max)
     n = profile.n
     p = lifespan_mod.critical_exponent(n)
@@ -336,7 +335,7 @@ _COMMANDS = {
                "stride")),
     "sweep": (_run_sweep, "lifespan sweep over an eps grid with slope fit",
               ("p", "eps_grid", "eps_max", "count", "ratio", "tmax_budget",
-               "tmax_exponent", "solve_mode")),
+               "solve_mode")),
     "critical": (_run_critical,
                  "critical-exponent test-function and slicing checks",
                  ("t_max", "eps", "lam_points", "snapshot_step", "B")),

@@ -5,7 +5,8 @@ thresholds (1e6, 1e8, 1e10 times eps) with log-interpolation between recorded
 steps followed by Aitken extrapolation of the crossing times.  Sweeping eps
 over a geometric grid and fitting log T against log eps recovers the scaling
 exponent 2p(p-1)/((n-1)p^2-(n+1)p-2) in the subcritical range, and
--(p-1)/(3-p) for n=2, p<2 with velocity-only data.
+-(p-1)/(3-p) for n=2, p<2 with velocity-only data; a sweep's time budget
+scales each point's horizon by the same exponent.
 
 The points of a sweep share nothing, so ``sweep_and_fit`` detects them in
 forked worker processes, one per core the process may run on, smallest eps
@@ -188,23 +189,9 @@ def fit_records(records, n: int, p: float, data: DataProfile) -> FitReport:
         monotone=bool(np.all(np.diff(t) >= -1e-9)))
 
 
-def _detect_point(job, eps: float) -> LifespanRecord:
-    metric, damping, data, p, config, mode, tmax_for = job
-    cfg = config if tmax_for is None \
-        else replace(config, tmax=float(tmax_for(eps)))
-    return detect_blowup(metric, damping, data, eps, p, cfg, mode=mode)
-
-
-def _cores() -> int:
-    """Cores this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 # the calls of a _forked pool, set in each worker by its initializer; the
 # fork start method hands them over by inheritance, since a damping's caches
-# and a lambda cannot be pickled
+# cannot be pickled
 _worker_calls = None
 
 
@@ -229,7 +216,8 @@ def _forked(calls):
     and the calls not yet started are dropped.
     """
     import multiprocessing
-    cores = _cores()
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
     if cores < 2 or "fork" not in multiprocessing.get_all_start_methods():
         yield list(calls)
         return
@@ -247,29 +235,40 @@ def _forked(calls):
 def sweep_and_fit(metric: MetricProfile, damping: DampingProfile | None,
                   data: DataProfile, eps_grid, p: float,
                   config: SolverConfig, mode: str = "transformed",
-                  tmax_for=None) -> FitReport:
+                  tmax_budget: float | None = None) -> FitReport:
     """Detect blow-up across an eps grid and fit the lifespan exponent.
 
-    tmax_for(eps) may supply a per-point time budget; with the default the
-    shared config.tmax is used for every point.  The points run in forked
-    worker processes, one per core in the process's CPU affinity, smallest
-    eps first; with one core, or without the fork start method, they run
-    one after another.  Either way the records are merged in eps order,
-    whatever order the points finish in, so the fit is deterministic, and
-    the error of the first failing point in that order is raised.  Every
-    worker is joined before this returns or raises.
+    Each point runs to config.tmax, or with a tmax_budget to
+    min(config.tmax, tmax_budget / eps**e), e = 2p(p-1)/gamma(n, p) with
+    gamma(n, p) = 2 + (n+1)p - (n-1)p^2 (minus subcritical_exponent, the
+    fit's theory), as the sharp lifespan bound T(eps) ~ eps**(-e) scales; a
+    budget needs p below the critical exponent, where that bound holds.
+    The points run in forked worker processes, one per core in the
+    process's CPU affinity, smallest eps first; with one core, or without
+    the fork start method, one after another.  The records are merged in
+    eps order whatever order the points finish in, so the fit is
+    deterministic, and the error of the first failing point in that order
+    is raised.  Every worker is joined before this returns or raises.
     """
     pc = critical_exponent(metric.n)
     if abs(p - pc) < 1e-9:
         raise ConfigurationError(
             "p equals the critical exponent: a direct sweep would need "
             "exponential time budgets; use the critical-case checks instead")
+    if tmax_budget is not None and p > pc:
+        raise ConfigurationError(
+            f"tmax_budget scales by the subcritical lifespan exponent, which "
+            f"needs p < p_c({metric.n}) = {pc:.6g}, not p = {p:g}")
     eps_grid = [float(e) for e in sorted(eps_grid, reverse=True)]
     if len(eps_grid) < 5:
         raise ConfigurationError("sweep needs at least 5 eps values")
-    job = (metric, damping, data, p, config, mode, tmax_for)
+    e = -subcritical_exponent(metric.n, p)
+    calls = [partial(detect_blowup, metric, damping, data, eps, p,
+                     config if tmax_budget is None else
+                     replace(config, tmax=float(min(config.tmax,
+                                                    tmax_budget / eps ** e))),
+                     mode=mode) for eps in eps_grid]
     # longest lifespans first, so the last point to finish is short
-    with _forked([partial(_detect_point, job, eps)
-                  for eps in reversed(eps_grid)]) as points:
+    with _forked(calls[::-1]) as points:
         records = [point() for point in reversed(points)]
     return fit_records(records, metric.n, p, data)

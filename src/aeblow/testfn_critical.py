@@ -231,9 +231,10 @@ def critical_F(traj, ev: XiEvaluator) -> CriticalReport:
     ts = np.asarray(traj.snap_t, dtype=float)
     U = np.asarray(traj.snap_u, dtype=float)
     p = traj.p
-    # lambda-space images of u(t)V and |u(t)|^p V, one row per snapshot
-    GU = (U * vol) @ phimat.T
-    GP = (np.abs(U) ** p * vol) @ phimat.T
+    # lambda-space images of u(t)V and |u(t)|^p V, one row per snapshot;
+    # einsum sums in one fixed order, where BLAS splits the sum by thread
+    GU = np.einsum("ij,kj->ik", U * vol, phimat)
+    GP = np.einsum("ij,kj->ik", np.abs(U) ** p * vol, phimat)
 
     eta = np.asarray(eta_of_s(ev.damping, ts))
     Tsel = ts[ts >= 2.0]

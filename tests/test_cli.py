@@ -145,6 +145,30 @@ def test_bad_override_exit_2(capsys):
     assert "key=value" in capsys.readouterr().err
 
 
+def test_unknown_kind_rejected():
+    # the command line never gets here (argparse knows the subcommands);
+    # a caller of ExperimentConfig.build does
+    with pytest.raises(errors.ConfigurationError,
+                       match="unknown experiment kind 'bogus'"):
+        cli.ExperimentConfig.build("bogus", None, [])
+
+
+@pytest.mark.parametrize("body,message", [
+    ("[1, 2]", "config root must be an object"),
+    ('{"solver": 3}', "config block 'solver' must be an object")])
+def test_config_file_shape_exit_2(body, message, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(body)
+    assert run_cli(["solve", "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("item", ["eps=0.3", "run.eps.x=0.3", "sover.dr=0.1"])
+def test_malformed_override_key_exit_2(item, capsys):
+    assert run_cli(["solve", "--set", item]) == 2
+    assert "must be <block>.<field>" in capsys.readouterr().err
+
+
 def test_sweep_smoke_and_determinism(tmp_path):
     args = ["sweep", "--set", "run.p=2.0", "--set", "run.eps_max=7.0",
             "--set", "run.count=5", "--set", "run.ratio=1.3",
@@ -298,6 +322,48 @@ def test_critical_reads_solver_block(override, message, capsys):
                     "--set", "solver.dr=0.1", "--set", "run.lam_points=5",
                     "--set", override]) == 2
     assert message in capsys.readouterr().err
+
+
+# each run horizon has one way in, and a bad one names the key that was set
+@pytest.mark.parametrize("kind,overrides,message", [
+    ("sweep", ["run.p=2.0", "run.eps_max=7", "run.tmax_budget=2100",
+               "run.tmax_exponent=2"], "unknown config key run.tmax_exponent"),
+    # critical ran to run.t_max and wrote the bytes of a run without it
+    ("critical", ["solver.tmax=3"],
+     "solver.tmax is not read by critical: its horizon is run.t_max"),
+    # above p_c there is no small-data lifespan for a budget to scale by
+    ("sweep", ["run.p=3.0", "run.eps_max=7", "run.tmax_budget=2100"],
+     "tmax_budget scales by the subcritical lifespan exponent"),
+    # these named solver.tmax, a key never set
+    ("critical", ["run.t_max=-5"], "run.t_max must be a positive number"),
+    ("sweep", ["run.p=2.0", "run.eps_max=7", "run.tmax_budget=-5"],
+     "run.tmax_budget must be a positive number")],
+    ids=["tmax_exponent", "critical-solver.tmax", "budget-above-p_c",
+         "negative-t_max", "negative-budget"])
+def test_horizon_keys_exit_2_naming_the_key(kind, overrides, message, capsys):
+    args = [kind]
+    for item in overrides:
+        args += ["--set", item]
+    assert run_cli(args) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_critical_bytes_independent_of_blas_threads(tmp_path):
+    """A critical-n3-sized report has the same bytes under one and two
+    OpenBLAS threads: critical_F's lambda-space images sum in einsum's one
+    order, where a BLAS product splits its sums by thread."""
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"crit-{threads}.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "aeblow", "critical",
+             "--set", "run.t_max=40", "--set", "solver.dr=0.05",
+             "--set", "run.eps=0.4", "--out", str(out)],
+            env=dict(_child_env(), OPENBLAS_NUM_THREADS=threads),
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("kind", ["solve", "sweep"])

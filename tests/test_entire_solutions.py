@@ -127,6 +127,13 @@ def test_mu_diagnostic_flat_n2(flat2):
     assert rep.sup_int_mu <= rep.bound_int
 
 
+def test_mu_diagnostic_needs_the_exterior_region(flat3):
+    # r_max = 5 stops short of 1/lam = 10
+    sol = es.build_entire_solution(flat3, 0.1, 5.0, dr=0.05)
+    with pytest.raises(DomainError, match="exterior region"):
+        es.mu_diagnostic(sol)
+
+
 @pytest.mark.parametrize("c, rho, lam", [(0.5, 1.0, 0.3), (-0.4, 0.7, 0.37)])
 def test_mu_diagnostic_takes_int_k_by_the_one_rule(c, rho, lam):
     """int mu = log y(r) - log y(1/lam) - lam int_1/lam^r K, with the integral

@@ -85,12 +85,31 @@ def test_detection_monotone_in_eps(flat3, zero_damping, bump_data):
     assert t7 < t5
 
 
+def test_threshold_crossed_at_the_first_record(flat3, zero_damping):
+    # sup|u| starts at 2e6 eps, past the first threshold 1e6 eps: its
+    # crossing is the first record's time, with nothing to interpolate from
+    data = ws.DataProfile(r0=1.0, u0_amp=2e6, u1_amp=1.0)
+    rec = ls.detect_blowup(flat3, zero_damping, data, 0.1, 2.0,
+                           ws.SolverConfig(dr=0.1, tmax=2.0))
+    assert rec.blew_up
+    assert rec.crossings[0] == 0.0
+    assert 0.0 < rec.crossings[1] < rec.crossings[2]
+
+
 def test_sweep_refuses_critical_p(flat3, zero_damping, bump_data):
     cfg = ws.SolverConfig(dr=0.1, tmax=5.0)
     with pytest.raises(ConfigurationError):
         ls.sweep_and_fit(flat3, zero_damping, bump_data,
                          ls.geometric_eps_grid(4.0, 5),
                          ls.critical_exponent(3), cfg)
+
+
+def test_budget_needs_p_below_critical(flat3, zero_damping, bump_data):
+    # above p_c there is no small-data lifespan law to scale a budget by
+    with pytest.raises(ConfigurationError, match="needs p < p_c"):
+        ls.sweep_and_fit(flat3, zero_damping, bump_data,
+                         ls.geometric_eps_grid(4.0, 5), 3.0,
+                         ws.SolverConfig(dr=0.1, tmax=5.0), tmax_budget=100.0)
 
 
 def test_sweep_needs_enough_points(flat3, zero_damping, bump_data):
@@ -113,7 +132,7 @@ def test_short_sweep_slope_near_theory(flat3, zero_damping, bump_data):
     cfg = ws.SolverConfig(dr=0.1, tmax=400.0)
     grid = ls.geometric_eps_grid(7.0, 5, ratio=1.3)
     fit = ls.sweep_and_fit(flat3, zero_damping, bump_data, grid, 2.0, cfg,
-                           tmax_for=lambda e: min(400.0, 3.5 * 600.0 / e ** 2))
+                           tmax_budget=2100.0)
     assert fit.theory == pytest.approx(-2.0, rel=1e-14)
     assert fit.monotone
     assert -2.4 < fit.slope < -1.6
@@ -155,12 +174,16 @@ def test_negative_eps_rejected(flat3, zero_damping, bump_data):
 # -- the pooled sweep ------------------------------------------------------------
 
 def _loop_sweep(metric, damping, data, grid, p, cfg, mode="transformed",
-                tmax_for=None):
-    """The sweep as one plain loop: the reference of the pooled one."""
+                tmax_budget=None):
+    """The sweep as one plain loop: the reference of the pooled one.  A
+    budget scales by the n = 3, p = 2 lifespan exponent 2, written out."""
     records = []
     for eps in sorted(grid, reverse=True):
-        c = cfg if tmax_for is None \
-            else dataclasses.replace(cfg, tmax=float(tmax_for(eps)))
+        c = cfg
+        if tmax_budget is not None:
+            assert (metric.n, p) == (3, 2.0)
+            c = dataclasses.replace(
+                cfg, tmax=min(cfg.tmax, tmax_budget / float(eps) ** 2.0))
         records.append(ls.detect_blowup(metric, damping, data, float(eps), p,
                                         c, mode=mode))
     return records, ls.fit_records(records, metric.n, p, data)
@@ -172,18 +195,17 @@ def _use_cores(monkeypatch, cores):
 
 
 SWEEPS = {
-    # a lambda budget, which no pickle can carry to a worker
-    "transformed-zero-tmax_for": dict(
+    # a time budget: each point runs to its own horizon
+    "transformed-zero-budget": dict(
         grid=ls.geometric_eps_grid(7.0, 5, ratio=1.3), tmax=400.0,
-        mode="transformed", damped=False,
-        tmax_for=lambda e: min(400.0, 3.5 * 600.0 / e ** 2)),
+        mode="transformed", damped=False, budget=2100.0),
     "direct-scattering": dict(
         grid=ls.geometric_eps_grid(7.0, 5, ratio=1.3), tmax=200.0,
-        mode="direct", damped=True, tmax_for=None),
+        mode="direct", damped=True, budget=None),
     # eps 1.885 does not blow up by t = 100
     "smallest-eps-no-blowup": dict(
         grid=ls.geometric_eps_grid(7.0, 6, ratio=1.3), tmax=100.0,
-        mode="transformed", damped=False, tmax_for=None),
+        mode="transformed", damped=False, budget=None),
 }
 
 
@@ -196,7 +218,7 @@ def test_sweep_equals_the_plain_loop(case, cores, monkeypatch, flat3,
     damping = scat_damping if c["damped"] else zero_damping
     cfg = ws.SolverConfig(dr=0.1, tmax=c["tmax"])
     records, want = _loop_sweep(flat3, damping, bump_data, c["grid"], 2.0,
-                                cfg, c["mode"], c["tmax_for"])
+                                cfg, c["mode"], c["budget"])
     if case == "smallest-eps-no-blowup":
         assert [r.blew_up for r in records] == [True] * 5 + [False]
     fitted, fit = [], ls.fit_records
@@ -208,7 +230,7 @@ def test_sweep_equals_the_plain_loop(case, cores, monkeypatch, flat3,
     _use_cores(monkeypatch, cores)
     monkeypatch.setattr(ls, "fit_records", spy)
     got = ls.sweep_and_fit(flat3, damping, bump_data, c["grid"][::-1], 2.0,
-                           cfg, mode=c["mode"], tmax_for=c["tmax_for"])
+                           cfg, mode=c["mode"], tmax_budget=c["budget"])
     same_fields(got, want)
     # merged in eps order, whatever order the workers finished in; repr
     # shows every float exactly, and a nan time equal to a nan time
@@ -218,18 +240,18 @@ def test_sweep_equals_the_plain_loop(case, cores, monkeypatch, flat3,
 
 def test_sweep_points_run_in_worker_processes(monkeypatch, flat3,
                                               zero_damping, bump_data):
-    parent = os.getpid()
+    parent, detect = os.getpid(), ls.detect_blowup
 
-    def budget(eps):
+    def detect_elsewhere(*args, **kw):
         if os.getpid() == parent:
             raise AssertionError("a point ran in the calling process")
-        return 100.0
+        return detect(*args, **kw)
 
     _use_cores(monkeypatch, 2)
+    monkeypatch.setattr(ls, "detect_blowup", detect_elsewhere)
     fit = ls.sweep_and_fit(flat3, zero_damping, bump_data,
                            ls.geometric_eps_grid(7.0, 5, ratio=1.3), 2.0,
-                           ws.SolverConfig(dr=0.1, tmax=100.0),
-                           tmax_for=budget)
+                           ws.SolverConfig(dr=0.1, tmax=100.0))
     assert len(fit.eps) == 5
     assert multiprocessing.active_children() == []
 
@@ -241,18 +263,14 @@ def test_sweep_raises_the_first_error_in_eps_order(cores, monkeypatch, flat3,
     # submitted first, does not
     cfg = ws.SolverConfig(dr=0.1, tmax=400.0, rmax=60.0)
     grid = ls.geometric_eps_grid(7.0, 5, ratio=1.3)
-
-    def budget(e):
-        return min(400.0, 3.5 * 600.0 / e ** 2)
-
     with pytest.raises(ConfigurationError) as want:
         _loop_sweep(flat3, zero_damping, bump_data, grid, 2.0, cfg,
-                    tmax_for=budget)
+                    tmax_budget=2100.0)
     assert "rmax=60 too small" in str(want.value)
     _use_cores(monkeypatch, cores)
     with pytest.raises(ConfigurationError) as got:
         ls.sweep_and_fit(flat3, zero_damping, bump_data, grid, 2.0, cfg,
-                         tmax_for=budget)
+                         tmax_budget=2100.0)
     assert type(got.value) is type(want.value)
     assert str(got.value) == str(want.value)
     assert multiprocessing.active_children() == []

@@ -160,6 +160,11 @@ def test_g_potential_rejects_origin(flat2):
         metric.g_potential(flat2, 0.0)
 
 
+def test_k_integral_rejects_negative_radius(flat3):
+    with pytest.raises(DomainError, match="nonnegative"):
+        metric.k_integral(flat3, -1.0)
+
+
 def test_r2_g_potential_bounded(powerlaw3):
     r = np.geomspace(0.05, 1e3, 300)
     vals = np.array([metric.g_potential(powerlaw3, x) for x in r])

@@ -145,6 +145,15 @@ def test_evaluator_needs_four_positive_lambdas(zero_damping, lams):
         tc.XiEvaluator(family=fam, damping=zero_damping, q=0.5, r1=1.0)
 
 
+@pytest.mark.parametrize("q", [-1.0, -2.0])
+def test_evaluator_needs_q_above_minus_one(zero_damping, q):
+    # the weight lam^q is integrable at 0 only for q > -1
+    fam = es.EigenFamily(profile=None, lams=tc.log_lambda_grid(1.0, 5),
+                         r=np.zeros(1), phi=np.ones((5, 1)))
+    with pytest.raises(ConfigurationError, match="q > -1"):
+        tc.XiEvaluator(family=fam, damping=zero_damping, q=q, r1=1.0)
+
+
 def test_xi_bounds_check_needs_a_refined_grid(zero_damping):
     with pytest.raises(ConfigurationError):
         tc.xi_bounds_check(_synthetic_evaluator(0.05, 40, zero_damping),
@@ -262,8 +271,10 @@ def _critical_F_pairwise(traj, ev):
     wq = ev.w * lam ** ev.q
     phimat = es._rows_at(ev.family.r, ev.family.phi, traj.r)
     ts = np.asarray(traj.snap_t, dtype=float)
-    GU = (traj.snap_u * traj.V) @ phimat.T
-    GP = (np.abs(traj.snap_u) ** traj.p * traj.V) @ phimat.T
+    # the lambda-space images summed in critical_F's order, so lhs compares
+    # bit for bit
+    GU = np.einsum("ij,kj->ik", traj.snap_u * traj.V, phimat)
+    GP = np.einsum("ij,kj->ik", np.abs(traj.snap_u) ** traj.p * traj.V, phimat)
 
     def weight(T, t):
         eta_T = float(eta_of_s(ev.damping, T))

@@ -354,6 +354,26 @@ def test_rmax_too_small_rejected(flat3, zero_damping, bump_data):
                 ws.SolverConfig(dr=0.05, tmax=50.0, rmax=5.0))
 
 
+@pytest.mark.parametrize("kw, message", [
+    (dict(mode="bogus"), "unknown solver mode 'bogus'"),
+    (dict(p=1.0), "p must exceed 1")])
+def test_init_rejects_bad_mode_and_power(kw, message, flat3, zero_damping,
+                                         bump_data):
+    with pytest.raises(ConfigurationError, match=message):
+        ws.init(flat3, zero_damping, bump_data, 0.3,
+                ws.SolverConfig(dr=0.05, tmax=1.0), **kw)
+
+
+def test_inequalities_need_a_window_past_t_one(flat3, bump_data):
+    # the window is t >= 1; a run that ends at t = 0.5 has none of it
+    phi = es.build_entire_solution(flat3, 0.2, 10.0, dr=0.05)
+    traj = ws.evolve_transformed(flat3, None, bump_data, 0.3,
+                                 ws.SolverConfig(dr=0.05, tmax=0.5),
+                                 phi_sol=phi)
+    with pytest.raises(DomainError, match="too short"):
+        ws.check_inequalities(traj)
+
+
 def test_records_off_contract(flat3, zero_damping, bump_data, monkeypatch,
                               tmp_path):
     """The evolutions whose callers read only sup and the snapshots record no
