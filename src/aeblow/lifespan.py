@@ -120,13 +120,20 @@ def detect_blowup(metric: MetricProfile, damping: DampingProfile | None,
 
     A run that exhausts its time budget without crossing all thresholds
     yields a valid no-blow-up record (t_detected = nan), which a sweep may
-    treat as "eps too small for this budget".
+    treat as "eps too small for this budget".  Data whose sup|u(0)| already
+    reaches the first threshold are refused: that crossing has no time.
     """
     evolve = _evolver(mode)
     # the cap must sit above the largest detection threshold
     cap = max(config.sup_cap, 10 * THRESHOLD_FACTORS[-1] * eps)
     traj = evolve(metric, damping, data, eps, replace(config, sup_cap=cap),
                   p=p, functionals=False)
+    first = THRESHOLD_FACTORS[0] * eps
+    if eps > 0 and traj.sup[0] >= first:
+        raise ConfigurationError(
+            f"sup|u(0)| = {traj.sup[0]:.6g} already reaches the first "
+            f"detection threshold {THRESHOLD_FACTORS[0]:g} eps = {first:.6g}; "
+            f"lower the data amplitudes")
     crossings = _crossing_times(traj, eps) if eps > 0 else []
     blew = len(crossings) == len(THRESHOLD_FACTORS)
     t_det = _aitken(*crossings) if blew else float("nan")

@@ -180,7 +180,7 @@ class Discretization:
 
     def lap(self, u: np.ndarray) -> np.ndarray:
         out = _kernels._stencil(u, self.A, self.B, self.C, self.N,
-                                np.empty_like(u), np.empty_like(u))
+                                np.empty_like(u), np.empty_like(u))()
         out[self.N] = 0.0
         return out
 

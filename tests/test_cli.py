@@ -624,3 +624,13 @@ def test_readme_digest_jobs_are_the_readme_examples():
         jobs.append((words[1], [w for prev, w in zip(words, words[1:])
                                 if prev == "--set"]))
     assert jobs == tool.README_JOBS
+
+
+def test_sweep_of_data_past_the_first_threshold_exits_2(capsys):
+    # sup|u(0)| = 2e6 eps reaches the first detection threshold 1e6 eps at
+    # every point; the sweep exited 1 on a negative extrapolated time
+    assert run_cli(["sweep", "--set", "data.u0_amp=2e6", "--set", "run.p=2.0",
+                    "--set", "run.eps_max=1.0", "--set", "solver.dr=0.1",
+                    "--set", "solver.tmax=2"]) == 2
+    assert "already reaches the first detection threshold" \
+        in capsys.readouterr().err

@@ -184,15 +184,33 @@ _NO_STEPS = (0.0, 0.0)
 @settings(max_examples=60, deadline=None, derandomize=True)
 @example(n=3, p=3.0, nonlinear=True, b=0.0, eps=10.0, u0_amp=1.0, u1_amp=1.0,
          nsteps=250, cap=1e12, splits=[0.02], records=(True, True, True),
-         unit_msq=_NO_STEPS, zero_bh=_NO_STEPS)
+         unit_msq=_NO_STEPS, zero_bh=_NO_STEPS, seed_pad=0, nan_back=None)
 @example(n=3, p=2.0, nonlinear=True, b=1.0, eps=20.0, u0_amp=1.0, u1_amp=1.0,
          nsteps=250, cap=math.inf, splits=[0.02], records=(False, True, False),
-         unit_msq=_NO_STEPS, zero_bh=_NO_STEPS)
+         unit_msq=_NO_STEPS, zero_bh=_NO_STEPS, seed_pad=0, nan_back=None)
 # undamped overflow: f overflows a step before u does, v is inf, and a = f
 # keeps inf where the damped formula's 0 * inf gave NaN
 @example(n=2, p=3.0, nonlinear=True, b=0.0, eps=6.0, u0_amp=1.0, u1_amp=1.0,
          nsteps=22, cap=math.inf, splits=[], records=(True, True, True),
-         unit_msq=_NO_STEPS, zero_bh=_NO_STEPS)
+         unit_msq=_NO_STEPS, zero_bh=_NO_STEPS, seed_pad=0, nan_back=None)
+# a window seeded 60 cells past the support: the step's own edge lies more
+# than _EDGE_TAIL cells behind the window's end, so the whole window is
+# searched
+@example(n=3, p=2.0, nonlinear=True, b=0.0, eps=1.0, u0_amp=1.0, u1_amp=1.0,
+         nsteps=40, cap=1e12, splits=[], records=(True, True, True),
+         unit_msq=_NO_STEPS, zero_bh=_NO_STEPS, seed_pad=60, nan_back=None)
+# a NaN cell inside that window's tail, and one before it
+@example(n=3, p=2.0, nonlinear=True, b=1.0, eps=1.0, u0_amp=1.0, u1_amp=1.0,
+         nsteps=40, cap=1e12, splits=[], records=(True, True, True),
+         unit_msq=_NO_STEPS, zero_bh=_NO_STEPS, seed_pad=60, nan_back=3)
+@example(n=3, p=2.0, nonlinear=True, b=1.0, eps=1.0, u0_amp=1.0, u1_amp=1.0,
+         nsteps=40, cap=1e12, splits=[], records=(True, True, True),
+         unit_msq=_NO_STEPS, zero_bh=_NO_STEPS, seed_pad=60, nan_back=40)
+# damped, undamped, damped in one segment: the carried dt/2 a crosses both
+# branches
+@example(n=3, p=2.5, nonlinear=True, b=1.0, eps=5.0, u0_amp=1.0, u1_amp=1.0,
+         nsteps=200, cap=1e12, splits=[], records=(True, True, True),
+         unit_msq=(0.5, 0.7), zero_bh=(0.3, 0.6), seed_pad=0, nan_back=None)
 @given(n=st.sampled_from([2, 3, 4]),
        p=st.one_of(st.just(2.0), st.just(3.0), st.floats(1.1, 3.5)),
        nonlinear=st.booleans(), b=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
@@ -202,16 +220,23 @@ _NO_STEPS = (0.0, 0.0)
        splits=st.lists(st.floats(0.0, 1.0), max_size=3),
        records=st.tuples(st.booleans(), st.booleans(), st.booleans()),
        unit_msq=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
-       zero_bh=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
+       zero_bh=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+       seed_pad=st.one_of(st.just(0), st.integers(1, 120)),
+       # only the examples place a NaN: such a run stops at its first step
+       nan_back=st.none())
 def test_kernel_bit_exact_against_plain_expressions(n, p, nonlinear, b, eps,
                                                     u0_amp, u1_amp, nsteps,
                                                     cap, splits, records,
-                                                    unit_msq, zero_bh):
+                                                    unit_msq, zero_bh,
+                                                    seed_pad, nan_back):
     """Any p (the p == 2 square included), damping, segment splits and
     records on or off: fields, records, edges and status equal the plain
     expressions bit for bit, through blow-up (cap) and overflow (no cap).
     msq is exactly 1 and bh exactly 0 on drawn step ranges, so the skipped
-    passes and the switches to and from them run inside one segment."""
+    passes and the switches to and from them run inside one segment.  The
+    window's seed edge lies seed_pad cells past the data's support, and a
+    NaN cell, unless nan_back is None, nan_back cells before the first
+    window's last cell."""
     cfg = ws.SolverConfig(dr=0.05, tmax=3.0, nonlinear=nonlinear)
     state = ws.init(metric.flat_profile(n), None,
                     ws.DataProfile(1.0, u0_amp, u1_amp), eps, cfg, p=p,
@@ -226,7 +251,10 @@ def test_kernel_bit_exact_against_plain_expressions(n, p, nonlinear, b, eps,
     phiV = np.exp(-disc.r) * disc.V
     common = (disc.A, disc.B, disc.C, disc.V, phiV, msq, bh, dt, p,
               int(nonlinear))
-    edge0 = ws._support_edge(state.u, state.v)
+    edge0 = ws._support_edge(state.u, state.v) + seed_pad
+    if nan_back is not None:
+        state.u[max(min(edge0 + _kernels._EDGE_PAD, disc.N - 1) - nan_back,
+                    0)] = np.nan
 
     def plain(**kw):
         u, v, a = state.u.copy(), state.v.copy(), state.a.copy()

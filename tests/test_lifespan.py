@@ -88,12 +88,27 @@ def test_detection_monotone_in_eps(flat3, zero_damping, bump_data):
 def test_threshold_crossed_at_the_first_record(flat3, zero_damping):
     # sup|u| starts at 2e6 eps, past the first threshold 1e6 eps: its
     # crossing is the first record's time, with nothing to interpolate from
+    # (detect_blowup refuses such data, so the crossings are taken directly)
     data = ws.DataProfile(r0=1.0, u0_amp=2e6, u1_amp=1.0)
-    rec = ls.detect_blowup(flat3, zero_damping, data, 0.1, 2.0,
-                           ws.SolverConfig(dr=0.1, tmax=2.0))
-    assert rec.blew_up
-    assert rec.crossings[0] == 0.0
-    assert 0.0 < rec.crossings[1] < rec.crossings[2]
+    traj = ws.evolve_transformed(flat3, zero_damping, data, 0.1,
+                                 ws.SolverConfig(dr=0.1, tmax=2.0), p=2.0,
+                                 functionals=False)
+    crossings = ls._crossing_times(traj, 0.1)
+    assert len(crossings) == len(ws.THRESHOLD_FACTORS)
+    assert crossings[0] == 0.0
+    assert 0.0 < crossings[1] < crossings[2]
+
+
+@pytest.mark.parametrize("eps", [1.0, 0.1])
+def test_data_past_the_first_threshold_refused(eps, flat3, zero_damping):
+    # sup|u(0)| ~ 2e6 eps: at eps 1 Aitken's extrapolation from the clamped
+    # crossing t = 0 went negative, at eps 0.1 it gave a meaningless 0.125
+    data = ws.DataProfile(u0_amp=2e6)
+    with pytest.raises(ConfigurationError) as err:
+        ls.detect_blowup(flat3, zero_damping, data, eps, 2.0,
+                         ws.SolverConfig(dr=0.1))
+    assert f"sup|u(0)| = {2e6 * eps:.6g}" in str(err.value)
+    assert f"threshold 1e+06 eps = {1e6 * eps:.6g}" in str(err.value)
 
 
 def test_sweep_refuses_critical_p(flat3, zero_damping, bump_data):

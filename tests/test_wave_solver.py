@@ -197,22 +197,30 @@ def test_step_agrees_with_evolve_under_damping(flat3, bump_data, make_damping,
         assert np.max(np.abs(got - want)) / scale < 1e-12
 
 
-@pytest.mark.parametrize("mode", ["transformed", "direct"])
+@pytest.mark.parametrize("mode", ["transformed", "direct", "damped-direct"])
 @pytest.mark.parametrize("u0_amp, u1_amp", [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
 def test_step_equals_evolve_bit_for_bit(flat3, zero_damping, mode, u0_amp,
                                         u1_amp):
-    """Undamped, step k times and the evolution's state at step k are the
-    same bits: both carry the state's one window from init."""
+    """step k times and the evolution's state at step k are the same bits:
+    both carry the state's one window from init, and each step call seeds
+    its own dt/2 a.  damped-direct has b = 1 (bh != 0) up to a table end
+    halfway between steps 60 and 61, then 0, so b(t) is the same whether t
+    is summed step by step or is m dt."""
     data = ws.DataProfile(1.0, u0_amp, u1_amp)
     cfg = ws.SolverConfig(dr=0.05, tmax=3.0)
     evolve = (ws.evolve_transformed if mode == "transformed"
               else ws.evolve_damped_direct)
     dt = evolve(flat3, zero_damping, data, 3.0, cfg, functionals=False).dt
+    damping = zero_damping
+    if mode == "damped-direct":
+        mode = "direct"
+        damping = damping_mod.tabulated_damping([0.0, 60.5 * dt], [1.0, 1.0])
+        assert damping.b(60 * dt) == 1.0 and damping.b(61 * dt) == 0.0
     ks = [1, 20, 60, 100, 133]
     # a snapshot at k dt lands on step k exactly, so it is that step's state
-    traj = evolve(flat3, zero_damping, data, 3.0, cfg, functionals=False,
+    traj = evolve(flat3, damping, data, 3.0, cfg, functionals=False,
                   snapshot_times=[k * dt for k in ks])
-    state = ws.init(flat3, zero_damping, data, 3.0, cfg, mode=mode)
+    state = ws.init(flat3, damping, data, 3.0, cfg, mode=mode)
     for m in range(1, ks[-1] + 1):
         state = ws.step(state, dt)
         if m in ks:
