@@ -7,18 +7,17 @@ h, eta and (for kinds without a closed form) m come from two dense DOP853
 solutions, each stepped on demand only as far as the queries reach; a value
 read does not depend on which times were read before (_DenseODE).
 
-A float time (Python float or np.float64, what solve_ivp hands a right-hand
-side) takes a float path through b, m, h, eta and mt: the same formulas in
-float arithmetic, with the dense caches' DOP853 interpolant evaluated in
-floats in scipy's own operation order (_DenseODE).  It returns the same bits
-as a 0-d array holding the time.  Ints, lists and arrays go through arrays.
+A float time (Python float or np.float64, what an ODE solver hands a
+right-hand side) takes a float path through b, m, h, eta and mt: the same
+formulas in float arithmetic, with the dense caches' DOP853 pieces evaluated
+in floats.  It returns the same bits as a 0-d array holding the time.  Ints,
+lists and arrays go through arrays.
 """
 
 from __future__ import annotations
 
 import math
 import weakref
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -47,15 +46,10 @@ _ODE_ATOL = 1e-14
 class _DenseODE:
     """Dense DOP853 solution of y' = f(t, y), y(0) = y0, stepped on demand.
 
-    A DOP853 stepper with no end time advances until it passes the latest
-    query and keeps each step's dense output; its steps are the same whatever
-    the queries.  An array query goes through scipy's OdeSolution over the
-    steps so far.  A scalar query evaluates scipy's interpolant in floats, in
-    scipy's own order: the segment rule of OdeSolution._call_single
-    (bisect_left on the breakpoints, lower segment at a breakpoint) and the
-    Horner-like loop of Dop853DenseOutput._call_impl.  It reads the fields F,
-    t_old, h and y_old of the segment in place;
-    test_float_path_is_bit_identical guards them.
+    A stepper with no end time advances until it passes the latest query and
+    keeps each step's dense piece; its steps are the same whatever the
+    queries.  An array query evaluates the pieces as arrays, a float query
+    evaluates its piece in floats (_ode.Dense.at); both give the same bits.
     """
 
     def __init__(self, f: Callable, y0: list[float], what: str):
@@ -63,20 +57,19 @@ class _DenseODE:
         self._y0 = y0
         self._what = what
         self.tmax = -math.inf           # no step taken yet
-        self._stepper = None
+        self._stepper = self._sol = None
         self._ts = [0.0]
         self._pieces = []
 
     def _ensure(self, t: float):
         if self._stepper is None:
-            from scipy.integrate import DOP853
-            self._stepper = DOP853(self._f, 0.0, self._y0, math.inf,
-                                   rtol=_ODE_RTOL, atol=_ODE_ATOL)
-            # OdeSolver.fun closes over the solver: clear it with this cache
-            weakref.finalize(self, self._stepper.__dict__.clear)
+            from . import _ode
+            self._stepper = _ode.Stepper(self._f, 0.0, self._y0, math.inf,
+                                         _ODE_RTOL, _ODE_ATOL)
+            self._sol = _ode.Dense(self._ts, self._pieces)
         while self.tmax < t:
             message = self._stepper.step()
-            if self._stepper.status != "running":
+            if message is not None:
                 raise IntegrationError(f"{self._what} integration failed: {message}")
             self.tmax = float(self._stepper.t)
             self._ts.append(self.tmax)
@@ -86,20 +79,10 @@ class _DenseODE:
         """Component `row` of y at t (scalar or array)."""
         if not isinstance(t, float) and np.ndim(t):
             self._ensure(np.max(t))
-            from scipy.integrate import OdeSolution
-            return OdeSolution(self._ts, self._pieces)(t)[row]
+            return self._sol(t)[row]
         t = float(t)
         self._ensure(t)
-        pieces = self._pieces
-        seg = min(max(bisect_left(self._ts, t) - 1, 0), len(pieces) - 1)
-        piece = pieces[seg]
-        F = piece.F
-        x = (t - float(piece.t_old)) / float(piece.h)
-        u = 1 - x
-        y = 0.0
-        for i in range(len(F)):       # scipy: enumerate(reversed(F))
-            y = (y + F.item(-1 - i, row)) * (u if i % 2 else x)
-        return y + piece.y_old.item(row)
+        return self._sol.at(t, row)
 
 
 def _times(t):

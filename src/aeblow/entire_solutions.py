@@ -82,7 +82,7 @@ def _shoot(profile: MetricProfile, lams: np.ndarray, r_max: float, dr: float):
     Phi(1/lam) = 1.  The joint system runs to r_max + dr; rows whose 1/lam
     lies beyond that continue alone, only to reach their normalization.
     """
-    from scipy.integrate import solve_ivp
+    from . import _ode
     if np.any(lams <= 0):
         raise DomainError("lambda must be positive")
     lam0 = lambda_max(profile)
@@ -102,8 +102,8 @@ def _shoot(profile: MetricProfile, lams: np.ndarray, r_max: float, dr: float):
             return np.concatenate(
                 (w, lam2 * (k * k) - ((n - 1) / r - k1 / k) * w - w * w))
 
-        res = solve_ivp(rhs, (r0, t_eval[-1]), z0, method="DOP853",
-                        rtol=_RTOL, atol=_ATOL, t_eval=t_eval)
+        res = _ode.solve(rhs, (r0, t_eval[-1]), z0, _RTOL, _ATOL,
+                         t_eval=t_eval)
         if not res.success:
             raise IntegrationError(f"eigenfunction solve failed: {res.message}")
         return res.y

@@ -118,7 +118,7 @@ def tabulated_profile(n: int, r: Sequence[float], k: Sequence[float],
 def eval_k(profile: MetricProfile, r):
     """Return (K, K', K'') at radius r >= 0 (scalar or array).
 
-    A float radius (Python float or np.float64, what solve_ivp hands a
+    A float radius (Python float or np.float64, what an ODE solver hands a
     right-hand side) on a flat or power-law profile is computed in float
     arithmetic, skipping the array round trip.  Both paths run the same
     formulas, and a float returns the same bits as a 0-d array holding it.

@@ -41,7 +41,7 @@ def _comparison(damping: DampingProfile, lam: float, T: float,
     y = 0, y' = -1 at t = T; sample it at 400 points on [0, T] and measure its
     sinh envelope in eta from the start, skipping the start (both sides 0).
     eta(T) comes from the float path, which rounds unlike eta[-1]."""
-    from scipy.integrate import solve_ivp
+    from . import _ode
     if lam <= 0 or T <= 0:
         raise DomainError("lambda and the time span must be positive")
     sign = -1.0 if backward else 1.0
@@ -49,8 +49,8 @@ def _comparison(damping: DampingProfile, lam: float, T: float,
     def rhs(t, z):
         return [z[1], lam * lam * m_tilde(damping, t) ** 2 * z[0]]
 
-    res = solve_ivp(rhs, (T, 0.0) if backward else (0.0, T), [0.0, sign],
-                    method="DOP853", rtol=1e-11, atol=1e-13, dense_output=True)
+    res = _ode.solve(rhs, (T, 0.0) if backward else (0.0, T), [0.0, sign],
+                     1e-11, 1e-13, dense_output=True)
     if not res.success:
         raise IntegrationError(res.message)
     ts = np.linspace(0.0, T, 400)
@@ -130,22 +130,15 @@ def kato_blowup_time(problem: KatoProblem, tolerance: float = 1e-10,
     The three crossing times accumulate geometrically at the vertical
     asymptote, so Aitken extrapolation removes the leading threshold bias.
     """
-    from scipy.integrate import solve_ivp
+    from . import _ode
     p = problem
 
     def rhs(t, z):
         return [z[1], p.k * (1.0 + t) ** (-p.alpha) * z[0] ** p.beta]
 
-    events = []
-    for thr in _THRESHOLDS:
-        ev = (lambda thr: lambda t, z: z[0] - thr)(thr)
-        ev.direction = 1
-        events.append(ev)
-    events[-1].terminal = True
-
-    res = solve_ivp(rhs, (0.0, t_budget), [p.f0, p.f0p], method="RK45",
-                    rtol=tolerance, atol=tolerance * p.f0, events=events,
-                    max_step=t_budget / 16.0)
+    res = _ode.solve(rhs, (0.0, t_budget), [p.f0, p.f0p], tolerance,
+                     tolerance * p.f0, "RK45", thresholds=_THRESHOLDS,
+                     max_step=t_budget / 16.0)
     if res.status == -1:
         raise IntegrationError(f"kato solve failed at t={res.t[-1]:g}, "
                                f"F={res.y[0, -1]:g}: {res.message}")

@@ -225,10 +225,15 @@ def _support_edge(u: np.ndarray, v: np.ndarray) -> int:
 def step(state: RadialWaveState, dt: float) -> RadialWaveState:
     """One Stoermer-Verlet step on the state's window; damping semi-implicit."""
     disc = state.disc
+    if not dt > 0:
+        raise ConfigurationError(f"dt={dt:g} must be positive")
     if dt > disc.dt_max * (1.0 + 1e-12):
         raise ConfigurationError(
             f"dt={dt:g} violates the CFL bound {disc.dt_max:g}")
-    t1 = state.t + dt
+    # on the grid k dt the clock lands on (k+1) dt, the time _evolve's step
+    # k+1 reads, rather than summing dt step by step
+    k = round(state.t / dt)
+    t1 = (k + 1) * dt if k * dt == state.t else state.t + dt
     msq, bh, _ = disc.schedule(np.full(2, t1), dt)
     u, v, a = state.u.copy(), state.v.copy(), state.a.copy()
     _, status, edge = _kernels.advance_segment(

@@ -518,8 +518,10 @@ def test_python_dash_m_runs_cli():
     assert json.loads(proc.stdout)["passed"] is True
 
 
-# scipy costs about 0.6 s to import, so only the paths that solve an ODE,
-# integrate b or build a spline load it
+# scipy costs about 0.6 s to import, and aeblow integrates its ODEs itself
+# (aeblow._ode), so only the signed-oscillatory L1 bound (quad) loads
+# scipy.integrate and only a tabulated metric's spline scipy.interpolate;
+# eigen, critical and a comparison ode load no scipy at all
 _SCIPY_PROBE = """
 import sys
 from aeblow import cli
@@ -527,18 +529,27 @@ from aeblow import cli
 def scipy_loaded():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
-def solve(*extra):
-    cfg = cli.ExperimentConfig.build(
-        "solve", None, ["run.eps=0.3", "run.p=2.0", "solver.tmax=2", *extra],
-        out=sys.argv[1])
+def run(kind, *sets):
+    cfg = cli.ExperimentConfig.build(kind, None, list(sets), out=sys.argv[1])
     assert cli.run(cfg) == 0
+
+def solve(*extra):
+    run("solve", "run.eps=0.3", "run.p=2.0", "solver.tmax=2", *extra)
 
 assert scipy_loaded() == [], scipy_loaded()
 solve()
 assert scipy_loaded() == [], scipy_loaded()
+run("eigen", "run.lam=0.1")
+run("critical", "run.t_max=8", "solver.dr=0.1")
+run("ode", "run.mode=comparison", "run.lam=0.3", "run.T=5",
+    "damping.kind=scattering-power", "damping.mu=0.5", "damping.beta=2")
+assert scipy_loaded() == [], scipy_loaded()
+solve("damping.kind=signed-oscillatory", "damping.mu=0.3", "damping.beta=2")
+assert "scipy.integrate" in sys.modules
+assert "scipy.interpolate" not in sys.modules
 solve("metric.kind=tabulated", "metric.table=[[0,1.1],[1,1.05],[2,1],[3,1]]",
       "damping.kind=signed-oscillatory", "damping.mu=0.3", "damping.beta=2")
-assert "scipy.integrate" in sys.modules and "scipy.interpolate" in sys.modules
+assert "scipy.interpolate" in sys.modules
 """
 
 

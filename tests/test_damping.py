@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import OdeSolution, quad
+from scipy.integrate._ivp.rk import Dop853DenseOutput
 
 from aeblow import damping, ode_lab
 from aeblow.errors import ConfigurationError, DomainError
@@ -139,9 +140,9 @@ def test_comparison_solves_step_caches_only_as_far_as_read(make):
        times=st.lists(st.floats(0.0, 300.0), min_size=1, max_size=6),
        negative=st.floats(-300.0, 0.0, exclude_max=True))
 def test_float_path_is_bit_identical(kind, data, times, negative):
-    # a float time (what solve_ivp hands a right-hand side) skips the
+    # a float time (what an ODE solver hands a right-hand side) skips the
     # arrays; it must give the bits of the array path, and the dense caches
-    # the bits of scipy's own OdeSolution evaluation
+    # the bits of scipy's OdeSolution over the same steps
     prof = data.draw(_DAMPINGS[kind])
     maps = (damping.m_tilde, damping.eta_of_s, damping.h_of_t)
     for t in times:
@@ -155,13 +156,19 @@ def test_float_path_is_bit_identical(kind, data, times, negative):
                 assert got == pytest.approx(f(prof, np.array([t]))[0],
                                             rel=1e-15, abs=0.0)
     # the maps above grew both caches; rows are checked at the query times
-    # and at breakpoints, where OdeSolution picks the lower of two segments
+    # and at breakpoints, where the lower of two segments is read: the float
+    # path equals the own array path, which equals scipy's OdeSolution over
+    # scipy's interpolants of the same steps
     for cache, rows in ((prof._cache, (0, 1)), (prof._eta_cache, (0,))):
-        sol = OdeSolution(cache._ts, cache._pieces)
-        for t in [*times, *sol.ts[::50], sol.ts[-1]]:
-            for row in rows:
+        sol = OdeSolution(cache._ts, [Dop853DenseOutput(p.t_old, p.t, p.y_old, p.F)
+                                      for p in cache._pieces])
+        probe = np.array([*times, *cache._ts[::50], cache._ts[-1]])
+        for row in rows:
+            want = cache(probe, row)
+            assert np.array_equal(want, sol(probe)[row])
+            for t, w in zip(probe.tolist(), want.tolist()):
                 got = cache(t, row)
-                assert type(got) is float and got == sol(t)[row]
+                assert type(got) is float and got == w
     for f in (prof.b, *(lambda t, f=f: f(prof, t)
                         for f in (damping.m_of_t, *maps))):
         for t in (negative, np.float64(negative), np.array([negative])):
