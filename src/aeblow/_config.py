@@ -83,16 +83,18 @@ def rows(block: dict, bname: str, key: str) -> list[list[float]]:
 
 
 def from_block(cls, block: dict, bname: str):
-    """cls built from the keys of block that are its fields, the rest left at
-    cls's defaults; a bool field takes only true or false."""
+    """cls built from the keys of block that are its fields: a field with no
+    default is required, the rest fall back to cls's defaults; a bool field
+    takes only true or false."""
     values = {}
-    for f in (f for f in fields(cls) if f.name in block):
-        flag = isinstance(f.default, bool)
-        if flag and not isinstance(block[f.name], bool):
-            raise ConfigurationError(
-                f"config key {bname}.{f.name} must be true or false")
-        values[f.name] = (block[f.name] if flag
-                          else number(block, bname, f.name, f.default))
+    for f in fields(cls):
+        if not isinstance(f.default, bool):
+            values[f.name] = number(block, bname, f.name, f.default)
+        elif f.name in block:
+            if not isinstance(block[f.name], bool):
+                raise ConfigurationError(
+                    f"config key {bname}.{f.name} must be true or false")
+            values[f.name] = block[f.name]
     return cls(**values)
 
 

@@ -1,18 +1,14 @@
 """Explicit Runge-Kutta integration of y' = f(t, y) with step-size control.
 
-Two embedded pairs: DOP853, order 8 with a 7th-degree dense output (Hairer,
-Norsett & Wanner 1993, Sec. II.5), and RK45, the Dormand-Prince 5(4) pair
-with Shampine's quartic dense output (Prince & Dormand 1981).  On top of one
-stepper sit the solution's segment rule, sampling at given times and upward
-threshold events.
+One embedded pair, DOP853: order 8 with a 7th-degree dense output (Hairer,
+Norsett & Wanner 1993, Sec. II.5).  On top of its stepper sit the solution's
+segment rule and sampling at given times.
 
 Every number is scipy.integrate's, bit for bit: each operation repeats
-scipy's (solve_ivp, OdeSolution, the DOP853 and RK45 solvers and their dense
-outputs) in scipy's order, on arrays of scipy's shapes and layouts, so the
-same BLAS calls see the same operands; tests/test_ode.py checks it against
-scipy.  What is left out is scipy's per-step bookkeeping.  An event root is
-found by scipy.optimize.brentq with scipy's tolerances, imported only by a
-solve that has thresholds.
+scipy's (solve_ivp, OdeSolution, the DOP853 solver and its dense output) in
+scipy's order, on arrays of scipy's shapes and layouts, so the same BLAS
+calls see the same operands; tests/test_ode.py checks it against scipy.
+What is left out is scipy's per-step bookkeeping.
 """
 
 from __future__ import annotations
@@ -27,6 +23,8 @@ import numpy as np
 EPS = float(np.finfo(float).eps)
 TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10
+ERROR_ORDER = 7              # of DOP853's embedded error estimate
+_EXPONENT = -1 / (ERROR_ORDER + 1)
 
 
 # -- tableaux ------------------------------------------------------------------
@@ -169,42 +167,11 @@ def _dop853():
         -0.43533456590011143754432175058e+2, 0.96324553959188282948394950600e+2,
         -0.39177261675615439165231486172e+2, -0.14972683625798562581422125276e+3]
     return SimpleNamespace(
-        n_stages=12, n_extended=16, error_order=7, A=a[:12, :12], B=b,
+        n_stages=12, n_extended=16, A=a[:12, :12], B=b,
         C=c[:12], E3=e3, E5=e5, D=d, A_EXTRA=a[13:], C_EXTRA=c[13:])
 
 
-def _rk45():
-    """The Dormand-Prince 5(4) pair, with P the quartic dense output."""
-    return SimpleNamespace(
-        n_stages=6, n_extended=7, error_order=4,
-        C=np.array([0, 1/5, 3/10, 4/5, 8/9, 1]),
-        A=np.array([
-            [0, 0, 0, 0, 0],
-            [1/5, 0, 0, 0, 0],
-            [3/40, 9/40, 0, 0, 0],
-            [44/45, -56/15, 32/9, 0, 0],
-            [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
-            [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]]),
-        B=np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84]),
-        E=np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525,
-                    1/40]),
-        P=np.array([
-            [1, -8048581381/2820520608, 8663915743/2820520608,
-             -12715105075/11282082432],
-            [0, 0, 0, 0],
-            [0, 131558114200/32700410799, -68118460800/10900136933,
-             87487479700/32700410799],
-            [0, -1754552775/470086768, 14199869525/1410260304,
-             -10690763975/1880347072],
-            [0, 127303824393/49829197408, -318862633887/49829197408,
-             701980252875 / 199316789632],
-            [0, -282668133/205662961, 2019193451/616988883,
-             -1453857185/822651844],
-            [0, 40617522/29380423, -110615467/29380423,
-             69997945/29380423]]))
-
-
-TABLEAUX = {"DOP853": _dop853(), "RK45": _rk45()}
+TABLEAU = _dop853()
 
 
 # -- dense output --------------------------------------------------------------
@@ -280,16 +247,6 @@ class Dense:
         return self.pieces[seg].at(t, row)
 
 
-def _quartic(t_old, h, y_old, Q):
-    """RK45's quartic interpolant over one step, at a scalar time."""
-    def sol(t):
-        x = (t - t_old) / h
-        y = h * np.dot(Q, np.cumprod(np.tile(x, Q.shape[1])))
-        y += y_old
-        return y
-    return sol
-
-
 # -- stepper -------------------------------------------------------------------
 
 def _norm(x) -> float:
@@ -299,26 +256,23 @@ def _norm(x) -> float:
 
 class Stepper:
     """Solves y' = fun(t, y) from (t0, y0) towards t_bound, one accepted step
-    per call of step().  fun returns a sequence of len(y0) floats."""
+    per call of step().  fun returns a sequence of len(y0) floats; atol is a
+    float or one per component."""
 
     def __init__(self, fun, t0: float, y0, t_bound: float, rtol: float,
-                 atol: float, method: str = "DOP853",
-                 max_step: float = math.inf):
-        tab = self.tab = TABLEAUX[method]
+                 atol: float):
         self._fun = fun
         self.t, self.t_old, self.t_bound = t0, None, t_bound
         self.y = np.asarray(y0).astype(float, copy=False)
         self.direction = np.sign(t_bound - t0) if t_bound != t0 else 1
         self.rtol, self.atol = max(rtol, 100 * EPS), atol
-        self.max_step = max_step
         self.status = "running"
         self.f = self.fun(t0, self.y)
         self.h_abs = self._initial_step()
-        K = self._K = np.empty((tab.n_extended, self.y.size))
-        self.K = K[:tab.n_stages + 1]
-        self._stages = [(s, K[:s].T, tab.A[s, :s], float(tab.C[s]))
-                        for s in range(1, tab.n_stages)]
-        self._exponent = -1 / (tab.error_order + 1)
+        K = self._K = np.empty((TABLEAU.n_extended, self.y.size))
+        self.K = K[:TABLEAU.n_stages + 1]
+        self._stages = [(s, K[:s].T, TABLEAU.A[s, :s], float(TABLEAU.C[s]))
+                        for s in range(1, TABLEAU.n_stages)]
 
     def fun(self, t, y):
         return np.asarray(self._fun(t, y), dtype=float)
@@ -336,15 +290,13 @@ class Stepper:
         if d1 <= 1e-15 and d2 <= 1e-15:
             h1 = max(1e-6, h0 * 1e-3)
         else:
-            h1 = (0.01 / max(d1, d2)) ** (1 / (self.tab.error_order + 1))
-        return min(100 * h0, h1, interval_length, self.max_step)
+            h1 = (0.01 / max(d1, d2)) ** (1 / (ERROR_ORDER + 1))
+        return min(100 * h0, h1, interval_length)
 
     def _error_norm(self, h, scale) -> float:
-        tab, KT = self.tab, self.K.T
-        if not hasattr(tab, "E5"):
-            return _norm(np.dot(KT, tab.E) * h / scale)
-        err5 = np.dot(KT, tab.E5) / scale
-        err3 = np.dot(KT, tab.E3) / scale
+        KT = self.K.T
+        err5 = np.dot(KT, TABLEAU.E5) / scale
+        err3 = np.dot(KT, TABLEAU.E3) / scale
         err5_norm_2 = math.sqrt(err5.dot(err5)) ** 2
         err3_norm_2 = math.sqrt(err3.dot(err3)) ** 2
         if err5_norm_2 == 0 and err3_norm_2 == 0:
@@ -358,12 +310,7 @@ class Stepper:
         t, y, fun, K = self.t, self.y, self._fun, self.K
         direction, t_bound = self.direction, self.t_bound
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
-        if self.h_abs > self.max_step:
-            h_abs = self.max_step
-        elif self.h_abs < min_step:
-            h_abs = min_step
-        else:
-            h_abs = self.h_abs
+        h_abs = max(self.h_abs, min_step)
         rejected = False
         while True:
             if h_abs < min_step:
@@ -378,7 +325,7 @@ class Stepper:
             K[0] = self.f
             for s, KT, a, c in self._stages:
                 K[s] = fun(t + c * h, y + np.dot(KT, a) * h)
-            y_new = y + h * np.dot(K[:-1].T, self.tab.B)
+            y_new = y + h * np.dot(K[:-1].T, TABLEAU.B)
             f_new = self.fun(t + h, y_new)
             K[-1] = f_new
             scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
@@ -388,12 +335,12 @@ class Stepper:
                     factor = MAX_FACTOR
                 else:
                     factor = min(MAX_FACTOR,
-                                 SAFETY * error_norm ** self._exponent)
+                                 SAFETY * error_norm ** _EXPONENT)
                 if rejected:
                     factor = min(1, factor)
                 h_abs *= factor
                 break
-            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** self._exponent)
+            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** _EXPONENT)
             rejected = True
         self.h_previous, self.t_old, self.y_old = h, t, y
         self.t, self.y, self.h_abs, self.f = t_new, y_new, h_abs, f_new
@@ -401,15 +348,12 @@ class Stepper:
             self.status = "finished"
         return None
 
-    def dense_output(self):
-        """The last step's interpolant: a Piece for DOP853, a scalar-time
-        function for RK45."""
-        tab, h, t_old, y_old = self.tab, self.h_previous, self.t_old, self.y_old
-        if not hasattr(tab, "D"):
-            return _quartic(t_old, self.t - t_old, y_old, self.K.T.dot(tab.P))
+    def dense_output(self) -> Piece:
+        """The last step's interpolant."""
+        h, t_old, y_old = self.h_previous, self.t_old, self.y_old
         K = self._K
-        for s, (a, c) in enumerate(zip(tab.A_EXTRA, tab.C_EXTRA),
-                                   start=tab.n_stages + 1):
+        for s, (a, c) in enumerate(zip(TABLEAU.A_EXTRA, TABLEAU.C_EXTRA),
+                                   start=TABLEAU.n_stages + 1):
             K[s] = self._fun(t_old + c * h, y_old + np.dot(K[:s].T, a[:s]) * h)
         F = np.empty((7, self.y.size))
         f_old = K[0]
@@ -417,7 +361,7 @@ class Stepper:
         F[0] = delta_y
         F[1] = h * f_old - delta_y
         F[2] = 2 * delta_y - h * (self.f + f_old)
-        F[3:] = h * np.dot(tab.D, K)
+        F[3:] = h * np.dot(TABLEAU.D, K)
         return Piece(t_old, self.t, y_old, F)
 
 
@@ -425,96 +369,46 @@ class Stepper:
 
 @dataclass(frozen=True)
 class Result:
-    """t and y (one column per time), the dense solution when asked for, the
-    crossing times of each threshold, and status: 0 reached the end, 1
-    crossed the last threshold, -1 failed with `message`."""
+    """y at t_eval (one column per time), the dense solution when asked for,
+    and why the solve failed (None if it did not)."""
 
-    t: np.ndarray
-    y: np.ndarray
+    y: np.ndarray | None
     sol: Dense | None
-    t_events: list
-    status: int
     message: str | None
 
     @property
     def success(self) -> bool:
-        return self.status >= 0
+        return self.message is None
 
 
-def solve(fun, t_span, y0, rtol: float, atol: float, method: str = "DOP853",
-          t_eval=None, dense_output: bool = False, thresholds=(),
-          max_step: float = math.inf) -> Result:
-    """Solve y' = fun(t, y) over t_span from y0.
-
-    With t_eval (ascending, inside a forward t_span; DOP853 only) t and y
-    are the solution at those times, else at every step, and then
-    dense_output=True (DOP853 only) adds the dense solution.  Each of the
-    thresholds is an upward event on y[0]: its crossings are located on the
-    step's dense output, and the last threshold's first crossing ends the
-    solve there.
+def solve(fun, t_span, y0, rtol: float, atol: float, t_eval=None,
+          dense_output: bool = False) -> Result:
+    """Solve y' = fun(t, y) over t_span from y0: sampled at t_eval
+    (ascending, inside a forward t_span), and dense with dense_output=True.
+    A failed solve returns what it reached and its message.
     """
     t0, tf = map(float, t_span)
-    stepper = Stepper(fun, t0, y0, tf, rtol, atol, method, max_step)
-    if t_eval is None:
-        ts, ys = [t0], [y0]
-    else:
+    stepper = Stepper(fun, t0, y0, tf, rtol, atol)
+    ts, pieces, y_out = [t0], [], []
+    if t_eval is not None:
         t_eval = np.asarray(t_eval)
-        ts, ys, i_eval, t_list = [], [], 0, t_eval.tolist()
-    pieces = []
-    t_events = [[] for _ in thresholds]
-    if thresholds:
-        from scipy.optimize import brentq
-        g = [y0[0] - thr for thr in thresholds]
-    status = message = None
-    while status is None:
+        i_eval, t_list = 0, t_eval.tolist()
+    message = None
+    while stepper.status == "running":
         message = stepper.step()
-        if stepper.status == "failed":
-            status = -1
+        if message is not None:
             break
-        if stepper.status == "finished":
-            status = 0
-        t_old, t, y = stepper.t_old, stepper.t, stepper.y
         sol = None
         if dense_output:
             sol = stepper.dense_output()
+            ts.append(stepper.t)
             pieces.append(sol)
-        if thresholds:
-            g_new = [y[0] - thr for thr in thresholds]
-            active = [i for i, (a, b) in enumerate(zip(g, g_new))
-                      if a <= 0 and b >= 0]
-            if active:
-                sol = sol or stepper.dense_output()
-                roots = np.asarray([
-                    brentq(lambda s, thr=thresholds[i]: sol(s)[0] - thr,
-                           t_old, t, xtol=4 * EPS, rtol=4 * EPS)
-                    for i in active])
-                active = np.asarray(active)
-                if active[-1] == len(thresholds) - 1:     # the terminal one
-                    order = np.argsort(roots if t > t_old else -roots)
-                    active, roots = active[order], roots[order]
-                    cut = int(np.nonzero(active == len(thresholds) - 1)[0][0])
-                    active, roots = active[:cut + 1], roots[:cut + 1]
-                    status = 1
-                    t = roots[-1]
-                    y = sol(t)
-                for e, te in zip(active, roots):
-                    t_events[e].append(te)
-            g = g_new
-        if t_eval is None:
-            ts.append(t)
-            ys.append(y)
-        else:
-            j = bisect_right(t_list, t)
+        if t_eval is not None:
+            j = bisect_right(t_list, stepper.t)
             if j > i_eval:
                 sol = sol or stepper.dense_output()
-                ts.append(t_eval[i_eval:j])
-                ys.append(sol(t_eval[i_eval:j]))
+                y_out.append(sol(t_eval[i_eval:j]))
                 i_eval = j
-    if t_eval is None:
-        t_out, y_out = np.array(ts), np.vstack(ys).T
-    else:
-        t_out, y_out = (np.hstack(ts), np.hstack(ys)) if ts else (ts, ys)
-    return Result(t=t_out, y=y_out,
+    return Result(y=np.hstack(y_out) if y_out else None,
                   sol=Dense(ts, pieces) if dense_output else None,
-                  t_events=[np.asarray(te) for te in t_events],
-                  status=status, message=message)
+                  message=message)

@@ -191,7 +191,6 @@ def _run_ode(cfg: ExperimentConfig):
         res = ode_lab.kato_blowup_time(prob)
         report = {"mode": "kato", "problem": asdict(prob),
                   "blew_up": res.blew_up, "t_blowup": res.t_blowup,
-                  "crossings": list(res.crossings),
                   "theory_exponent": prob.theory_exponent}
         if "deltas" in run:
             deltas = numbers(run, "run", "deltas", positive=True)

@@ -31,7 +31,6 @@ from .damping import DampingProfile
 from .errors import (ConfigurationError, DomainError, InsufficientDataError,
                      PositivityError)
 from .metric import MetricProfile
-from .ode_lab import _aitken
 from .wave_solver import (THRESHOLD_FACTORS, DataProfile, SolverConfig,
                           Trajectory, evolve_damped_direct, evolve_transformed)
 
@@ -81,6 +80,14 @@ class LifespanRecord:
     def __post_init__(self):
         if self.blew_up and not self.t_detected > 0:
             raise PositivityError("blow-up record with nonpositive time")
+
+
+def _aitken(t1: float, t2: float, t3: float) -> float:
+    """Geometric-sequence extrapolation of the accumulation point."""
+    den = t3 - 2.0 * t2 + t1
+    if abs(den) < 1e-14 * max(abs(t3), 1.0):
+        return t3
+    return (t1 * t3 - t2 * t2) / den
 
 
 def _crossing_times(traj: Trajectory, eps: float):

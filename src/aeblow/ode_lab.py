@@ -2,11 +2,15 @@
 
 Two users: the auxiliary solutions of y'' = lam^2 mt(t)^2 y used to build
 test functions, and the blow-up ODE F'' = k (1+t)^-alpha F^beta whose finite
-blow-up time scales like a power of the seed size delta.
+blow-up time scales like a power of the seed size delta.  Both are stepped
+by aeblow._ode's DOP853; the blow-up time is the limit of t in a variable
+that runs to infinity as F blows up, read off once the time left is known
+to within the tolerance, so no event or root is looked for.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -80,6 +84,11 @@ def backward_comparison(damping: DampingProfile, lam: float,
 
 # -- blow-up ODE ---------------------------------------------------------------
 
+# the solve's w relaxes at the rate 2 (beta+1)/(beta-1), so its explicit
+# steps shrink like beta - 1
+_BETA_MIN = 1.01
+
+
 @dataclass(frozen=True)
 class KatoProblem:
     """F'' = k (1+t)^-alpha F^beta with seed F(0) = f0, F'(0) = f0p."""
@@ -92,12 +101,14 @@ class KatoProblem:
     f0p: float = 0.0
 
     def __post_init__(self):
-        if self.beta <= 1 or self.a < 1:
-            raise DomainError("need beta > 1 and a >= 1")
+        if not self.beta >= _BETA_MIN or self.a < 1:
+            raise DomainError(f"need beta >= {_BETA_MIN:g} and a >= 1")
         if (self.beta - 1.0) * self.a <= self.alpha - 2.0:
             raise DomainError("hypothesis (beta-1) a > alpha - 2 violated")
         if not self.f0 > 0:
             raise DomainError("need f0 > 0")
+        if not self.k > 0:
+            raise DomainError("need k > 0")
 
     @property
     def theory_exponent(self) -> float:
@@ -109,44 +120,88 @@ class KatoProblem:
 class KatoResult:
     blew_up: bool
     t_blowup: float | None
-    crossings: tuple[float, ...]
 
 
-_THRESHOLDS = (1e8, 1e10, 1e12)
+_RTOL = 1e-11
+_TAIL_TOL = 1e-13      # the tail's error bound, relative to the blow-up time
 
 
-def _aitken(t1: float, t2: float, t3: float) -> float:
-    """Geometric-sequence extrapolation of the accumulation point."""
-    den = t3 - 2.0 * t2 + t1
-    if abs(den) < 1e-14 * max(abs(t3), 1.0):
-        return t3
-    return (t1 * t3 - t2 * t2) / den
+def _advance(stepper, where) -> bool:
+    """One accepted step; False once the stepper has reached its bound.  A
+    failed step raises, naming where(stepper) = (t, F)."""
+    message = stepper.step()
+    if message is not None:
+        t, F = where(stepper)
+        raise IntegrationError(f"kato solve failed at t={t:g}, F={F:g}: "
+                               f"{message}")
+    return stepper.status == "running"
 
 
-def kato_blowup_time(problem: KatoProblem, tolerance: float = 1e-10,
+def kato_blowup_time(problem: KatoProblem,
                      t_budget: float = 1e6) -> KatoResult:
-    """Numerical blow-up time via threshold crossings at 1e8/1e10/1e12.
+    """The blow-up time of F'' = k (1+t)^-alpha F^beta, F(0) = f0,
+    F'(0) = f0p, as the limit of t along a change of variables (Stuart &
+    Floater 1990).
 
-    The three crossing times accumulate geometrically at the vertical
-    asymptote, so Aitken extrapolation removes the leading threshold bias.
+    The solve steps in t until F >= 2 f0 and F' > 0, then changes to
+    s = (beta-1)/2 ln F, which runs to infinity as F blows up, with the
+    unknowns t and w = F' F^-(beta+1)/2 (kept away from 0 by the switch):
+
+        dt/ds = 2 e^-s / ((beta-1) w),
+        dw/ds = (2k (1+t)^-alpha / w - (beta+1) w) / (beta-1).
+
+    Both are regular for every s.  A blow-up drives w to
+    w* = sqrt(2k (1+t)^-alpha / (beta+1)) and the time left to the tail
+    2 e^-s / ((beta-1) w).  Off w*, or with w* changing over the tail, that
+    tail is off by at most tail (|w^2/w*^2 - 1| + alpha tail / (1+t)); the
+    solve stops at the first step where this is below 1e-13 of t + tail
+    and returns t + tail.  A solution that does not blow up never meets
+    that test (w leaves w*, and the tail grows like t), so its t passes
+    t_budget: that in either phase, or a t + tail past t_budget, is
+    "no blow-up".  A failed step raises.
     """
     from . import _ode
     p = problem
+    t, F, Fp = 0.0, p.f0, p.f0p
 
-    def rhs(t, z):
-        return [z[1], p.k * (1.0 + t) ** (-p.alpha) * z[0] ** p.beta]
+    def rhs_t(t, z):
+        return [z[1], p.k * (1.0 + t) ** -p.alpha * z[0] ** p.beta]
 
-    res = _ode.solve(rhs, (0.0, t_budget), [p.f0, p.f0p], tolerance,
-                     tolerance * p.f0, "RK45", thresholds=_THRESHOLDS,
-                     max_step=t_budget / 16.0)
-    if res.status == -1:
-        raise IntegrationError(f"kato solve failed at t={res.t[-1]:g}, "
-                               f"F={res.y[0, -1]:g}: {res.message}")
-    crossings = tuple(float(ev[0]) for ev in res.t_events if len(ev))
-    if len(crossings) < 3:
-        return KatoResult(blew_up=False, t_blowup=None, crossings=crossings)
-    tb = _aitken(*crossings[:3])
-    return KatoResult(blew_up=True, t_blowup=float(tb), crossings=crossings[:3])
+    # F' grows on the scale sqrt(k f0^(beta+1)) while F doubles
+    scale = np.array([p.f0, math.sqrt(p.k * p.f0 ** (p.beta + 1.0))])
+    stepper = _ode.Stepper(rhs_t, t, [F, Fp], t_budget, _RTOL, _RTOL * scale)
+    while not (F >= 2.0 * p.f0 and Fp > 0):
+        running = _advance(stepper, lambda s: (s.t, s.y[0]))
+        t, (F, Fp) = stepper.t, stepper.y.tolist()
+        if not running:
+            return KatoResult(blew_up=False, t_blowup=None)
+    b1, w2_star = p.beta - 1.0, 2.0 * p.k / (p.beta + 1.0)
+
+    def rhs_s(s, z):
+        t, w = z
+        return [2.0 * math.exp(-s) / (b1 * w),
+                (2.0 * p.k * (1.0 + t) ** -p.alpha / w - (p.beta + 1.0) * w)
+                / b1]
+
+    stepper = _ode.Stepper(rhs_s, b1 / 2.0 * math.log(F),
+                           [t, Fp * F ** (-(p.beta + 1.0) / 2.0)], math.inf,
+                           _RTOL, 1e-15)
+
+    def where(s):
+        with np.errstate(over="ignore"):
+            return s.y[0], np.exp(2.0 * s.t / b1)
+
+    while True:
+        _advance(stepper, where)
+        t, w = stepper.y.tolist()
+        tail = 2.0 * math.exp(-stepper.t) / (b1 * w)
+        dev = w * w * (1.0 + t) ** p.alpha / w2_star - 1.0
+        if t > t_budget or (tail * (abs(dev) + p.alpha * tail / (1.0 + t))
+                            <= _TAIL_TOL * (t + tail)):
+            break
+    if t + tail > t_budget:
+        return KatoResult(blew_up=False, t_blowup=None)
+    return KatoResult(blew_up=True, t_blowup=t + tail)
 
 
 def kato_delta_sweep(problem: KatoProblem, deltas: np.ndarray):

@@ -90,7 +90,7 @@ def test_criterion_2_lambda_uniform_envelopes(capsys):
 
 def test_criterion_3_ode_exponent(capsys):
     prob = ol.KatoProblem(a=1.0, alpha=0.0, beta=2.0, k=6.0, f0=1.0, f0p=2.0)
-    res = ol.kato_blowup_time(prob, tolerance=1e-12)
+    res = ol.kato_blowup_time(prob)
     exact_err = abs(res.t_blowup - 1.0)
     deltas = np.geomspace(10 ** -3.0, 10 ** -1.5, 6)
     _, slope, _ = ol.kato_delta_sweep(ol.KatoProblem(1.0, 0.0, 2.0), deltas)

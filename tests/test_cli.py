@@ -75,6 +75,46 @@ def test_ode_kato_report(capsys):
     assert sweep["slope"] == pytest.approx(rep["theory_exponent"], abs=0.05)
 
 
+def test_ode_kato_without_beta_exit_2(capsys):
+    # beta has no default: a run block without it is a configuration error
+    assert run_cli(["ode", "--set", "run.k=2.0"]) == 2
+    assert "config 'run' block missing key 'beta'" in capsys.readouterr().err
+
+
+def test_ode_kato_nonpositive_k_exit_2(capsys):
+    # the lemma needs k > 0; F'' = -F^2 would fall through F = 0 instead
+    assert run_cli(["ode", "--set", "run.beta=2", "--set", "run.k=-1",
+                    "--set", "run.f0p=1"]) == 2
+    assert "k > 0" in capsys.readouterr().err
+
+
+def test_ode_kato_moderate_beta_from_rest(capsys):
+    # a moderate beta from F'(0) = 0 reaches its blow-up time (28.2858545505,
+    # checked against scipy's solve of F'' in tests/test_ode_lab.py)
+    assert run_cli(["ode", "--set", "run.beta=3.6662545988443824",
+                    "--set", "run.a=2.0991497157408388",
+                    "--set", "run.alpha=0.037109375",
+                    "--set", "run.k=2.945089450726632",
+                    "--set", "run.f0=0.07782972007021413",
+                    "--set", "run.f0p=0"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["blew_up"] is True
+    assert rep["t_blowup"] == pytest.approx(28.2858545505, abs=1e-9)
+
+
+def test_ode_kato_global_solution_exit_1(capsys):
+    # alpha > beta + 1 with small data: F grows only linearly, no blow-up
+    assert run_cli(["ode", "--set", "run.beta=5", "--set", "run.a=2",
+                    "--set", "run.alpha=7"]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["blew_up"] is False and rep["t_blowup"] is None
+
+
+def test_ode_kato_beta_near_one_exit_2(capsys):
+    assert run_cli(["ode", "--set", "run.beta=1.0001"]) == 2
+    assert "need beta >= 1.01" in capsys.readouterr().err
+
+
 def test_ode_comparison_mode(capsys):
     assert run_cli(["ode", "--set", "run.mode=comparison",
                     "--set", "run.lam=0.5", "--set", "run.T=10.0"]) == 0
@@ -521,7 +561,7 @@ def test_python_dash_m_runs_cli():
 # scipy costs about 0.6 s to import, and aeblow integrates its ODEs itself
 # (aeblow._ode), so only the signed-oscillatory L1 bound (quad) loads
 # scipy.integrate and only a tabulated metric's spline scipy.interpolate;
-# eigen, critical and a comparison ode load no scipy at all
+# eigen, critical and every ode load no scipy at all
 _SCIPY_PROBE = """
 import sys
 from aeblow import cli
@@ -543,6 +583,8 @@ run("eigen", "run.lam=0.1")
 run("critical", "run.t_max=8", "solver.dr=0.1")
 run("ode", "run.mode=comparison", "run.lam=0.3", "run.T=5",
     "damping.kind=scattering-power", "damping.mu=0.5", "damping.beta=2")
+run("ode", "run.beta=2.0", "run.k=6.0", "run.f0p=2.0")
+run("ode", "run.beta=3.0")
 assert scipy_loaded() == [], scipy_loaded()
 solve("damping.kind=signed-oscillatory", "damping.mu=0.3", "damping.beta=2")
 assert "scipy.integrate" in sys.modules

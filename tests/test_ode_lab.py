@@ -1,26 +1,120 @@
 import inspect
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
+from scipy.special import beta as beta_fn
 
-from aeblow import _kernels, damping, lifespan, metric
+from aeblow import _kernels, _ode, damping, lifespan, metric
 from aeblow import ode_lab as ol
 from aeblow.damping import eta_of_s
 from aeblow.errors import DomainError, IntegrationError
 
 
+def _kato_time(beta, k, f0, f0p):
+    """The exact blow-up time at alpha = 0,
+    int_{f0}^inf dF / sqrt(f0p^2 + 2k (F^(beta+1) - f0^(beta+1)) / (beta+1)),
+    by quadrature in u = f0 / F: on [0, 1/2] as u = v^m, m = 2/(beta-1),
+    which smooths the u^((beta-3)/2) end; on [1/2, 1] as u = 1 - s^2, which
+    smooths the 1/sqrt(1-u) end at f0p = 0, with breakpoints a decade apart
+    from the bend at s = f0p / sqrt(2k f0^(beta+1))."""
+    C = 2.0 * k * f0 ** (beta + 1.0) / (beta + 1.0)
+    m = 2.0 / (beta - 1.0)
+    near = quad(lambda v: f0 * m / math.sqrt(
+        f0p ** 2 * v ** (2.0 * m + 2.0)
+        - C * math.expm1((beta + 1.0) * m * math.log(v))),
+        0.0, 0.5 ** (1.0 / m), epsabs=0.0, epsrel=1e-12, limit=200)[0]
+
+    def start(s):
+        E = math.expm1(-(beta + 1.0) * math.log1p(-s * s))   # u^-(beta+1) - 1
+        return 2.0 * f0 * s / ((1.0 - s * s) ** 2 * math.sqrt(f0p ** 2 + C * E))
+
+    s_end = 0.5 ** 0.5
+    bend = f0p / math.sqrt(2.0 * k * f0 ** (beta + 1.0))
+    points = [bend * 10.0 ** j for j in range(13)
+              if 1e-12 < bend * 10.0 ** j < s_end]
+    far = quad(start, 0.0, s_end, epsabs=0.0, epsrel=1e-12, limit=200,
+               points=points or None)[0]
+    return near + far
+
+
 def test_kato_exact_blowup_time():
     # F'' = 6 F^2 with F(0)=1, F'(0)=2 has F = (1-t)^-2, blow-up at t = 1
     prob = ol.KatoProblem(a=1.0, alpha=0.0, beta=2.0, k=6.0, f0=1.0, f0p=2.0)
-    res = ol.kato_blowup_time(prob, tolerance=1e-12)
+    res = ol.kato_blowup_time(prob)
     assert res.blew_up
-    # measured error: 0.0 here, 3.0e-11 at the default tolerance 1e-10
-    assert res.t_blowup == pytest.approx(1.0, abs=1e-9)
-    assert len(res.crossings) == 3
-    assert res.crossings[0] < res.crossings[1] < res.crossings[2]
+    # measured error: 3.0e-13
+    assert res.t_blowup == pytest.approx(1.0, abs=1e-12)
+
+
+def test_kato_fifth_power_from_rest():
+    # F'' = F^5 from F = 1 at rest: 1.2143253239438 by quadrature, and
+    # (sqrt(3)/6) B(1/3, 1/2) in closed form
+    res = ol.kato_blowup_time(ol.KatoProblem(a=1.0, alpha=0.0, beta=5.0))
+    exact = _kato_time(5.0, 1.0, 1.0, 0.0)
+    assert exact == pytest.approx(math.sqrt(3.0) / 6.0 * beta_fn(1 / 3, 0.5),
+                                  rel=1e-14)
+    assert res.t_blowup == pytest.approx(exact, rel=1e-10)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(beta=st.floats(1.01, 6.0), k=st.floats(0.5, 6.0),
+       f0=st.floats(0.1, 2.0), f0p=st.floats(0.0, 2.0))
+def test_kato_matches_quadrature(beta, k, f0, f0p):
+    # alpha = 0 makes the problem autonomous, so its blow-up time is a
+    # quadrature; beta starts where KatoProblem's domain does
+    prob = ol.KatoProblem(a=1.0, alpha=0.0, beta=beta, k=k, f0=f0, f0p=f0p)
+    res = ol.kato_blowup_time(prob)
+    assert res.blew_up
+    assert res.t_blowup == pytest.approx(_kato_time(beta, k, f0, f0p),
+                                         rel=1e-10)
+
+
+def test_kato_matches_a_solve_in_t():
+    # alpha > 0, against scipy's DOP853 on F'' itself, stopped where F
+    # reaches 1e8 (much further, its steps fall below the spacing of t); the
+    # time left from there, 2F / ((beta-1) F'), is below 7e-13 of the
+    # blow-up time on these problems
+    from scipy.integrate import solve_ivp
+
+    for prob in (ol.KatoProblem(a=2.0991497157408388, alpha=0.037109375,
+                                beta=3.6662545988443824, k=2.945089450726632,
+                                f0=0.07782972007021413, f0p=0.0),
+                 ol.KatoProblem(a=1.0, alpha=1.5, beta=4.0, k=2.0, f0=0.5,
+                                f0p=0.2)):
+        def rhs(t, z):
+            return [z[1],
+                    prob.k * (1.0 + t) ** -prob.alpha * z[0] ** prob.beta]
+
+        def big(t, z):
+            return z[0] - 1e8
+        big.terminal = True
+        ref = solve_ivp(rhs, (0.0, 1e3), [prob.f0, prob.f0p], method="DOP853",
+                        rtol=1e-13, atol=1e-20, events=big)
+        assert ref.status == 1
+        res = ol.kato_blowup_time(prob)
+        assert res.blew_up
+        assert res.t_blowup == pytest.approx(ref.t_events[0][0], rel=1e-11)
+
+
+def test_kato_no_blowup_for_global_solutions():
+    # alpha > beta + 1 with small data: F' tends to ~ 0.18, F grows only
+    # linearly and exists for all time, though a solve stopped at a fixed
+    # F (2e4 is reached by t ~ 1.1e5) would take it for a blow-up
+    prob = ol.KatoProblem(a=2.0, alpha=7.0, beta=5.0, k=1.0, f0=1.0, f0p=0.0)
+    assert ol.kato_blowup_time(prob) == ol.KatoResult(False, None)
+
+
+def test_kato_blowup_past_the_budget():
+    # F = (1-t)^-2 blows up at t = 1: a budget just short of it is no
+    # blow-up, though t itself never passes the budget
+    prob = ol.KatoProblem(a=1.0, alpha=0.0, beta=2.0, k=6.0, f0=1.0, f0p=2.0)
+    assert ol.kato_blowup_time(prob, 1.0 - 1e-9) == ol.KatoResult(False, None)
+    assert ol.kato_blowup_time(prob, 1.0 + 1e-9).blew_up
 
 
 def test_kato_no_blowup_within_budget():
@@ -31,11 +125,27 @@ def test_kato_no_blowup_within_budget():
     assert res.t_blowup is None
 
 
-def test_kato_step_failure_is_an_error():
-    # F'' = F^5 from F = 1 outruns RK45 before F reaches the last threshold;
-    # a stalled solve is not "no blow-up"
-    with pytest.raises(IntegrationError, match=r"t=1\.21"):
-        ol.kato_blowup_time(ol.KatoProblem(a=1.0, alpha=0.0, beta=5.0))
+def test_kato_step_failure_is_an_error(monkeypatch):
+    # a stalled step, in t or in s, raises naming t and F; it is never
+    # "no blow-up"
+    step = _ode.Stepper.step
+    prob = ol.KatoProblem(a=1.0, alpha=0.0, beta=5.0)
+    for phase in ("rhs_t", "rhs_s"):
+        def failing(self, phase=phase):
+            if self._fun.__name__ == phase:
+                self.status = "failed"
+                return _ode.TOO_SMALL_STEP
+            return step(self)
+
+        monkeypatch.setattr(_ode.Stepper, "step", failing)
+        with pytest.raises(IntegrationError, match="kato solve failed") as e:
+            ol.kato_blowup_time(prob)
+        t, F = map(float, re.search(r"at t=(\S+), F=(\S+): Required",
+                                    str(e.value)).groups())
+        if phase == "rhs_t":
+            assert (t, F) == (0.0, 1.0)
+        else:       # where F first reached 2 f0
+            assert 0.0 < t < 1.2143 and 2.0 <= F < 3.0
 
 
 def test_delta_sweep_seeds_the_problem():
@@ -83,6 +193,8 @@ def test_kato_hypothesis_rejected():
         ol.KatoProblem(a=1.0, alpha=4.0, beta=1.5)   # (beta-1)a <= alpha-2
     with pytest.raises(DomainError):
         ol.KatoProblem(a=1.0, alpha=0.0, beta=1.0)   # beta must exceed 1
+    with pytest.raises(DomainError, match="beta >= 1.01"):
+        ol.KatoProblem(a=1.0, alpha=0.0, beta=1.005)  # too stiff a solve
     with pytest.raises(DomainError):
         ol.KatoProblem(a=0.5, alpha=0.0, beta=2.0)   # a must be >= 1
     for f0 in (0.0, -1.0):                           # the seed must be > 0
@@ -147,16 +259,18 @@ def test_aitken_recovers_geometric_limit(T, c, q):
     t1, t2, t3 = (T - c * q ** k for k in (1, 2, 3))
     den = t3 - 2.0 * t2 + t1
     M = max(abs(t1), abs(t2), abs(t3), T)
-    assert abs(ol._aitken(t1, t2, t3) - T) <= 8 * np.finfo(float).eps * M * M / abs(den)
+    assert abs(lifespan._aitken(t1, t2, t3) - T) <= 8 * np.finfo(float).eps * M * M / abs(den)
 
 
 def test_aitken_equal_spacing_returns_last():
-    assert ol._aitken(1.0, 2.0, 3.0) == 3.0
-    assert ol._aitken(10.0, 10.5, 11.0) == 11.0
+    assert lifespan._aitken(1.0, 2.0, 3.0) == 3.0
+    assert lifespan._aitken(10.0, 10.5, 11.0) == 11.0
 
 
 def test_aitken_has_one_implementation():
-    assert lifespan._aitken is ol._aitken
+    # blow-up detection's extrapolation; the Kato solve needs none
+    assert lifespan._aitken.__module__ == lifespan.__name__
+    assert not hasattr(ol, "_aitken") and not hasattr(ol, "_THRESHOLDS")
 
 
 def test_k_integral_and_table_damping_have_one_rule():
