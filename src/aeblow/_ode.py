@@ -14,7 +14,7 @@ What is left out is scipy's per-step bookkeeping.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -240,11 +240,6 @@ class Dense:
                            np.array([q.y_old for q in p]),
                            np.array([q.F for q in p]))
         return _horner(t, *(a[seg] for a in self._stack))
-
-    def at(self, t: float, row: int) -> float:
-        """Component `row` of y at the float t, for ascending breakpoints."""
-        seg = min(max(bisect_left(self.ts, t) - 1, 0), len(self.pieces) - 1)
-        return self.pieces[seg].at(t, row)
 
 
 # -- stepper -------------------------------------------------------------------

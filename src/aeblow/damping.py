@@ -7,21 +7,24 @@ h, eta and (for kinds without a closed form) m come from two dense DOP853
 solutions, each stepped on demand only as far as the queries reach; a value
 read does not depend on which times were read before (_DenseODE).
 
-A float time (Python float or np.float64, what an ODE solver hands a
-right-hand side) takes a float path through b, m, h, eta and mt: the same
-formulas in float arithmetic, with the dense caches' DOP853 pieces evaluated
-in floats.  It returns the same bits as a 0-d array holding the time.  Ints,
-lists and arrays go through arrays.
+Each profile resolves its kind once, at construction, into the maps b, m and
+mt, which take a float or an array; the caches' right-hand sides call them
+directly.  A float time (Python float or np.float64, what an ODE solver hands
+a right-hand side) takes a float path: the same formulas in float arithmetic,
+with the dense caches' DOP853 pieces evaluated in floats.  It returns the
+same bits as a 0-d array holding the time.  Ints, lists and arrays go through
+arrays.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from numpy._core.multiarray import interp as _interp   # np.interp's own
 
 from . import _config
 from .errors import ConfigurationError, DomainError, IntegrationError
@@ -49,7 +52,7 @@ class _DenseODE:
     A stepper with no end time advances until it passes the latest query and
     keeps each step's dense piece; its steps are the same whatever the
     queries.  An array query evaluates the pieces as arrays, a float query
-    evaluates its piece in floats (_ode.Dense.at); both give the same bits.
+    evaluates its piece in floats (at); both give the same bits.
     """
 
     def __init__(self, f: Callable, y0: list[float], what: str):
@@ -77,12 +80,17 @@ class _DenseODE:
 
     def __call__(self, t, row: int = 0):
         """Component `row` of y at t (scalar or array)."""
-        if not isinstance(t, float) and np.ndim(t):
-            self._ensure(np.max(t))
-            return self._sol(t)[row]
-        t = float(t)
-        self._ensure(t)
-        return self._sol.at(t, row)
+        if isinstance(t, float) or not np.ndim(t):
+            return self.at(float(t), row)
+        self._ensure(np.max(t))
+        return self._sol(t)[row]
+
+    def at(self, t: float, row: int = 0) -> float:
+        """Component `row` of y at the float t >= 0: the piece of the first
+        breakpoint at or past t, evaluated in floats."""
+        if self.tmax < t:
+            self._ensure(t)
+        return self._pieces[bisect_left(self._ts, t, 1) - 1].at(t, row)
 
 
 def _times(t):
@@ -110,8 +118,9 @@ class DampingProfile:
     kinds: "zero", "scattering-power" (b = mu (1+t)^-beta), "signed-oscillatory"
     (b = mu cos(t) (1+t)^-beta), both beta > 1, and "tabulated" (b interpolated
     in table_t, table_b, zero beyond).  l1_norm, a certified bound on ||b||_L1
-    (analytic tail for the power kinds, declared tail tail_l1 for tables), and
-    the maps' dense caches are worked out here, never passed in.
+    (analytic tail for the power kinds, declared tail tail_l1 >= 0 for
+    tables), the maps b, m, mt and their dense caches are worked out here,
+    never passed in.
     """
 
     kind: str
@@ -123,21 +132,32 @@ class DampingProfile:
     tail_l1: float = 0.0
     _cache: object = field(init=False, repr=False, compare=False)
     _eta_cache: object = field(init=False, repr=False, compare=False)
+    _b: Callable = field(init=False, repr=False, compare=False)
+    _m: Callable = field(init=False, repr=False, compare=False)
+    _mt: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in _config.KIND_KEYS["damping"]:
             raise ConfigurationError(f"unknown damping kind {self.kind!r}")
+        if not 0 <= self.tail_l1 < math.inf:
+            raise ConfigurationError("damping tail_l1 must be finite and >= 0")
+        # b and m for this kind, on a float or an array; m of the kinds with
+        # no closed form reads the dense cache made below
         mu, beta = self.mu, self.beta
-        if self.kind == "tabulated":
-            t = np.asarray(self.table_t, dtype=float)
-            b = np.asarray(self.table_b, dtype=float)
-            if t.ndim != 1 or t.shape != b.shape or len(t) < 2 or t[0] != 0.0:
+        if self.kind == "zero":
+            l1, b, m = 0.0, np.zeros_like, np.ones_like
+        elif self.kind == "tabulated":
+            tt = np.asarray(self.table_t, dtype=float)
+            tb = np.asarray(self.table_b, dtype=float)
+            if tt.ndim != 1 or tt.shape != tb.shape or len(tt) < 2 or tt[0] != 0.0:
                 raise ConfigurationError("damping table must start at t=0, length >= 2")
-            if np.any(np.diff(t) <= 0):
+            if np.any(np.diff(tt) <= 0):
                 raise ConfigurationError("damping table times must increase")
-            vars(self).update(table_t=t, table_b=b, tail_l1=float(self.tail_l1))
-            l1 = float(np.trapezoid(np.abs(b), t)) + self.tail_l1
-        elif self.kind != "zero" and beta <= 1:
+            vars(self).update(table_t=tt, table_b=tb, tail_l1=float(self.tail_l1))
+            l1 = float(np.trapezoid(np.abs(tb), tt)) + self.tail_l1
+            b = lambda t: _interp(t, tt, tb, None, 0.0)
+            m = lambda t: np.exp(cache(t))
+        elif beta <= 1:
             what = "scattering" if self.kind == "scattering-power" else "oscillatory"
             raise DomainError(f"{what} damping needs beta > 1")
         elif self.kind == "signed-oscillatory":
@@ -146,18 +166,28 @@ class DampingProfile:
             # over its half-periods so quad never fights the oscillation
             edges = np.arange(0.0, 200.0 + math.pi, math.pi / 2.0)
             head = sum(quad(lambda t: abs(mu * math.cos(t)) * (1.0 + t) ** (-beta),
-                            a, b, epsabs=1e-13, epsrel=1e-11)[0]
-                       for a, b in zip(edges[:-1], edges[1:]))
+                            lo, hi, epsabs=1e-13, epsrel=1e-11)[0]
+                       for lo, hi in zip(edges[:-1], edges[1:]))
             l1 = head + abs(mu) * (1.0 + 200.0) ** (1.0 - beta) / (beta - 1.0)
+            b = lambda t: mu * np.cos(t) * (1.0 + t) ** (-beta)
+            m = lambda t: np.exp(cache(t))
         else:
-            l1 = 0.0 if self.kind == "zero" else abs(mu) / (beta - 1.0)
-        # _cache solves c' = b (c = int b), h' = exp(-c); _eta_cache eta' = m(eta).
-        # Their right-hand sides see the profile through a weak proxy, so no
-        # reference cycle keeps a dropped profile and its dense solutions alive.
-        ref = weakref.proxy(self)
-        vars(self).update(l1_norm=l1, _cache=_DenseODE(
-            lambda t, y: [ref.b(t), np.exp(-y[0])], [0.0, 0.0], "damping cache"),
-            _eta_cache=_DenseODE(lambda s, y: [m_of_t(ref, y[0])], [0.0], "eta"))
+            l1 = abs(mu) / (beta - 1.0)
+            b = lambda t: mu * (1.0 + t) ** (-beta)
+            m = lambda t: np.exp(mu * (1.0 - (1.0 + t) ** (1.0 - beta)) / (beta - 1.0))
+        # cache solves c' = b (c = int b), h' = exp(-c); eta_cache eta' = m(eta).
+        # Their right-hand sides hand b and m Python floats, as the public
+        # maps do.  No map closes over the profile, so no reference cycle
+        # keeps a dropped profile and its dense solutions alive.
+        cache = eta_cache = None
+        mt = m
+        if self.kind != "zero":
+            cache = _DenseODE(lambda t, y: [b(float(t)), np.exp(-y[0])],
+                              [0.0, 0.0], "damping cache")
+            eta_cache = _DenseODE(lambda s, y: [m(float(y[0]))], [0.0], "eta")
+            mt = lambda s: m(eta_cache(s))
+        vars(self).update(l1_norm=l1, _cache=cache, _eta_cache=eta_cache,
+                          _b=b, _m=m, _mt=mt)
 
     @property
     def delta1(self) -> float:
@@ -165,16 +195,7 @@ class DampingProfile:
 
     def b(self, t):
         """Evaluate b(t) for t >= 0."""
-        t = _times(t)
-        if self.kind == "zero":
-            out = np.zeros_like(t)
-        elif self.kind == "scattering-power":
-            out = self.mu * (1.0 + t) ** (-self.beta)
-        elif self.kind == "signed-oscillatory":
-            out = self.mu * np.cos(t) * (1.0 + t) ** (-self.beta)
-        else:
-            out = np.interp(t, self.table_t, self.table_b, right=0.0)
-        return _result(out)
+        return _result(self._b(_times(t)))
 
 
 def zero_damping() -> DampingProfile:
@@ -203,15 +224,7 @@ def tabulated_damping(t, b, tail_l1: float = 0.0) -> DampingProfile:
 
 def m_of_t(profile: DampingProfile, t):
     """m(t) = exp(int_0^t b), the damping integrating factor."""
-    t = _times(t)
-    if profile.kind == "zero":
-        out = np.ones_like(t)
-    elif profile.kind == "scattering-power":
-        cumb = profile.mu * (1.0 - (1.0 + t) ** (1.0 - profile.beta)) / (profile.beta - 1.0)
-        out = np.exp(cumb)
-    else:
-        out = np.exp(profile._cache(t))
-    return _result(out)
+    return _result(profile._m(_times(t)))
 
 
 def h_of_t(profile: DampingProfile, t):
@@ -230,7 +243,7 @@ def eta_of_s(profile: DampingProfile, s):
 
 def m_tilde(profile: DampingProfile, s):
     """mt(s) = m(eta(s)), pinned inside [delta1, 1/delta1]."""
-    return m_of_t(profile, eta_of_s(profile, s))
+    return _result(profile._mt(_times(s)))
 
 
 # -- config parsing --------------------------------------------------------------

@@ -417,6 +417,17 @@ def test_unknown_solve_mode_exit_2(kind, capsys):
 
 
 # each of these once ended in a ValueError, ZeroDivisionError or TypeError
+def test_negative_tail_l1_exit_2_naming_the_key(capsys):
+    # it ran and exited 0 with delta1 = exp(5) > 1, a CFL step ~100x too large
+    args = ["solve"]
+    for item in ("run.eps=0.3", "run.p=2", "solver.tmax=3",
+                 "damping.kind=tabulated", "damping.table=[[0,0.1],[4,0.1]]",
+                 "damping.tail_l1=-5"):
+        args += ["--set", item]
+    assert run_cli(args) == 2
+    assert "damping tail_l1 must be finite and >= 0" in capsys.readouterr().err
+
+
 # traceback with exit 1
 @pytest.mark.parametrize("kind,overrides", [
     ("sweep", ["run.p=2.0", "run.eps_max=7", "run.count=abc"]),

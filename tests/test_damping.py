@@ -145,6 +145,16 @@ def test_float_path_is_bit_identical(kind, data, times, negative):
     # the bits of scipy's OdeSolution over the same steps
     prof = data.draw(_DAMPINGS[kind])
     maps = (damping.m_tilde, damping.eta_of_s, damping.h_of_t)
+    if prof.kind == "tabulated":
+        # b bends at the knots: read every knot, the floats one ulp either
+        # side of it, the table's end and a time past it, where the float
+        # path must give the bits of the whole-array path too
+        knots = prof.table_t.tolist()
+        times = [*times, *knots, *(math.nextafter(k, math.inf) for k in knots),
+                 *(math.nextafter(k, -math.inf) for k in knots[1:]),
+                 2.0 * knots[-1]]
+        for f in (prof.b, lambda t: damping.m_of_t(prof, t)):
+            assert [f(t) for t in times] == f(np.array(times)).tolist()
     for t in times:
         for tf in (t, np.float64(t)):
             for f in (prof.b, lambda t: damping.m_of_t(prof, t)):
@@ -232,14 +242,26 @@ def test_negative_time_rejected(scat_damping):
             damping.m_of_t(prof, np.array([1.0, bad]))
 
 
-def test_used_profile_freed_without_cycle_collector():
-    prof = damping.signed_oscillatory_damping(0.4, 2.0)
-    damping.m_tilde(prof, 3.0)          # steps both dense caches
-    caches = (prof._cache, prof._eta_cache)
-    refs = [weakref.ref(x) for x in (prof, *caches,
+@pytest.mark.parametrize("make", [
+    damping.zero_damping,
+    lambda: damping.scattering_power_damping(0.4, 2.0),
+    lambda: damping.signed_oscillatory_damping(0.4, 2.0),
+    lambda: damping.tabulated_damping([0.0, 1.0, 3.0], [0.3, 0.1, 0.0])],
+    ids=["zero", "scattering-power", "signed-oscillatory", "tabulated"])
+def test_used_profile_freed_without_cycle_collector(make):
+    # each kind's maps close over other things (the table, the eta cache
+    # only, both caches), never over the profile; zero damping has no caches
+    prof = make()
+    for t in (3.0, np.array([1.0, 3.0])):   # steps both dense caches
+        prof.b(t), damping.m_tilde(prof, t), damping.h_of_t(prof, t)
+    caches = [c for c in (prof._cache, prof._eta_cache) if c is not None]
+    assert len(caches) == (0 if prof.kind == "zero" else 2)
+    maps = [f for f in (prof._b, prof._m, prof._mt)
+            if getattr(f, "__closure__", None)]
+    refs = [weakref.ref(x) for x in (prof, *caches, *maps,
                                      *(c._stepper for c in caches),
                                      *(c._pieces[-1] for c in caches))]
-    del caches
+    del caches, maps
     gc.disable()
     try:
         del prof
@@ -316,6 +338,14 @@ def test_direct_oscillatory_profile_certifies_its_l1_norm():
     (lambda: damping.tabulated_damping([0.0, 2.0, 1.0], [0.1] * 3),
      dict(kind="tabulated", table_t=[0.0, 2.0, 1.0], table_b=[0.1] * 3),
      ConfigurationError, "damping table times must increase"),
+    # a negative tail gave delta1 > 1, so a too large CFL step; NaN and inf
+    # failed at the first solve
+    *((lambda tail=tail: damping.tabulated_damping([0.0, 1.0], [0.1] * 2,
+                                                   tail_l1=tail),
+       dict(kind="tabulated", table_t=[0.0, 1.0], table_b=[0.1] * 2,
+            tail_l1=tail),
+       ConfigurationError, "damping tail_l1 must be finite and >= 0")
+      for tail in (-0.1, math.nan, math.inf)),
 ])
 def test_bad_profile_raises_at_construction(made, direct, exc, message):
     for build in (made, lambda: damping.DampingProfile(**direct)):
