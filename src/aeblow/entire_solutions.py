@@ -93,14 +93,23 @@ def _shoot(profile: MetricProfile, lams: np.ndarray, r_max: float, dr: float):
     def solve(lam, r0, z0, t_eval):
         """(log Phi, Phi'/Phi) rows of every lam, sampled at t_eval."""
         lam2, half = lam * lam, len(lam)
+        tmp = np.empty(half)
 
         def rhs(r, z):
+            # a fresh array each call, since the stepper keeps f between steps
             k, k1, _ = eval_k(profile, r)
             w = z[half:]
+            out = np.empty(2 * half)
+            out[:half] = w
+            dw = out[half:]
             if r == 0.0:     # even limit: Phi'/Phi ~ lam^2 K(0)^2 r / n
-                return np.concatenate((w, lam2 * (k * k / n)))
-            return np.concatenate(
-                (w, lam2 * (k * k) - ((n - 1) / r - k1 / k) * w - w * w))
+                np.multiply(lam2, k * k / n, out=dw)
+                return out
+            np.multiply(lam2, k * k, out=dw)
+            np.subtract(dw, np.multiply((n - 1) / r - k1 / k, w, out=tmp),
+                        out=dw)
+            np.subtract(dw, np.multiply(w, w, out=tmp), out=dw)
+            return out
 
         res = _ode.solve(rhs, (r0, t_eval[-1]), z0, _RTOL, _ATOL,
                          t_eval=t_eval)

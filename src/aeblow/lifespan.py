@@ -9,18 +9,20 @@ exponent 2p(p-1)/((n-1)p^2-(n+1)p-2) in the subcritical range, and
 scales each point's horizon by the same exponent.
 
 The points of a sweep share nothing, so ``sweep_and_fit`` detects them in
-forked worker processes, one per core the process may run on, smallest eps
-(longest lifespan) first.  Each point is the same computation as in a plain
-loop, and the records are merged in eps order before the fit, so the fit is
-bit for bit that of the plain loop, which is what runs on a single core.
-``_forked`` is the package's one process pool: the ``critical`` command
-evolves in it while it shoots its eigenfunction family.
+forked child processes, one point a child and at most one child per core
+the process may run on, smallest eps (longest lifespan) first.  Each point
+is the same computation as in a plain loop, and the records are merged in
+eps order before the fit, so the fit is bit for bit that of the plain loop,
+which is what runs on a single core.  ``_forked`` is the package's one way
+to fork: the ``critical`` command evolves in its child while it shoots its
+eigenfunction family.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import pickle
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
@@ -28,8 +30,8 @@ from functools import partial
 import numpy as np
 
 from .damping import DampingProfile
-from .errors import (ConfigurationError, DomainError, InsufficientDataError,
-                     PositivityError)
+from .errors import (AeblowError, ConfigurationError, DomainError,
+                     InsufficientDataError, PositivityError)
 from .metric import MetricProfile
 from .wave_solver import (THRESHOLD_FACTORS, DataProfile, SolverConfig,
                           Trajectory, evolve_damped_direct, evolve_transformed)
@@ -203,19 +205,19 @@ def fit_records(records, n: int, p: float, data: DataProfile) -> FitReport:
         monotone=bool(np.all(np.diff(t) >= -1e-9)))
 
 
-# the calls of a _forked pool, set in each worker by its initializer; the
-# fork start method hands them over by inheritance, since a damping's caches
-# cannot be pickled
-_worker_calls = None
-
-
-def _set_worker_calls(calls):
-    global _worker_calls
-    _worker_calls = calls
-
-
-def _run_worker_call(i: int):
-    return _worker_calls[i]()
+def _send_outcome(call, conn):
+    """A forked child's body: run the call and send (ok, value) back; an
+    error that would not survive the pipe goes as an AeblowError naming its
+    type and message."""
+    try:
+        out = True, call()
+    except Exception as exc:
+        try:
+            pickle.loads(pickle.dumps(exc))
+        except Exception:
+            exc = AeblowError(f"{type(exc).__name__}: {exc}")
+        out = False, exc
+    conn.send(out)
 
 
 @contextmanager
@@ -223,11 +225,16 @@ def _forked(calls):
     """One getter per zero-argument call, in call order, each returning its
     call's result or raising its error.
 
-    The calls start at once in forked worker processes, min(cores, calls)
-    of them, in call order; only indices go out and only results come back.
-    With one core, or without the fork start method, each getter runs its
-    call in this process when it is read.  Every worker is joined on exit,
-    and the calls not yet started are dropped.
+    Each call runs in its own forked child, which inherits the call (a
+    damping's caches cannot be pickled) and sends its (ok, value) back over
+    a one-way pipe.  The children start in call order, at most min(cores,
+    calls) alive at once; a getter waits on the running children's pipes,
+    receives and joins each one that finishes, and starts the next waiting
+    call.  A child that ends without sending makes its getter raise an
+    AeblowError with its exit code.  With one core, or without the fork
+    start method, each getter runs its call in this process when it is
+    read.  Every child is joined on exit, and the calls not yet started are
+    dropped.
     """
     import multiprocessing
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -235,15 +242,51 @@ def _forked(calls):
     if cores < 2 or "fork" not in multiprocessing.get_all_start_methods():
         yield list(calls)
         return
-    from concurrent.futures.process import ProcessPoolExecutor
-    pool = ProcessPoolExecutor(min(cores, len(calls)),
-                               multiprocessing.get_context("fork"),
-                               initializer=_set_worker_calls, initargs=(calls,))
+    from multiprocessing.connection import wait
+    ctx = multiprocessing.get_context("fork")
+    waiting = iter(enumerate(calls))
+    running = {}        # the reading end of each child's pipe: (index, child)
+    outcomes = {}
+
+    def start_next():
+        for i, call in waiting:     # the first waiting call, if any
+            reader, writer = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_send_outcome, args=(call, writer))
+            child.start()
+            writer.close()      # so the reader sees EOF when the child ends
+            running[reader] = i, child
+            return
+
+    def receive(reader):
+        i, child = running.pop(reader)
+        with reader:
+            try:
+                out = reader.recv()
+            except EOFError:
+                out = None
+        child.join()
+        if out is None:     # the child ended without sending
+            out = False, AeblowError(f"forked call {i} ended without a "
+                                     f"result (exit code {child.exitcode})")
+        outcomes[i] = out
+
+    def get(i):
+        while i not in outcomes:
+            for reader in wait(list(running)):
+                receive(reader)
+                start_next()
+        ok, value = outcomes[i]
+        if ok:
+            return value
+        raise value
+
     try:
-        yield [pool.submit(_run_worker_call, i).result
-               for i in range(len(calls))]
+        for _ in range(min(cores, len(calls))):
+            start_next()
+        yield [partial(get, i) for i in range(len(calls))]
     finally:
-        pool.shutdown(cancel_futures=True)
+        while running:
+            receive(next(iter(running)))
 
 
 def sweep_and_fit(metric: MetricProfile, damping: DampingProfile | None,
@@ -257,12 +300,12 @@ def sweep_and_fit(metric: MetricProfile, damping: DampingProfile | None,
     gamma(n, p) = 2 + (n+1)p - (n-1)p^2 (minus subcritical_exponent, the
     fit's theory), as the sharp lifespan bound T(eps) ~ eps**(-e) scales; a
     budget needs p below the critical exponent, where that bound holds.
-    The points run in forked worker processes, one per core in the
-    process's CPU affinity, smallest eps first; with one core, or without
-    the fork start method, one after another.  The records are merged in
-    eps order whatever order the points finish in, so the fit is
-    deterministic, and the error of the first failing point in that order
-    is raised.  Every worker is joined before this returns or raises.
+    The points run in forked child processes, one a point and at most one
+    per core in the process's CPU affinity, smallest eps first; with one
+    core, or without the fork start method, one after another.  The records
+    are merged in eps order whatever order the points finish in, so the fit
+    is deterministic, and the error of the first failing point in that
+    order is raised.  Every child is joined before this returns or raises.
     """
     pc = critical_exponent(metric.n)
     if abs(p - pc) < 1e-9:

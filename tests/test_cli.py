@@ -615,9 +615,9 @@ def test_scipy_imported_only_where_used(tmp_path):
     assert json.loads((tmp_path / "rep.json").read_text())["status"] == "completed"
 
 
-# multiprocessing and its process pool (about 20 ms to import together) are
-# loaded by the commands that fork, sweep and critical, alone: import and
-# solve times stay free of them
+# multiprocessing (about 9 ms to import) is loaded by the commands that fork,
+# sweep and critical, alone: import and solve times stay free of it; no
+# command loads a process pool
 _MULTIPROCESSING_PROBE = """
 import sys
 from aeblow import cli
@@ -635,6 +635,7 @@ if sys.argv[2] == "sweep":
 else:
     run("critical", "run.t_max=8", "solver.dr=0.1")
 assert "multiprocessing" in sys.modules
+assert "concurrent.futures" not in sys.modules
 """
 
 

@@ -2,13 +2,14 @@ import dataclasses
 import math
 import multiprocessing
 import os
+import time
 
 import numpy as np
 import pytest
 
 from aeblow import lifespan as ls
 from aeblow import wave_solver as ws
-from aeblow.errors import (ConfigurationError, DomainError,
+from aeblow.errors import (AeblowError, ConfigurationError, DomainError,
                            InsufficientDataError, PositivityError)
 
 
@@ -306,6 +307,50 @@ def test_forked_hands_each_result_and_error_to_the_caller(cores,
             fail()
         assert str(err.value) == "raised in the call"
         assert (pid() == os.getpid()) == (cores == 1)
+    assert multiprocessing.active_children() == []
+
+
+def test_forked_runs_each_call_in_its_own_child(monkeypatch):
+    def call(i):
+        time.sleep(0.04 * (5 - i))      # later calls finish first
+        return i, os.getpid()
+
+    _use_cores(monkeypatch, 2)
+    with ls._forked([lambda i=i: call(i) for i in range(5)]) as points:
+        got = [point() for point in points]
+    assert [i for i, _ in got] == list(range(5))
+    pids = {pid for _, pid in got}
+    assert len(pids) == 5 and os.getpid() not in pids
+    assert multiprocessing.active_children() == []
+
+
+def test_forked_names_a_child_that_ends_without_a_result(monkeypatch):
+    _use_cores(monkeypatch, 2)
+    with ls._forked([lambda: os._exit(3), lambda: "b"]) as (dead, b):
+        assert b() == "b"
+        with pytest.raises(AeblowError) as err:
+            dead()
+    assert "call 0" in str(err.value)
+    assert "exit code 3" in str(err.value)
+    assert multiprocessing.active_children() == []
+
+
+class _Unpicklable(Exception):
+    def __init__(self):
+        super().__init__("holds a lambda")
+        self.hook = lambda: None
+
+
+def _raise_unpicklable():
+    raise _Unpicklable()
+
+
+def test_forked_hands_over_an_error_that_cannot_be_pickled(monkeypatch):
+    _use_cores(monkeypatch, 2)
+    with ls._forked([_raise_unpicklable]) as (fail,):
+        with pytest.raises(AeblowError) as err:
+            fail()
+    assert str(err.value) == "_Unpicklable: holds a lambda"
     assert multiprocessing.active_children() == []
 
 
