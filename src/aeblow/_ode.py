@@ -1,8 +1,11 @@
 """Explicit Runge-Kutta integration of y' = f(t, y) with step-size control.
 
 One embedded pair, DOP853: order 8 with a 7th-degree dense output (Hairer,
-Norsett & Wanner 1993, Sec. II.5).  On top of its stepper sit the solution's
-segment rule and sampling at given times.
+Norsett & Wanner 1993, Sec. II.5-II.6).  On its stepper sit two solutions,
+both read off the steps' pieces by one rule, at a breakpoint the piece that
+ends there: Dense, stepped on demand from t = 0 for array and float
+queries, and solve, sampled at given times in the direction of its span.
+Both raise IntegrationError on a failed step.
 
 Every number is scipy.integrate's, bit for bit: each operation repeats
 scipy's (solve_ivp, OdeSolution, the DOP853 solver and its dense output) in
@@ -14,11 +17,12 @@ What is left out is scipy's per-step bookkeeping.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
 from types import SimpleNamespace
 
 import numpy as np
+
+from .errors import IntegrationError
 
 EPS = float(np.finfo(float).eps)
 TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
@@ -176,18 +180,24 @@ TABLEAU = _dop853()
 
 # -- dense output --------------------------------------------------------------
 
-def _horner(t, t_old, h, y_old, F):
-    """DOP853's interpolant at t: shape (n,) for a scalar t, (n, len(t)) for
-    a 1-D t.  t_old, h, y_old and F are one piece's, or one piece's per time
-    (leading axis)."""
-    t = np.asarray(t)
-    x = ((np.atleast_1d(t) - t_old) / h)[:, None]
+def _horner(t, stack, seg):
+    """DOP853's interpolant at the 1-D times t, shape (n, len(t)).  stack
+    holds the pieces' t_old, h, y_old and F along a leading axis, seg is the
+    piece of each time; each pass gathers one coefficient row per time."""
+    t_old, h, y_old, F = stack
+    x = ((t - t_old[seg]) / h[seg])[:, None]
     y = np.zeros((len(x), F.shape[-1]))
-    for i in range(F.shape[-2]):
-        y += F[..., -1 - i, :]
+    for i in range(F.shape[1]):
+        y += F[seg, -1 - i]
         y *= x if i % 2 == 0 else 1 - x
-    y += y_old
-    return y.T if t.ndim else y[0]
+    y += y_old[seg]
+    return y.T
+
+
+def _stacked(pieces):
+    """The pieces' t_old, h, y_old and F, each stacked along a leading axis."""
+    return tuple(np.array([getattr(q, name) for q in pieces])
+                 for name in ("t_old", "h", "y_old", "F"))
 
 
 class Piece:
@@ -198,11 +208,8 @@ class Piece:
         self.y_old, self.F = y_old, F
         self._floats = None
 
-    def __call__(self, t):
-        return _horner(t, self.t_old, self.h, self.y_old, self.F)
-
     def at(self, t: float, row: int) -> float:
-        """Component `row` of y at the float t: the operations of __call__ on
+        """Component `row` of y at the float t: the operations of _horner on
         Python floats, so the same bits."""
         if self._floats is None:
             self._floats = (float(self.t_old), float(self.h),
@@ -213,33 +220,6 @@ class Piece:
         u = 1 - x
         return ((((((((0.0 + f6) * x + f5) * u + f4) * x + f3) * u + f2) * x
                   + f1) * u + f0) * x + y_old[row])
-
-
-class Dense:
-    """A solution made of pieces between breakpoints ts (ascending or
-    descending); at a breakpoint the piece with the lower index is used.
-    ts and pieces are lists that may grow between calls."""
-
-    def __init__(self, ts: list, pieces: list):
-        self.ts, self.pieces = ts, pieces
-        self._stack = None
-
-    def __call__(self, t):
-        """y at t: shape (n,) for a scalar t, (n, len(t)) for a 1-D t."""
-        t = np.asarray(t)
-        ts, last = np.asarray(self.ts), len(self.pieces) - 1
-        if ts[-1] >= ts[0]:
-            seg = np.searchsorted(ts, t, side="left") - 1
-        else:
-            seg = last - (np.searchsorted(ts[::-1], t, side="right") - 1)
-        seg = np.clip(seg, 0, last)
-        if self._stack is None or len(self._stack[0]) <= last:
-            p = self.pieces
-            self._stack = (np.array([q.t_old for q in p]),
-                           np.array([q.h for q in p]),
-                           np.array([q.y_old for q in p]),
-                           np.array([q.F for q in p]))
-        return _horner(t, *(a[seg] for a in self._stack))
 
 
 # -- stepper -------------------------------------------------------------------
@@ -360,50 +340,79 @@ class Stepper:
         return Piece(t_old, self.t, y_old, F)
 
 
-# -- solves --------------------------------------------------------------------
+# -- solutions -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Result:
-    """y at t_eval (one column per time), the dense solution when asked for,
-    and why the solve failed (None if it did not)."""
+class Dense:
+    """The dense solution of y' = fun(t, y), y(0) = y0, for t >= 0, stepped
+    on demand.
 
-    y: np.ndarray | None
-    sol: Dense | None
-    message: str | None
+    A stepper with no end time, made at the first query, advances until it
+    passes the latest query and keeps each step's piece between breakpoints
+    ts, so its steps are the same whatever the queries.  At a breakpoint the
+    piece that ends there is read.  A failed step raises IntegrationError
+    naming what.
+    """
 
-    @property
-    def success(self) -> bool:
-        return self.message is None
+    def __init__(self, fun, y0, rtol: float, atol: float, what: str):
+        self.fun, self._y0, self._tols, self._what = fun, y0, (rtol, atol), what
+        self.tmax = -math.inf           # no step taken yet
+        self._stepper = self._stack = None
+        self.ts, self.pieces = [0.0], []
+
+    def _ensure(self, t: float):
+        if self._stepper is None:
+            self._stepper = Stepper(self.fun, 0.0, self._y0, math.inf,
+                                    *self._tols)
+        while self.tmax < t:
+            message = self._stepper.step()
+            if message is not None:
+                raise IntegrationError(f"{self._what} failed: {message}")
+            self.tmax = float(self._stepper.t)
+            self.ts.append(self.tmax)
+            self.pieces.append(self._stepper.dense_output())
+
+    def __call__(self, t, row: int = 0):
+        """Component `row` of y at t: a float for a float or 0-d t, else an
+        array over the 1-D t."""
+        if isinstance(t, float) or not np.ndim(t):
+            return self.at(float(t), row)
+        self._ensure(np.max(t))
+        if self._stack is None or len(self._stack[0]) < len(self.pieces):
+            self._stack = _stacked(self.pieces)
+        seg = np.maximum(np.searchsorted(self._stack[0], t) - 1, 0)
+        return _horner(t, self._stack, seg)[row]
+
+    def at(self, t: float, row: int = 0) -> float:
+        """Component `row` of y at the float t, its piece evaluated in
+        floats."""
+        if self.tmax < t:
+            self._ensure(t)
+        return self.pieces[bisect_left(self.ts, t, 1) - 1].at(t, row)
 
 
-def solve(fun, t_span, y0, rtol: float, atol: float, t_eval=None,
-          dense_output: bool = False) -> Result:
-    """Solve y' = fun(t, y) over t_span from y0: sampled at t_eval
-    (ascending, inside a forward t_span), and dense with dense_output=True.
-    A failed solve returns what it reached and its message.
+def solve(fun, t_span, y0, rtol: float, atol: float, t_eval, what: str):
+    """y' = fun(t, y) over t_span from y0, sampled at t_eval (ordered in the
+    direction of t_span, inside it): shape (len(y0), len(t_eval)).
+
+    A sample is read off the piece of the first step that reaches it, so at
+    a breakpoint the piece that ends there.  Only those pieces are kept, and
+    every sample is evaluated once, at the end.  A failed step raises
+    IntegrationError naming what.
     """
     t0, tf = map(float, t_span)
     stepper = Stepper(fun, t0, y0, tf, rtol, atol)
-    ts, pieces, y_out = [t0], [], []
-    if t_eval is not None:
-        t_eval = np.asarray(t_eval)
-        i_eval, t_list = 0, t_eval.tolist()
-    message = None
+    t_eval = np.asarray(t_eval, dtype=float)
+    direction = stepper.direction
+    keys = (direction * t_eval).tolist()     # ascending
+    pieces, counts, done = [], [], 0
     while stepper.status == "running":
         message = stepper.step()
         if message is not None:
-            break
-        sol = None
-        if dense_output:
-            sol = stepper.dense_output()
-            ts.append(stepper.t)
-            pieces.append(sol)
-        if t_eval is not None:
-            j = bisect_right(t_list, stepper.t)
-            if j > i_eval:
-                sol = sol or stepper.dense_output()
-                y_out.append(sol(t_eval[i_eval:j]))
-                i_eval = j
-    return Result(y=np.hstack(y_out) if y_out else None,
-                  sol=Dense(ts, pieces) if dense_output else None,
-                  message=message)
+            raise IntegrationError(f"{what} failed: {message}")
+        reached = bisect_right(keys, direction * stepper.t)
+        if reached > done:
+            pieces.append(stepper.dense_output())
+            counts.append(reached - done)
+            done = reached
+    return _horner(t_eval, _stacked(pieces),
+                   np.repeat(np.arange(len(pieces)), counts))

@@ -4,8 +4,8 @@ With m(t) = exp(int_0^t b), s = h(t) = int_0^t 1/m, and eta the inverse of h,
 the damped operator d_t^2 + b d_t - Lap becomes d_s^2 - mt(s)^2 Lap with
 mt(s) = m(eta(s)) pinned inside [delta1, 1/delta1], delta1 = exp(-||b||_L1).
 h, eta and (for kinds without a closed form) m come from two dense DOP853
-solutions, each stepped on demand only as far as the queries reach; a value
-read does not depend on which times were read before (_DenseODE).
+solutions (aeblow._ode.Dense), each stepped on demand only as far as the
+queries reach; a value read does not depend on which times were read before.
 
 Each profile resolves its kind once, at construction, into the maps b, m and
 mt, which take a float or an array; the caches' right-hand sides call them
@@ -19,7 +19,6 @@ arrays.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -27,7 +26,7 @@ import numpy as np
 from numpy._core.multiarray import interp as _interp   # np.interp's own
 
 from . import _config
-from .errors import ConfigurationError, DomainError, IntegrationError
+from .errors import ConfigurationError, DomainError
 
 __all__ = [
     "DampingProfile",
@@ -44,53 +43,6 @@ __all__ = [
 
 _ODE_RTOL = 1e-12
 _ODE_ATOL = 1e-14
-
-
-class _DenseODE:
-    """Dense DOP853 solution of y' = f(t, y), y(0) = y0, stepped on demand.
-
-    A stepper with no end time advances until it passes the latest query and
-    keeps each step's dense piece; its steps are the same whatever the
-    queries.  An array query evaluates the pieces as arrays, a float query
-    evaluates its piece in floats (at); both give the same bits.
-    """
-
-    def __init__(self, f: Callable, y0: list[float], what: str):
-        self._f = f
-        self._y0 = y0
-        self._what = what
-        self.tmax = -math.inf           # no step taken yet
-        self._stepper = self._sol = None
-        self._ts = [0.0]
-        self._pieces = []
-
-    def _ensure(self, t: float):
-        if self._stepper is None:
-            from . import _ode
-            self._stepper = _ode.Stepper(self._f, 0.0, self._y0, math.inf,
-                                         _ODE_RTOL, _ODE_ATOL)
-            self._sol = _ode.Dense(self._ts, self._pieces)
-        while self.tmax < t:
-            message = self._stepper.step()
-            if message is not None:
-                raise IntegrationError(f"{self._what} integration failed: {message}")
-            self.tmax = float(self._stepper.t)
-            self._ts.append(self.tmax)
-            self._pieces.append(self._stepper.dense_output())
-
-    def __call__(self, t, row: int = 0):
-        """Component `row` of y at t (scalar or array)."""
-        if isinstance(t, float) or not np.ndim(t):
-            return self.at(float(t), row)
-        self._ensure(np.max(t))
-        return self._sol(t)[row]
-
-    def at(self, t: float, row: int = 0) -> float:
-        """Component `row` of y at the float t >= 0: the piece of the first
-        breakpoint at or past t, evaluated in floats."""
-        if self.tmax < t:
-            self._ensure(t)
-        return self._pieces[bisect_left(self._ts, t, 1) - 1].at(t, row)
 
 
 def _times(t):
@@ -182,9 +134,12 @@ class DampingProfile:
         cache = eta_cache = None
         mt = m
         if self.kind != "zero":
-            cache = _DenseODE(lambda t, y: [b(float(t)), np.exp(-y[0])],
-                              [0.0, 0.0], "damping cache")
-            eta_cache = _DenseODE(lambda s, y: [m(float(y[0]))], [0.0], "eta")
+            from ._ode import Dense
+            cache = Dense(lambda t, y: [b(float(t)), np.exp(-y[0])],
+                          [0.0, 0.0], _ODE_RTOL, _ODE_ATOL,
+                          "damping cache integration")
+            eta_cache = Dense(lambda s, y: [m(float(y[0]))], [0.0],
+                              _ODE_RTOL, _ODE_ATOL, "eta integration")
             mt = lambda s: m(eta_cache(s))
         vars(self).update(l1_norm=l1, _cache=cache, _eta_cache=eta_cache,
                           _b=b, _m=m, _mt=mt)

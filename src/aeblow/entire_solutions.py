@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, IntegrationError, PositivityError
+from .errors import DomainError, PositivityError
 from .metric import (MetricProfile, eval_k, k_integral, k_integral_grid,
                      validate_long_range)
 
@@ -111,11 +111,8 @@ def _shoot(profile: MetricProfile, lams: np.ndarray, r_max: float, dr: float):
             np.subtract(dw, np.multiply(w, w, out=tmp), out=dw)
             return out
 
-        res = _ode.solve(rhs, (r0, t_eval[-1]), z0, _RTOL, _ATOL,
-                         t_eval=t_eval)
-        if not res.success:
-            raise IntegrationError(f"eigenfunction solve failed: {res.message}")
-        return res.y
+        return _ode.solve(rhs, (r0, t_eval[-1]), z0, _RTOL, _ATOL, t_eval,
+                          "eigenfunction solve")
 
     m = len(lams)
     grid = np.arange(0.0, r_max + dr / 2.0, dr)

@@ -93,7 +93,8 @@ def _aitken(t1: float, t2: float, t3: float) -> float:
 
 
 def _crossing_times(traj: Trajectory, eps: float):
-    """Log-interpolated times where sup|u| first exceeds each threshold."""
+    """Log-interpolated times where sup|u| first exceeds each threshold;
+    sup[0] lies below the first (detect_blowup checks it)."""
     times = []
     sup = traj.sup
     t = traj.t
@@ -103,7 +104,7 @@ def _crossing_times(traj: Trajectory, eps: float):
         if len(idx) == 0:
             return times
         m = int(idx[0])
-        if m == 0 or sup[m - 1] <= 0:
+        if sup[m - 1] <= 0:     # velocity-only data start at sup = 0
             times.append(float(t[m]))
             continue
         frac = (math.log(thr) - math.log(sup[m - 1])) \

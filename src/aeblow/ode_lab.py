@@ -1,7 +1,7 @@
 """Second-order ODE studies: comparison solutions and the blow-up ODE.
 
-Two users: the auxiliary solutions of y'' = lam^2 mt(t)^2 y used to build
-test functions, and the blow-up ODE F'' = k (1+t)^-alpha F^beta whose finite
+Two users: the auxiliary solutions of y'' = lam^2 mt(t)^2 y, sampled at 400
+times, used to build test functions, and the blow-up ODE F'' = k (1+t)^-alpha F^beta whose finite
 blow-up time scales like a power of the seed size delta.  Both are stepped
 by aeblow._ode's DOP853; the blow-up time is the limit of t in a variable
 that runs to infinity as F blows up, read off once the time left is known
@@ -42,8 +42,9 @@ class ComparisonSolution:
 def _comparison(damping: DampingProfile, lam: float, T: float,
                 backward: bool) -> ComparisonSolution:
     """Solve y'' = lam^2 mt^2 y from y = 0, y' = 1 at t = 0, or backwards from
-    y = 0, y' = -1 at t = T; sample it at 400 points on [0, T] and measure its
-    sinh envelope in eta from the start, skipping the start (both sides 0).
+    y = 0, y' = -1 at t = T; sample it at 400 points on [0, T], taken in the
+    solve's direction, and measure its sinh envelope in eta from the start,
+    skipping the start (both sides 0).
     eta(T) comes from the float path, which rounds unlike eta[-1]."""
     from . import _ode
     if lam <= 0 or T <= 0:
@@ -53,12 +54,10 @@ def _comparison(damping: DampingProfile, lam: float, T: float,
     def rhs(t, z):
         return [z[1], lam * lam * m_tilde(damping, t) ** 2 * z[0]]
 
-    res = _ode.solve(rhs, (T, 0.0) if backward else (0.0, T), [0.0, sign],
-                     1e-11, 1e-13, dense_output=True)
-    if not res.success:
-        raise IntegrationError(res.message)
     ts = np.linspace(0.0, T, 400)
-    y, yp = res.sol(ts)
+    step = -1 if backward else 1        # the samples in the solve's direction
+    y, yp = _ode.solve(rhs, (0.0, T)[::step], [0.0, sign], 1e-11, 1e-13,
+                       ts[::step], "comparison solve")[:, ::step]
     eta = np.asarray(eta_of_s(damping, ts))
     if backward:
         keep, dist = slice(None, -1), float(eta_of_s(damping, T)) - eta

@@ -1,4 +1,5 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -54,3 +55,12 @@ def same_fields():
                 assert (np.array_equal(x, y) if isinstance(x, np.ndarray)
                         else type(x) is type(y) and x == y), f.name
     return check
+
+
+@pytest.fixture
+def use_cores(monkeypatch):
+    """Make os.sched_getaffinity report the given number of cores."""
+    def use(cores):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cores)), raising=False)
+    return use

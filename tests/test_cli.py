@@ -290,11 +290,6 @@ def _serial_critical(sets, path):
     return 0 if ok else 1
 
 
-def _use_cores(monkeypatch, cores):
-    monkeypatch.setattr(os, "sched_getaffinity",
-                        lambda pid: set(range(cores)), raising=False)
-
-
 _CRITICAL_RUN = ["run.t_max=8.0", "run.eps=0.4", "run.lam_points=17",
                  "run.snapshot_step=0.5", "run.B=0.5", "solver.dr=0.1"]
 CRITICALS = {
@@ -312,12 +307,12 @@ CRITICALS = {
 
 @pytest.mark.parametrize("cores", [1, 2])
 @pytest.mark.parametrize("case", CRITICALS)
-def test_critical_equals_the_serial_pipeline(case, cores, monkeypatch,
+def test_critical_equals_the_serial_pipeline(case, cores, use_cores,
                                              tmp_path):
     sets = _CRITICAL_RUN + CRITICALS[case]
     want, got = tmp_path / "want.json", tmp_path / "got.json"
     status = _serial_critical(sets, want)
-    _use_cores(monkeypatch, cores)
+    use_cores(cores)
     args = ["critical", "--out", str(got)]
     for item in sets:
         args += ["--set", item]
@@ -326,7 +321,7 @@ def test_critical_equals_the_serial_pipeline(case, cores, monkeypatch,
     assert multiprocessing.active_children() == []
 
 
-def test_critical_evolves_in_a_worker(monkeypatch, tmp_path):
+def test_critical_evolves_in_a_worker(use_cores, monkeypatch, tmp_path):
     parent, evolve, shoot = os.getpid(), ws._evolve, crit.build_evaluator
     shooters = []
 
@@ -339,7 +334,7 @@ def test_critical_evolves_in_a_worker(monkeypatch, tmp_path):
         shooters.append(os.getpid())
         return shoot(*args, **kw)
 
-    _use_cores(monkeypatch, 2)
+    use_cores(2)
     monkeypatch.setattr(ws, "_evolve", evolve_elsewhere)
     monkeypatch.setattr(crit, "build_evaluator", spy)
     args = ["critical", "--out", str(tmp_path / "crit.json")]

@@ -127,7 +127,7 @@ def test_comparison_solves_step_caches_only_as_far_as_read(make):
     prof, T = make(), 20.0
     ode_lab.forward_comparison(prof, 0.2, T)
     ode_lab.backward_comparison(prof, 0.2, T)
-    last_step = lambda cache: cache.tmax - cache._ts[-2]
+    last_step = lambda cache: cache.tmax - cache.ts[-2]
     eta = prof._eta_cache
     assert T <= eta.tmax < T + last_step(eta)
     assert prof._cache.tmax <= (damping.eta_of_s(prof, eta.tmax)
@@ -170,9 +170,9 @@ def test_float_path_is_bit_identical(kind, data, times, negative):
     # path equals the own array path, which equals scipy's OdeSolution over
     # scipy's interpolants of the same steps
     for cache, rows in ((prof._cache, (0, 1)), (prof._eta_cache, (0,))):
-        sol = OdeSolution(cache._ts, [Dop853DenseOutput(p.t_old, p.t, p.y_old, p.F)
-                                      for p in cache._pieces])
-        probe = np.array([*times, *cache._ts[::50], cache._ts[-1]])
+        sol = OdeSolution(cache.ts, [Dop853DenseOutput(p.t_old, p.t, p.y_old, p.F)
+                                      for p in cache.pieces])
+        probe = np.array([*times, *cache.ts[::50], cache.ts[-1]])
         for row in rows:
             want = cache(probe, row)
             assert np.array_equal(want, sol(probe)[row])
@@ -260,7 +260,7 @@ def test_used_profile_freed_without_cycle_collector(make):
             if getattr(f, "__closure__", None)]
     refs = [weakref.ref(x) for x in (prof, *caches, *maps,
                                      *(c._stepper for c in caches),
-                                     *(c._pieces[-1] for c in caches))]
+                                     *(c.pieces[-1] for c in caches))]
     del caches, maps
     gc.disable()
     try:

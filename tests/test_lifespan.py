@@ -86,20 +86,6 @@ def test_detection_monotone_in_eps(flat3, zero_damping, bump_data):
     assert t7 < t5
 
 
-def test_threshold_crossed_at_the_first_record(flat3, zero_damping):
-    # sup|u| starts at 2e6 eps, past the first threshold 1e6 eps: its
-    # crossing is the first record's time, with nothing to interpolate from
-    # (detect_blowup refuses such data, so the crossings are taken directly)
-    data = ws.DataProfile(r0=1.0, u0_amp=2e6, u1_amp=1.0)
-    traj = ws.evolve_transformed(flat3, zero_damping, data, 0.1,
-                                 ws.SolverConfig(dr=0.1, tmax=2.0), p=2.0,
-                                 functionals=False)
-    crossings = ls._crossing_times(traj, 0.1)
-    assert len(crossings) == len(ws.THRESHOLD_FACTORS)
-    assert crossings[0] == 0.0
-    assert 0.0 < crossings[1] < crossings[2]
-
-
 @pytest.mark.parametrize("eps", [1.0, 0.1])
 def test_data_past_the_first_threshold_refused(eps, flat3, zero_damping):
     # sup|u(0)| ~ 2e6 eps: at eps 1 Aitken's extrapolation from the clamped
@@ -205,11 +191,6 @@ def _loop_sweep(metric, damping, data, grid, p, cfg, mode="transformed",
     return records, ls.fit_records(records, metric.n, p, data)
 
 
-def _use_cores(monkeypatch, cores):
-    monkeypatch.setattr(os, "sched_getaffinity",
-                        lambda pid: set(range(cores)), raising=False)
-
-
 SWEEPS = {
     # a time budget: each point runs to its own horizon
     "transformed-zero-budget": dict(
@@ -227,9 +208,9 @@ SWEEPS = {
 
 @pytest.mark.parametrize("cores", [1, 2, 3])
 @pytest.mark.parametrize("case", SWEEPS)
-def test_sweep_equals_the_plain_loop(case, cores, monkeypatch, flat3,
-                                     zero_damping, scat_damping, bump_data,
-                                     same_fields):
+def test_sweep_equals_the_plain_loop(case, cores, use_cores, monkeypatch,
+                                     flat3, zero_damping, scat_damping,
+                                     bump_data, same_fields):
     c = SWEEPS[case]
     damping = scat_damping if c["damped"] else zero_damping
     cfg = ws.SolverConfig(dr=0.1, tmax=c["tmax"])
@@ -243,7 +224,7 @@ def test_sweep_equals_the_plain_loop(case, cores, monkeypatch, flat3,
         fitted.append(list(recs))
         return fit(recs, *args)
 
-    _use_cores(monkeypatch, cores)
+    use_cores(cores)
     monkeypatch.setattr(ls, "fit_records", spy)
     got = ls.sweep_and_fit(flat3, damping, bump_data, c["grid"][::-1], 2.0,
                            cfg, mode=c["mode"], tmax_budget=c["budget"])
@@ -254,7 +235,7 @@ def test_sweep_equals_the_plain_loop(case, cores, monkeypatch, flat3,
     assert multiprocessing.active_children() == []
 
 
-def test_sweep_points_run_in_worker_processes(monkeypatch, flat3,
+def test_sweep_points_run_in_worker_processes(use_cores, monkeypatch, flat3,
                                               zero_damping, bump_data):
     parent, detect = os.getpid(), ls.detect_blowup
 
@@ -263,7 +244,7 @@ def test_sweep_points_run_in_worker_processes(monkeypatch, flat3,
             raise AssertionError("a point ran in the calling process")
         return detect(*args, **kw)
 
-    _use_cores(monkeypatch, 2)
+    use_cores(2)
     monkeypatch.setattr(ls, "detect_blowup", detect_elsewhere)
     fit = ls.sweep_and_fit(flat3, zero_damping, bump_data,
                            ls.geometric_eps_grid(7.0, 5, ratio=1.3), 2.0,
@@ -273,7 +254,7 @@ def test_sweep_points_run_in_worker_processes(monkeypatch, flat3,
 
 
 @pytest.mark.parametrize("cores", [1, 2])
-def test_sweep_raises_the_first_error_in_eps_order(cores, monkeypatch, flat3,
+def test_sweep_raises_the_first_error_in_eps_order(cores, use_cores, flat3,
                                                    zero_damping, bump_data):
     # eps 7 fits in rmax 60; every smaller eps, whose larger budget is
     # submitted first, does not
@@ -283,7 +264,7 @@ def test_sweep_raises_the_first_error_in_eps_order(cores, monkeypatch, flat3,
         _loop_sweep(flat3, zero_damping, bump_data, grid, 2.0, cfg,
                     tmax_budget=2100.0)
     assert "rmax=60 too small" in str(want.value)
-    _use_cores(monkeypatch, cores)
+    use_cores(cores)
     with pytest.raises(ConfigurationError) as got:
         ls.sweep_and_fit(flat3, zero_damping, bump_data, grid, 2.0, cfg,
                          tmax_budget=2100.0)
@@ -298,8 +279,8 @@ def _fail():
 
 @pytest.mark.parametrize("cores", [1, 2])
 def test_forked_hands_each_result_and_error_to_the_caller(cores,
-                                                         monkeypatch):
-    _use_cores(monkeypatch, cores)
+                                                         use_cores):
+    use_cores(cores)
     with ls._forked([os.getpid, _fail, lambda: "third"]) as (pid, fail,
                                                              third):
         assert third() == "third"
@@ -310,12 +291,12 @@ def test_forked_hands_each_result_and_error_to_the_caller(cores,
     assert multiprocessing.active_children() == []
 
 
-def test_forked_runs_each_call_in_its_own_child(monkeypatch):
+def test_forked_runs_each_call_in_its_own_child(use_cores):
     def call(i):
         time.sleep(0.04 * (5 - i))      # later calls finish first
         return i, os.getpid()
 
-    _use_cores(monkeypatch, 2)
+    use_cores(2)
     with ls._forked([lambda i=i: call(i) for i in range(5)]) as points:
         got = [point() for point in points]
     assert [i for i, _ in got] == list(range(5))
@@ -324,8 +305,8 @@ def test_forked_runs_each_call_in_its_own_child(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_forked_names_a_child_that_ends_without_a_result(monkeypatch):
-    _use_cores(monkeypatch, 2)
+def test_forked_names_a_child_that_ends_without_a_result(use_cores):
+    use_cores(2)
     with ls._forked([lambda: os._exit(3), lambda: "b"]) as (dead, b):
         assert b() == "b"
         with pytest.raises(AeblowError) as err:
@@ -345,8 +326,8 @@ def _raise_unpicklable():
     raise _Unpicklable()
 
 
-def test_forked_hands_over_an_error_that_cannot_be_pickled(monkeypatch):
-    _use_cores(monkeypatch, 2)
+def test_forked_hands_over_an_error_that_cannot_be_pickled(use_cores):
+    use_cores(2)
     with ls._forked([_raise_unpicklable]) as (fail,):
         with pytest.raises(AeblowError) as err:
             fail()
@@ -354,8 +335,8 @@ def test_forked_hands_over_an_error_that_cannot_be_pickled(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_forked_joins_its_workers_when_the_caller_raises(monkeypatch):
-    _use_cores(monkeypatch, 2)
+def test_forked_joins_its_workers_when_the_caller_raises(use_cores):
+    use_cores(2)
     with pytest.raises(KeyError):
         with ls._forked([os.getpid, os.getpid]):
             raise KeyError("the caller's own error")

@@ -148,6 +148,21 @@ def test_kato_step_failure_is_an_error(monkeypatch):
             assert 0.0 < t < 1.2143 and 2.0 <= F < 3.0
 
 
+def test_comparison_step_failure_is_an_error(monkeypatch, zero_damping):
+    # a stalled step raises naming the comparison solve (zero damping has no
+    # dense caches, whose own steps would fail first)
+    def failing(self):
+        self.status = "failed"
+        return _ode.TOO_SMALL_STEP
+
+    monkeypatch.setattr(_ode.Stepper, "step", failing)
+    for compare in (ol.forward_comparison, ol.backward_comparison):
+        with pytest.raises(IntegrationError) as e:
+            compare(zero_damping, 0.5, 5.0)
+        assert str(e.value) == \
+            f"comparison solve failed: {_ode.TOO_SMALL_STEP}"
+
+
 def test_delta_sweep_seeds_the_problem():
     # k, alpha and a come from the problem; only the seed follows delta
     prob = ol.KatoProblem(a=1.0, alpha=0.5, beta=2.0, k=3.0, f0=7.0)
