@@ -287,7 +287,8 @@ def _run_critical(cfg: ExperimentConfig):
     disc = state.disc
     # the evolution and the family share only the grid, so a worker evolves
     # while this process shoots; the trajectory comes back, since the
-    # evaluator's damping caches cannot be pickled
+    # evaluator's damping caches cannot be pickled, and the worker's exit
+    # overlaps critical_F
     with lifespan_mod._forked([partial(solver_mod._evolve, state, snaps,
                                        None, False)]) as (evolved,):
         # the family spans the solver grid, which Discretization sized
@@ -295,8 +296,7 @@ def _run_critical(cfg: ExperimentConfig):
             profile, dprof, q=q, r_max=float(disc.r[-1]), r1=disc.r1,
             lam_grid=lam_grid, dr=disc.dr)
         brep = critical_mod.xi_bounds_check(ev, samples)
-        traj = evolved()
-    crep = critical_mod.critical_F(traj, ev)
+        crep = critical_mod.critical_F(evolved(), ev)
     consts = critical_mod.SlicingConstants(
         c_int=crep.min_ratio, B=number(run, "run", "B", 0.5), eps=eps, p=p)
     irep = critical_mod.slicing_iteration_check(crep.T, crep.lhs, consts)

@@ -229,13 +229,15 @@ def _forked(calls):
     Each call runs in its own forked child, which inherits the call (a
     damping's caches cannot be pickled) and sends its (ok, value) back over
     a one-way pipe.  The children start in call order, at most min(cores,
-    calls) alive at once; a getter waits on the running children's pipes,
-    receives and joins each one that finishes, and starts the next waiting
-    call.  A child that ends without sending makes its getter raise an
-    AeblowError with its exit code.  With one core, or without the fork
-    start method, each getter runs its call in this process when it is
-    read.  Every child is joined on exit, and the calls not yet started are
-    dropped.
+    calls) running at once; a getter waits on the running children's
+    pipes, receives each one that finishes, and starts the next waiting
+    call.  A received result is handed over at once: the child that sent
+    it is joined on exit, so its teardown overlaps the caller's work.  A
+    child that ends without sending is joined at once, and its getter
+    raises an AeblowError with its exit code.  With one core, or without
+    the fork start method, each getter runs its call in this process when
+    it is read.  Every child is joined on exit, and the calls not yet
+    started are dropped.
     """
     import multiprocessing
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -247,6 +249,7 @@ def _forked(calls):
     ctx = multiprocessing.get_context("fork")
     waiting = iter(enumerate(calls))
     running = {}        # the reading end of each child's pipe: (index, child)
+    sent = []           # the children that sent, joined on exit
     outcomes = {}
 
     def start_next():
@@ -265,10 +268,12 @@ def _forked(calls):
                 out = reader.recv()
             except EOFError:
                 out = None
-        child.join()
         if out is None:     # the child ended without sending
+            child.join()
             out = False, AeblowError(f"forked call {i} ended without a "
                                      f"result (exit code {child.exitcode})")
+        else:
+            sent.append(child)
         outcomes[i] = out
 
     def get(i):
@@ -288,6 +293,8 @@ def _forked(calls):
     finally:
         while running:
             receive(next(iter(running)))
+        for child in sent:
+            child.join()
 
 
 def sweep_and_fit(metric: MetricProfile, damping: DampingProfile | None,

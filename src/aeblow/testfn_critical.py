@@ -99,28 +99,45 @@ def build_evaluator(profile: MetricProfile, damping: DampingProfile, q: float,
                        damping=damping, q=q, r1=r1, refined=refined)
 
 
-def _time_weight(ev: XiEvaluator, T: float, eta_T: float, t, eta_t):
+def _time_weight(ev: XiEvaluator, T, eta_T, t, eta_t):
     """sinh(lam*(eta_T - eta_t))/(lam*(T-t)) * exp(-lam*(eta_T + r1)) at t < T,
-    exp(-lam*(eta_T + r1)) at t = T, per t and lambda (shape t.shape + (n_lam,));
-    differences of decaying exponentials, so nothing large is ever formed."""
+    exp(-lam*(eta_T + r1)) at t = T, per (T, t) pair and lambda (shape
+    t.shape + (n_lam,)); eta_t has t's shape, and T and eta_T broadcast to
+    it.  Differences of decaying exponentials, so nothing large is ever
+    formed; the arithmetic runs in place, in at most three arrays of the
+    result's shape."""
     lam = ev.family.lams
-    t = np.asarray(t, dtype=float)[..., None]
-    eta_t = np.asarray(eta_t, dtype=float)[..., None]
-    a = np.exp(-lam * (eta_t + ev.r1))
-    b = np.exp(-lam * (2.0 * eta_T - eta_t + ev.r1))
+    T, eta_T, t, eta_t = (np.asarray(x, dtype=float)[..., None]
+                          for x in (T, eta_T, t, eta_t))
+    a = np.multiply(-lam, eta_t + ev.r1)
+    np.exp(a, out=a)
+    b = np.multiply(-lam, 2.0 * eta_T - eta_t + ev.r1)
+    np.exp(b, out=b)
+    np.subtract(a, b, out=b)
+    den = np.multiply(2.0 * lam, T - t)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(t < T, (a - b) / (2.0 * lam * (T - t)), a)
+        np.divide(b, den, out=b)
+    np.copyto(a, b, where=t < T)
+    return a
 
 
-def xi_q(ev: XiEvaluator, r: float, T: float, t: float) -> float:
-    """Lambda integral of time-weight * phi_lam(r) * lam^q d lam."""
-    if not 0.0 <= t <= T:
+def xi_q(ev: XiEvaluator, r, T, t):
+    """Lambda integral of time-weight * phi_lam(r) * lam^q d lam at each
+    (r, T, t) of the broadcast arguments: a float for scalars, else an
+    array of the broadcast shape.  Every sample needs 0 <= t <= T and r on
+    the family grid; the lambda sum is one dot product per sample."""
+    r, T, t = np.broadcast_arrays(*(np.asarray(x, dtype=float)
+                                    for x in (r, T, t)))
+    if not np.all((0.0 <= t) & (t <= T)):
         raise DomainError("need 0 <= t <= T")
-    eta_T, eta_t = eta_of_s(ev.damping, [T, t])
     fam = ev.family
-    f = _time_weight(ev, T, eta_T, t, eta_t) * _rows_at(fam.r, fam.phi, r) \
-        * fam.lams ** ev.q
-    return float(f @ ev.w)
+    rows = np.moveaxis(_rows_at(fam.r, fam.phi, r), 0, -1)
+    f = _time_weight(ev, T, np.reshape(eta_of_s(ev.damping, T.ravel()), T.shape),
+                     t, np.reshape(eta_of_s(ev.damping, t.ravel()), t.shape))
+    f *= rows
+    f *= fam.lams ** ev.q
+    vals = np.array([row @ ev.w for row in f.reshape(-1, len(ev.w))])
+    return float(vals[0]) if not T.ndim else vals.reshape(T.shape)
 
 
 # -- envelope constants ----------------------------------------------------
@@ -143,22 +160,24 @@ def _bracket(x: float) -> float:
 
 def _measure(ev: XiEvaluator, samples, k_int: dict, eta: dict):
     """(a1, a2, skipped) over the samples; k_int maps each radius to its
-    k_integral, eta each T to eta_of_s(T)."""
+    k_integral, eta each T to eta_of_s(T).  The samples inside the support
+    region are evaluated by one xi_q call, then bracketed one by one."""
     a1 = math.inf
     a2 = 0.0
     n = ev.family.profile.n
-    skipped = []
+    kept, skipped = [], []
     for (r, T, t) in samples:
-        eta_T, kr = eta[T], k_int[r]
-        if kr > eta_T + ev.r1:
+        if k_int[r] > eta[T] + ev.r1:
             skipped.append((r, T, t, "outside the support region"))
-            continue
-        val = xi_q(ev, r, T, t)
+        else:
+            kept.append((r, T, t))
+    vals = xi_q(ev, *np.array(kept).T).tolist() if kept else []
+    for (r, T, t), val in zip(kept, vals):
         if t < T:
             a1 = min(a1, val * _bracket(T) * _bracket(t) ** ev.q)
         else:
             env = _bracket(T) ** (-(n - 1) / 2.0) \
-                * _bracket(eta_T - kr) ** ((n - 3) / 2.0 - ev.q)
+                * _bracket(eta[T] - k_int[r]) ** ((n - 3) / 2.0 - ev.q)
             a2 = max(a2, val / env)
     return a1, a2, skipped
 
@@ -221,7 +240,9 @@ class CriticalReport:
 def critical_F(traj, ev: XiEvaluator) -> CriticalReport:
     """Evaluate F(T) = integral of u(T) xi_q(.,T,T) dv and the competing
     interaction integral over the trajectory snapshots; T runs over every
-    snapshot time >= 2."""
+    snapshot time >= 2.  The time weights and the interaction sums of all
+    pairs (T, t <= T) are formed in one pass; only F(T) and the trapezoid
+    rule in t run T by T."""
     if len(traj.snap_t) < 3:
         raise ConfigurationError("trajectory carries too few snapshots")
     lam = ev.family.lams
@@ -237,15 +258,22 @@ def critical_F(traj, ev: XiEvaluator) -> CriticalReport:
     GP = np.einsum("ij,kj->ik", np.abs(U) ** p * vol, phimat)
 
     eta = np.asarray(eta_of_s(ev.damping, ts))
-    Tsel = ts[ts >= 2.0]
+    iTs = np.nonzero(ts >= 2.0)[0]
+    Tsel = ts[iTs]
+    # one row per pair (T, t <= T), T by T, t ascending from the row
+    # starts[k]; the row of t = T ends each run and carries the limit weight
+    starts = np.cumsum(iTs + 1) - (iTs + 1)
+    Ti = np.repeat(iTs, iTs + 1)
+    tj = np.arange(len(Ti)) - np.repeat(starts, iTs + 1)
+    W = _time_weight(ev, ts[Ti], eta[Ti], ts[tj], eta[tj])
+    W *= wq
+    # einsum sums each row as the per-T loop did; a trapezoid per T, since
+    # np.add.reduceat would sum the panels sequentially, not pairwise
+    integ = (ts[Ti] - ts[tj]) * np.einsum("jl,jl->j", W, GP[tj])
     lhs, rhs = np.zeros(len(Tsel)), np.zeros(len(Tsel))
-    for k, iT in enumerate(np.nonzero(ts >= 2.0)[0]):
-        tt = ts[: iT + 1]
-        # one row per t <= T; the last row, t = T, is the limit weight
-        W = _time_weight(ev, ts[iT], eta[iT], tt, eta[: iT + 1]) * wq
-        lhs[k] = float(W[-1] @ GU[iT])
-        integ = (ts[iT] - tt) * np.einsum("jl,jl->j", W, GP[: iT + 1])
-        rhs[k] = float(np.trapezoid(integ, tt))
+    for k, (iT, start) in enumerate(zip(iTs.tolist(), starts.tolist())):
+        lhs[k] = float(W[start + iT] @ GU[iT])
+        rhs[k] = float(np.trapezoid(integ[start:start + iT + 1], ts[: iT + 1]))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(rhs > 0.0, lhs / rhs, np.nan)
         slic = np.where(Tsel > 1.5, lhs / (traj.eps ** p * np.log(2.0 * Tsel / 3.0)),

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import multiprocessing
+import multiprocessing.util
 import os
 import time
 
@@ -332,6 +333,24 @@ def test_forked_hands_over_an_error_that_cannot_be_pickled(use_cores):
         with pytest.raises(AeblowError) as err:
             fail()
     assert str(err.value) == "_Unpicklable: holds a lambda"
+    assert multiprocessing.active_children() == []
+
+
+def _send_then_linger():
+    # runs in the child after its result is sent, as the child exits
+    multiprocessing.util.Finalize(None, time.sleep, args=(0.5,),
+                                  exitpriority=0)
+    return "sent"
+
+
+def test_forked_hands_over_a_result_before_the_child_exits(use_cores):
+    use_cores(2)
+    start = time.perf_counter()
+    with ls._forked([_send_then_linger]) as (got,):
+        assert got() == "sent"
+        assert time.perf_counter() - start < 0.25
+        (child,) = multiprocessing.active_children()     # still exiting
+    assert child.exitcode == 0
     assert multiprocessing.active_children() == []
 
 

@@ -194,6 +194,27 @@ def test_damping_caches_step_as_scipy(kind, mu, beta, t0, seed):
                     rng.uniform(0.0, t0, 20))
 
 
+def test_dense_reads_the_piece_that_ends_at_a_breakpoint():
+    # neighbouring pieces agree at their breakpoint up to the rounding of
+    # the ending one, so the starting piece's y_old is moved to tell them
+    # apart there, and the stack the array path reads is rebuilt
+    fun, y0, _ = _linear(2, 0)
+    dense = _ode.Dense(fun, y0, 1e-6, 1e-8, "linear")
+    dense.at(2.0)
+    k = len(dense.pieces) // 2
+    t = dense.ts[k]
+    ending, starting = dense.pieces[k - 1], dense.pieces[k]
+    assert ending.t == starting.t_old == t
+    starting.y_old = starting.y_old + 1.0
+    starting._floats = None
+    dense._stack = None
+    for row in range(len(y0)):
+        want = ending.at(t, row)
+        assert starting.at(t, row) != want
+        assert dense.at(t, row) == want
+        assert dense(np.array([t]), row)[0] == want
+
+
 def test_step_failure_is_scipys():
     # F'' = F^5 from F = 1 outruns the step-size floor at its blow-up time
     fun = lambda t, z: [z[1], z[0] ** 5]

@@ -117,6 +117,76 @@ def test_xi_q_domain_errors(flat3, zero_damping):
         tc.xi_q(ev, 1.0, 5.0, 6.0)         # t > T
 
 
+def _time_weight_where(ev, T, eta_T, t, eta_t):
+    """The time weight at one T over the t, both branches formed in full,
+    then selected."""
+    lam = ev.family.lams
+    t = np.asarray(t, dtype=float)[..., None]
+    eta_t = np.asarray(eta_t, dtype=float)[..., None]
+    a = np.exp(-lam * (eta_t + ev.r1))
+    b = np.exp(-lam * (2.0 * eta_T - eta_t + ev.r1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(t < T, (a - b) / (2.0 * lam * (T - t)), a)
+
+
+def _xi_q_one(ev, r, T, t):
+    """xi_q at one sample, by _time_weight_where."""
+    eta_T, eta_t = eta_of_s(ev.damping, [T, t])
+    fam = ev.family
+    f = _time_weight_where(ev, T, eta_T, t, eta_t) \
+        * es._rows_at(fam.r, fam.phi, r) * fam.lams ** ev.q
+    return float(f @ ev.w)
+
+
+_DAMPINGS = [dm.zero_damping(), dm.scattering_power_damping(0.5, 2.0),
+             dm.signed_oscillatory_damping(0.4, 1.8)]
+
+
+@pytest.fixture(scope="module", params=_DAMPINGS, ids=lambda d: d.kind)
+def small_ev(request, flat3):
+    return tc.build_evaluator(flat3, request.param, tc.critical_q(3),
+                              r_max=30.0, r1=1.0,
+                              lam_grid=tc.log_lambda_grid(1.0, 9), dr=0.1)
+
+
+def test_xi_q_arrays_equal_the_scalar_calls(small_ev):
+    rng = np.random.default_rng(7)
+    grid = small_ev.family.r
+    nodes = grid[rng.integers(0, len(grid), 12)]
+    between = rng.uniform(grid[0], grid[-1], 12)
+    r = np.concatenate((nodes, between))
+    T = rng.uniform(0.5, 25.0, 24)
+    t = T * rng.uniform(0.0, 1.0, 24)
+    t[::3] = T[::3]
+    t[1::6] = 0.0
+    got = tc.xi_q(small_ev, r, T, t)
+    assert got.shape == (24,)
+    want = [tc.xi_q(small_ev, a, b, c)
+            for a, b, c in zip(r.tolist(), T.tolist(), t.tolist())]
+    assert all(type(v) is float for v in want)
+    assert got.tolist() == want
+    assert want == [_xi_q_one(small_ev, a, b, c)
+                    for a, b, c in zip(r.tolist(), T.tolist(), t.tolist())]
+    # broadcast: one radius against every (T, t), and a 2-D grid of radii
+    assert tc.xi_q(small_ev, r[0], T, t).tolist() == \
+        [tc.xi_q(small_ev, r[0], b, c) for b, c in zip(T.tolist(), t.tolist())]
+    grid2 = tc.xi_q(small_ev, r[:, None], T[0], t[:2])
+    assert grid2.shape == (24, 2)
+    assert grid2[:, 1].tolist() == \
+        [tc.xi_q(small_ev, a, T[0], t[1]) for a in r.tolist()]
+
+
+def test_xi_q_array_with_one_bad_sample_raises(small_ev):
+    r = np.array([1.0, 2.0, 3.0])
+    T = np.array([5.0, 6.0, 7.0])
+    with pytest.raises(DomainError):
+        tc.xi_q(small_ev, r, T, np.array([1.0, 6.5, 2.0]))     # t > T
+    with pytest.raises(DomainError):
+        tc.xi_q(small_ev, r, T, np.array([1.0, -0.5, 2.0]))    # t < 0
+    with pytest.raises(DomainError):
+        tc.xi_q(small_ev, np.array([1.0, 40.0, 3.0]), T, 2.0)  # off the grid
+
+
 def test_evaluator_shoots_its_family_once(flat3, zero_damping, monkeypatch):
     L = 5
     shot = []
@@ -234,6 +304,42 @@ def test_xi_bounds_check_flat(flat3, zero_damping):
     assert rep.drift_a1 < 2.0 and rep.drift_a2 < 2.0
 
 
+def _measure_per_sample(ev, samples, k_int, eta):
+    """_measure by one scalar xi_q call a sample."""
+    a1 = math.inf
+    a2 = 0.0
+    n = ev.family.profile.n
+    skipped = []
+    for (r, T, t) in samples:
+        eta_T, kr = eta[T], k_int[r]
+        if kr > eta_T + ev.r1:
+            skipped.append((r, T, t, "outside the support region"))
+            continue
+        val = tc.xi_q(ev, r, T, t)
+        if t < T:
+            a1 = min(a1, val * tc._bracket(T) * tc._bracket(t) ** ev.q)
+        else:
+            env = tc._bracket(T) ** (-(n - 1) / 2.0) \
+                * tc._bracket(eta_T - kr) ** ((n - 3) / 2.0 - ev.q)
+            a2 = max(a2, val / env)
+    return a1, a2, skipped
+
+
+def test_xi_bounds_check_equals_the_per_sample_loop(small_ev, monkeypatch):
+    # the critical command's sample pattern at t_max 24, with radii past
+    # the support region too
+    samples = [s for T in (6.0, 12.0, 24.0) for s in
+               [(r, T, t) for t in (0.0, T / 4, T / 2) for r in (1.0, 0.4 * T)]
+               + [(r, T, T) for r in (1.0, 0.25 * T, 0.6 * T, 0.9 * T)]]
+    samples += [(28.0, 6.0, 3.0), (28.0, 6.0, 6.0)]
+    rep = tc.xi_bounds_check(small_ev, samples)
+    monkeypatch.setattr(tc, "_measure", _measure_per_sample)
+    ref = tc.xi_bounds_check(small_ev, samples)
+    assert rep.skipped and rep.skipped == ref.skipped
+    for name in ("a1", "a2", "drift_a1", "drift_a2", "passed"):
+        assert getattr(rep, name) == getattr(ref, name), name
+
+
 def test_xi_bounds_skips_outside_support(flat3, zero_damping):
     q = tc.critical_q(3)
     ev = tc.build_evaluator(flat3, zero_damping, q, r_max=200.0, r1=1.0,
@@ -312,6 +418,41 @@ def test_critical_F_matches_pairwise_loop(flat3, bump_data, damp):
     assert np.array_equal(rep.lhs, lhs)
     assert np.all(rhs > 0.0)
     assert np.max(np.abs(rep.rhs - rhs) / rhs) <= 1e-13
+
+
+def _critical_F_per_T(traj, ev):
+    """lhs and rhs of critical_F by one _time_weight_where call a T."""
+    lam = ev.family.lams
+    wq = ev.w * lam ** ev.q
+    phimat = es._rows_at(ev.family.r, ev.family.phi, traj.r)
+    ts = np.asarray(traj.snap_t, dtype=float)
+    GU = np.einsum("ij,kj->ik", traj.snap_u * traj.V, phimat)
+    GP = np.einsum("ij,kj->ik", np.abs(traj.snap_u) ** traj.p * traj.V, phimat)
+    eta = np.asarray(eta_of_s(ev.damping, ts))
+    lhs, rhs = [], []
+    for iT in np.nonzero(ts >= 2.0)[0]:
+        tt = ts[: iT + 1]
+        W = _time_weight_where(ev, ts[iT], eta[iT], tt, eta[: iT + 1]) * wq
+        lhs.append(float(W[-1] @ GU[iT]))
+        integ = (ts[iT] - tt) * np.einsum("jl,jl->j", W, GP[: iT + 1])
+        rhs.append(float(np.trapezoid(integ, tt)))
+    return np.array(lhs), np.array(rhs)
+
+
+@pytest.mark.parametrize("damp", _DAMPINGS, ids=lambda d: d.kind)
+def test_critical_F_equals_the_per_T_loop(flat3, bump_data, damp):
+    p = ls.critical_exponent(3)
+    traj = ws.evolve_transformed(
+        flat3, damp, bump_data, 0.4, ws.SolverConfig(dr=0.1, tmax=10.0), p=p,
+        snapshot_times=list(np.arange(0.0, 10.0 + 1e-9, 0.5)))
+    ev = tc.build_evaluator(flat3, damp, tc.critical_q(3),
+                            r_max=float(traj.r[-1]), r1=traj.r1,
+                            lam_grid=tc.log_lambda_grid(1.0, 9), dr=traj.dr)
+    rep = tc.critical_F(traj, ev)
+    lhs, rhs = _critical_F_per_T(traj, ev)
+    assert len(lhs) == 17
+    assert np.array_equal(rep.lhs, lhs)
+    assert np.array_equal(rep.rhs, rhs)
 
 
 def test_critical_F_zero_solution(flat3, zero_damping, bump_data):
